@@ -11,8 +11,9 @@ which agree exactly when f is analytic in z^mu. Their disagreement, and the
 Cauchy-Riemann residuals of the component fields, quantify analyticity.
 Second derivatives come in three routes, d2/dx2, -d2/dy2 and -i * d/dx d/dy.
 
-All stencils are central. The default step is eps**(1/3) * scale, the
-truncation/roundoff compromise for central differences.
+All stencils are central and run on one engine, _Stencil, which evaluates
+each distinct point once. Steps follow one rule, _step: eps**(1/3) * scale
+for first differences and eps**(1/4) * scale for second differences.
 """
 
 from __future__ import annotations
@@ -27,13 +28,71 @@ from .errors import DomainError
 FieldFn = Callable[[float, np.ndarray], complex]
 
 _EPS_CBRT = float(np.finfo(float).eps ** (1.0 / 3.0))
+_EPS_QRT = float(np.finfo(float).eps ** 0.25)
+_UNIT = np.eye(4, dtype=np.complex128)   # row mu is the unit vector e_mu
 
 
 def default_step(scale: float = 1.0) -> float:
     """Central-difference step for a coordinate scale."""
     if scale <= 0:
         raise DomainError(f"scale must be positive, got {scale}")
-    return _EPS_CBRT * scale
+    return _step(scale)
+
+
+def _scale(v) -> float:
+    """Coordinate scale max(1, max |v|) of a stencil centred on v."""
+    return max(1.0, float(np.abs(v).max()))
+
+
+def _step(scale, order: int = 1, h=None):
+    """h when given, else the step balancing truncation against roundoff for
+    differences of the given order; scale may be an array of scales."""
+    if h is not None:
+        return h
+    return (_EPS_CBRT if order == 1 else _EPS_QRT) * scale
+
+
+class _Stencil:
+    """A field around one probe (tau, z), each distinct point evaluated once.
+
+    A point is named by its offset from the probe, a coordinate shift dz and
+    a tau shift dt, and built as z + dz and tau + dt: the negated offset -v
+    gives exactly z - v, and every route asking for the same offset shares
+    one evaluation. Fields are assumed deterministic.
+    """
+
+    def __init__(self, f, tau, z):
+        self.f, self.tau, self.z = f, tau, z
+        self._values: dict = {}
+
+    def __call__(self, dz=None, dt=None):
+        key = (dt, None if dz is None else dz.tobytes())
+        if key not in self._values:
+            self._values[key] = self.f(self.tau if dt is None else self.tau + dt,
+                                       self.z if dz is None else self.z + dz)
+        return self._values[key]
+
+    def diff1(self, steps: np.ndarray, h) -> np.ndarray:
+        """(f(z + v) - f(z - v)) / 2h for each row v of steps."""
+        return np.array([(self(v) - self(w)) / (2 * h) for v, w in zip(steps, -steps)],
+                        dtype=np.complex128)
+
+    def diff2(self, steps: np.ndarray, h) -> np.ndarray:
+        """(f(z + v) - 2 f(z) + f(z - v)) / h^2 for each row v of steps."""
+        f0 = self()
+        return np.array([(self(v) - 2 * f0 + self(w)) / (h * h)
+                         for v, w in zip(steps, -steps)], dtype=np.complex128)
+
+    def mixed(self, h) -> np.ndarray:
+        """d2/dx^mu dy^mu along every axis from the four diagonal points."""
+        e, ie = h * _UNIT, 1j * h * _UNIT
+        corners = zip(e + ie, e - ie, -e + ie, -e - ie)
+        return np.array([(self(pp) - self(pm) - self(mp) + self(mm)) / (4 * h * h)
+                         for pp, pm, mp, mm in corners], dtype=np.complex128)
+
+    def diff_tau(self, h):
+        """(f(tau + h) - f(tau - h)) / 2h at the probe's z."""
+        return (self(dt=h) - self(dt=-h)) / (2 * h)
 
 
 @dataclass(frozen=True)
@@ -125,18 +184,12 @@ def complex_derivative(f, tau: float, z, h: Optional[float] = None) -> Derivativ
     """Central-difference first derivatives along every axis, both routes."""
     field = _as_field(f)
     z = _as_point(z)
-    if h is None:
-        h = default_step(max(1.0, float(np.abs(z).max())))
+    h = _step(_scale(z), 1, h)
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
     _check_stencil_box(field, tau, z, margin=2 * h)
-    d_x = np.empty(4, dtype=np.complex128)
-    d_y = np.empty(4, dtype=np.complex128)
-    for mu in range(4):
-        e = np.zeros(4, dtype=np.complex128)
-        e[mu] = 1.0
-        d_x[mu] = (field(tau, z + h * e) - field(tau, z - h * e)) / (2 * h)
-        d_y[mu] = (field(tau, z + 1j * h * e) - field(tau, z - 1j * h * e)) / (2 * h)
+    st = _Stencil(field, tau, z)
+    d_x, d_y = st.diff1(h * _UNIT, h), st.diff1(1j * h * _UNIT, h)
     y_route = -1j * d_y
     cr = np.abs(d_x.real - d_y.imag) + np.abs(d_x.imag + d_y.real)
     cons = np.abs(d_x - y_route)
@@ -168,25 +221,14 @@ def second_complex_derivative(f, tau: float, z, h: Optional[float] = None) -> Se
     """Three-route second derivatives along every axis."""
     field = _as_field(f)
     z = _as_point(z)
-    if h is None:
-        # fourth root of eps balances the h^2 truncation against the 1/h^2
-        # roundoff amplification of second-difference stencils
-        h = float(np.finfo(float).eps ** 0.25) * max(1.0, float(np.abs(z).max()))
+    h = _step(_scale(z), 2, h)
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
     _check_stencil_box(field, tau, z, margin=3 * h)
-    f0 = field(tau, z)
-    xx = np.empty(4, dtype=np.complex128)
-    yy = np.empty(4, dtype=np.complex128)
-    xy = np.empty(4, dtype=np.complex128)
-    for mu in range(4):
-        e = np.zeros(4, dtype=np.complex128)
-        e[mu] = 1.0
-        xx[mu] = (field(tau, z + h * e) - 2 * f0 + field(tau, z - h * e)) / (h * h)
-        yy[mu] = -(field(tau, z + 1j * h * e) - 2 * f0 + field(tau, z - 1j * h * e)) / (h * h)
-        mixed = (field(tau, z + h * e + 1j * h * e) - field(tau, z + h * e - 1j * h * e)
-                 - field(tau, z - h * e + 1j * h * e) + field(tau, z - h * e - 1j * h * e)) / (4 * h * h)
-        xy[mu] = -1j * mixed
+    st = _Stencil(field, tau, z)
+    xx = st.diff2(h * _UNIT, h)
+    yy = -st.diff2(1j * h * _UNIT, h)
+    xy = -1j * st.mixed(h)
     disc = np.maximum(np.abs(xx - yy), np.maximum(np.abs(xx - xy), np.abs(yy - xy)))
     return SecondDerivativeReport(route_xx=xx, route_yy=yy, route_xy=xy,
                                   d2_z=xx.copy(), route_discrepancies=disc, h=float(h))
@@ -196,10 +238,9 @@ def tau_derivative(f, tau: float, z, h: Optional[float] = None) -> complex:
     """Central difference in tau at fixed z."""
     field = _as_field(f)
     z = _as_point(z)
-    if h is None:
-        h = default_step(max(1.0, abs(tau)))
+    h = _step(max(1.0, abs(tau)), 1, h)
     _check_stencil_box(field, tau, z, margin=0.0, tau_margin=h)
-    return (field(tau + h, z) - field(tau - h, z)) / (2 * h)
+    return _Stencil(field, tau, z).diff_tau(h)
 
 
 @dataclass(frozen=True)
@@ -209,6 +250,7 @@ class ProbeResult:
     residual: float          # worst raw first-derivative residual at the probe
     scaled_residual: float   # residual relative to max(1, |d_z|) per axis
     passed: bool
+    derivatives: DerivativeReport
 
 
 @dataclass(frozen=True)
@@ -246,7 +288,7 @@ def analyticity_scan(f, probes: Sequence[tuple[float, np.ndarray]],
         raw = rep.max_residual
         results.append(ProbeResult(tau=float(tau), z=_as_point(z), residual=raw,
                                    scaled_residual=float(scaled.max()),
-                                   passed=bool(scaled.max() < tol)))
+                                   passed=bool(scaled.max() < tol), derivatives=rep))
     worst = max(range(len(results)), key=lambda i: results[i].scaled_residual)
     return ScanReport(results=tuple(results), tol=float(tol),
                       passed=all(r.passed for r in results), worst_index=worst)

@@ -16,6 +16,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -217,27 +218,34 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        if math.isfinite(obj):
+            return obj
+        # strict JSON has no NaN or infinity; these strings read back with float()
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     return obj
 
 
 def write_json(path: str, obj: dict) -> None:
+    """Strict JSON: sorted keys, non-finite floats as "NaN"/"Infinity"/"-Infinity"."""
     text = json.dumps(_jsonable(obj), sort_keys=True, indent=2,
-                      ensure_ascii=False)
+                      ensure_ascii=False, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 
 
-def _check(name: str, value: float, limit: float) -> dict:
+def _check(name: str, value: float, limit: float, direction: str = "below") -> dict:
+    """One check: passes when value is below (or above) limit."""
+    passed = value < limit if direction == "below" else value > limit
     return {"name": name, "value": float(value), "limit": float(limit),
-            "passed": bool(value < limit)}
+            "direction": direction, "passed": bool(passed)}
 
 
 def _ordered_map(fn: Callable, items, jobs: int) -> list:
@@ -332,8 +340,7 @@ def run_cr_scan(cfg: ScenarioConfig) -> dict:
         "analytic_worst_residual": worst_good,
         "non_analytic_worst_residual": worst_bad,
         "checks": [_check("analytic-worst", worst_good, good.tol),
-                   {"name": "non-analytic-detected", "value": float(worst_bad),
-                    "floor": 0.1, "passed": bool(worst_bad > 0.1)}],
+                   _check("non-analytic-detected", worst_bad, 0.1, "above")],
         "passed": passed,
     }
 
@@ -371,17 +378,19 @@ def run_equivalence_audit(cfg: ScenarioConfig) -> dict:
     lag = em_lagrangian(cfg.em_config())
     pts = probe_points(cfg.box(), cfg.probes)
     report = equivalence_audit(lag, _audit_value_field(cfg.metric_object), pts)
+    n_singular = len(report.singular_probes)
+    # a maximum over no compared roots is no evidence that the roots agree
+    disagreement = report.max_disagreement if n_singular < len(pts) else float("inf")
     return {
         "scenario": "equivalence-audit",
         "verifies": ["real-pair-imag-pair-equivalence",
                      "closed-form-control-match"],
         "params": {"probes": cfg.probes, "tol": report.tol},
-        "max_disagreement": report.max_disagreement,
+        "max_disagreement": disagreement,
         "max_closed_form_disagreement": report.max_closed_form_disagreement,
-        "n_singular": len(report.singular_probes),
-        "checks": [_check("pair-root-disagreement", report.max_disagreement,
-                          report.tol)],
-        "passed": report.passed,
+        "n_singular": n_singular,
+        "checks": [_check("pair-root-disagreement", disagreement, report.tol)],
+        "passed": report.passed and disagreement < report.tol,
     }
 
 
@@ -548,28 +557,40 @@ RUNNERS: dict[str, Callable[[ScenarioConfig], dict]] = {
 }
 
 
-def write_manifest(cfg: ScenarioConfig, scenarios: list) -> None:
+def write_manifest(cfg: ScenarioConfig, configs: dict) -> None:
+    """The run's config, plus each scenario's keys that its own section changed."""
+    base = cfg.to_mapping()
+    overrides = {}
+    for name, scenario_cfg in configs.items():
+        changed = {k: v for k, v in scenario_cfg.to_mapping().items() if base[k] != v}
+        if changed:
+            overrides[name] = changed
     manifest = {
         "version": __version__,
         "rng_algorithm": RNG_ALGORITHM,
         "seed": cfg.seed,
-        "scenarios": scenarios,
-        "config": cfg.to_mapping(),
+        "scenarios": list(configs),
+        "config": base,
+        "scenario_overrides": overrides,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
 
 
-def run(scenario: str, cfg: ScenarioConfig) -> int:
-    """Run one scenario or all of them; returns the process exit code."""
+def run(scenario: str, cfg: ScenarioConfig, configs: dict) -> int:
+    """Run one scenario or all of them; returns the process exit code.
+
+    cfg is the run's own config (manifest, summary); configs maps each
+    scenario to run to its config resolved with its own section.
+    """
     os.makedirs(cfg.out_dir, exist_ok=True)
-    names = list(SCENARIOS) if scenario == "all" else [scenario]
-    write_manifest(cfg, names)
+    write_manifest(cfg, configs)
     all_passed = True
     summary = {}
-    for name in names:
-        report = RUNNERS[name](cfg)
-        write_json(os.path.join(cfg.out_dir, f"{name}.json"), report)
+    for name, scenario_cfg in configs.items():
+        os.makedirs(scenario_cfg.out_dir, exist_ok=True)
+        report = RUNNERS[name](scenario_cfg)
+        write_json(os.path.join(scenario_cfg.out_dir, f"{name}.json"), report)
         summary[name] = report["passed"]
         all_passed = all_passed and report["passed"]
         print(f"{name}: {'pass' if report['passed'] else 'FAIL'}")
@@ -647,22 +668,24 @@ def _flag_layer(args: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        layers = [{}]
-        if args.config:
-            sections = read_config_file(args.config)
-            layers.append(sections.get("common", {}))
-            if args.scenario != "all":
-                layers.append(sections.get(args.scenario, {}))
+        sections = read_config_file(args.config) if args.config else {}
         env_out = os.environ.get(ENV_OUT_DIR)
-        if env_out:
-            layers.insert(1, {"out_dir": env_out})
-        layers.append(_flag_layer(args))
-        cfg = config_from_layers(*layers)
+        env_layer = {"out_dir": env_out} if env_out else {}
+        flags = _flag_layer(args)
+
+        def resolve(scenario: str) -> ScenarioConfig:
+            # defaults, environment, [common], the scenario's section, flags
+            return config_from_layers(env_layer, sections.get("common", {}),
+                                      sections.get(scenario, {}), flags)
+
+        cfg = resolve(args.scenario)   # "all" has no section of its own
+        names = SCENARIOS if args.scenario == "all" else (args.scenario,)
+        configs = {name: resolve(name) for name in names}
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return run(args.scenario, cfg)
+        return run(args.scenario, cfg, configs)
     except CsocError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AnalyticityError, DomainError, NonConvergenceError
 from .spacetime import ComplexFourVector, LOWER, UPPER
-from .ccalc import analyticity_scan, complex_derivative, default_step
+from .ccalc import _step, analyticity_scan
 from .lagrangian import Lagrangian
 
 
@@ -39,23 +39,28 @@ class StationarityResult:
     converged: bool
 
 
+_K = np.arange(8)
+
+
 def _newton8(residual_fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndarray,
              tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Damped Newton with finite-difference Jacobian on an 8-real system."""
+    """Damped Newton with finite-difference Jacobian on an 8-real system.
+
+    residual_fn maps thetas (..., 8) to residuals of the same shape, or to
+    one (8,) row if it ignores theta; the Jacobian is one (16, 8) call.
+    """
     theta = np.asarray(theta0, dtype=float).copy()
     r = residual_fn(theta)
     norm = float(np.abs(r).max())
     for it in range(1, max_iter + 1):
         if norm < tol:
             return theta, r, it - 1
-        jac = np.empty((8, 8))
-        for k in range(8):
-            step = default_step(max(1.0, abs(theta[k])))
-            tp = theta.copy()
-            tp[k] += step
-            tm = theta.copy()
-            tm[k] -= step
-            jac[:, k] = (residual_fn(tp) - residual_fn(tm)) / (2 * step)
+        step = _step(np.maximum(1.0, np.abs(theta)))
+        shifted = np.tile(theta, (16, 1))
+        shifted[_K, _K] += step            # rows 0-7: theta + step_k e_k
+        shifted[_K + 8, _K] -= step        # rows 8-15: theta - step_k e_k
+        rs = np.broadcast_to(residual_fn(shifted), (16, 8))
+        jac = ((rs[:8] - rs[8:]) / (2 * step)[:, None]).T
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -82,7 +87,7 @@ def _newton8(residual_fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndarray
 
 
 def _theta_to_w(theta: np.ndarray) -> np.ndarray:
-    return theta[:4] + 1j * theta[4:]
+    return theta[..., :4] + 1j * theta[..., 4:]
 
 
 def _dj_lower(dJ) -> np.ndarray:
@@ -112,7 +117,7 @@ def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0, z=None,
 
     def residual(theta: np.ndarray) -> np.ndarray:
         g_c = lagrangian.grad(tau, z, _theta_to_w(theta)) + dj
-        return np.concatenate([g_c.real, g_c.imag])
+        return np.concatenate([g_c.real, g_c.imag], axis=-1)
 
     theta, _, iterations = _newton8(residual, theta0, tol, max_iter)
     w = _theta_to_w(theta)
@@ -168,9 +173,12 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
     """Solve both real-pair condition sets at every probe and compare roots.
 
     Refuses (AnalyticityError) when the value field fails its analyticity
-    scan. Probes whose root lands on the square-root branch point of a
-    shell-constrained Lagrangian (sum w^mu w_mu ~ 0) are flagged singular,
-    "no interior stationary point", and excluded from the pass criterion.
+    scan; the field partials come from that scan's stencils. Probes whose
+    root lands on the square-root branch point of a shell-constrained
+    Lagrangian (sum w^mu w_mu ~ 0) are flagged singular, "no interior
+    stationary point", and excluded from the pass criterion. A probe where
+    either Newton solve fails is not singular: it fails the audit with an
+    infinite disagreement.
     """
     scan = analyticity_scan(value_field, probes, h=h, tol=scan_tol)
     if not scan.passed:
@@ -188,30 +196,31 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
 
     out: list[AuditProbe] = []
     all_ok = True
-    for tau, z in probes:
+    for (tau, z), scanned in zip(probes, scan.results):
         tau = float(tau)
         z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
-        rep = complex_derivative(value_field, tau, z, h=h)
+        rep = scanned.derivatives
         dx_r, dx_i = rep.d_x.real, rep.d_x.imag
         dy_r, dy_i = rep.d_y.real, rep.d_y.imag
 
         def real_set(theta: np.ndarray) -> np.ndarray:
             g = lagrangian.grad(tau, z, _theta_to_w(theta))
-            return np.concatenate([g.real + dx_r, -g.imag + dy_r])
+            return np.concatenate([g.real + dx_r, -g.imag + dy_r], axis=-1)
 
         def imag_set(theta: np.ndarray) -> np.ndarray:
             g = lagrangian.grad(tau, z, _theta_to_w(theta))
-            return np.concatenate([g.imag + dx_i, g.real + dy_i])
+            return np.concatenate([g.imag + dx_i, g.real + dy_i], axis=-1)
 
         try:
             theta_r, _, _ = _newton8(real_set, np.zeros(8), solver_tol, 100)
             theta_i, _, _ = _newton8(imag_set, np.zeros(8), solver_tol, 100)
         except NonConvergenceError as exc:
+            all_ok = False
             out.append(AuditProbe(tau=tau, z=z, w_real_set=None, w_imag_set=None,
-                                  disagreement=float("nan"),
-                                  closed_form_disagreement=float("nan"),
-                                  singular=True,
-                                  note=f"no interior stationary point: {exc}"))
+                                  disagreement=float("inf"),
+                                  closed_form_disagreement=float("inf"),
+                                  singular=False,
+                                  note=f"stationarity solve failed: {exc}"))
             continue
         w_r, w_i = _theta_to_w(theta_r), _theta_to_w(theta_i)
 

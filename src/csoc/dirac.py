@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spacetime import LOWER, ComplexFourVector, Metric, MOSTLY_PLUS, contract
-from .ccalc import default_step
+from .ccalc import _UNIT, _scale, _Stencil, _step
 
 SpinorFieldFn = Callable[[float, np.ndarray], np.ndarray]
 PotentialFn = Callable[[float, np.ndarray], np.ndarray]
@@ -230,19 +230,6 @@ def plane_wave(gammas: GammaSet, p, *, q: float = 0.0, a_const=None,
                      lam=complex(lam), chi=chi, eigen_residual=eig_res)
 
 
-def _first_steps(z: np.ndarray, h: Optional[float]) -> float:
-    if h is not None:
-        return float(h)
-    return default_step(max(1.0, float(np.abs(z).max())))
-
-
-def _second_step(z: np.ndarray, h: Optional[float]) -> float:
-    if h is not None:
-        return float(h)
-    eps = np.finfo(float).eps
-    return eps ** 0.25 * max(1.0, float(np.abs(z).max()))
-
-
 def linearized_residual(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
                         *, lam: Optional[complex] = None, q: float = 0.0,
                         A: Optional[PotentialFn] = None, hbar: float = 1.0,
@@ -255,33 +242,30 @@ def linearized_residual(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     For a separable field exp(-i lam tau) chi(z) pass lam and the tau
     derivative is taken analytically instead of by stencil.
     """
+    return _linearized(gammas, _spinor_stencil(phi, tau, z), lam=lam, q=q, A=A,
+                       hbar=hbar, m=m, c=c, h=h)
+
+
+def _spinor_stencil(phi: SpinorFieldFn, tau: float, z) -> _Stencil:
     z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
+    st = _Stencil(lambda t, p: np.asarray(phi(t, p), dtype=np.complex128), tau, z)
+    if st().shape != (4,):
+        raise DomainError(f"phi must return 4 components, got {st().shape}")
+    return st
+
+
+def _linearized(gammas: GammaSet, st: _Stencil, *, lam, q, A, hbar, m, c,
+                h) -> np.ndarray:
+    """linearized_residual on a spinor stencil that route_consistency shares."""
+    tau, z, phi0 = st.tau, st.z, st()
     eta = gammas.metric.eta
-    h1 = _first_steps(z, h)
-    h2 = _second_step(z, h)
-
-    phi0 = np.asarray(phi(tau, z), dtype=np.complex128)
-    if phi0.shape != (4,):
-        raise DomainError(f"phi must return 4 components, got {phi0.shape}")
-
-    dphi = np.empty((4, 4), dtype=np.complex128)   # [mu, component]
-    d2phi = np.empty((4, 4), dtype=np.complex128)
-    for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = 1.0
-        fp = np.asarray(phi(tau, z + h1 * e), dtype=np.complex128)
-        fm = np.asarray(phi(tau, z - h1 * e), dtype=np.complex128)
-        dphi[mu] = (fp - fm) / (2 * h1)
-        sp = np.asarray(phi(tau, z + h2 * e), dtype=np.complex128)
-        sm = np.asarray(phi(tau, z - h2 * e), dtype=np.complex128)
-        d2phi[mu] = (sp - 2 * phi0 + sm) / (h2 * h2)
-
+    h1, h2 = _step(_scale(z), 1, h), _step(_scale(z), 2, h)
+    dphi = st.diff1(h1 * _UNIT, h1)     # [mu, component]
+    d2phi = st.diff2(h2 * _UNIT, h2)
     if lam is not None:
         dtau_phi = -1j * lam * phi0
     else:
-        ht = default_step(max(1.0, abs(tau)))
-        dtau_phi = (np.asarray(phi(tau + ht, z), dtype=np.complex128)
-                    - np.asarray(phi(tau - ht, z), dtype=np.complex128)) / (2 * ht)
+        dtau_phi = st.diff_tau(_step(max(1.0, abs(tau))))
 
     a_val = np.zeros(4, dtype=np.complex128)
     if A is not None:
@@ -325,21 +309,19 @@ def hopf_cole_check(j_field, tau: float, z, metric: Metric = MOSTLY_PLUS,
     """
     z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
     eta = metric.eta
-    if h is None:
-        h = _second_step(z, None)
-    h = float(h)
+    h = float(_step(_scale(z), 2, h))
+    st = _Stencil(j_field, tau, z)
 
-    j0 = complex(j_field(tau, z))
+    j0 = complex(st())
     e0 = np.exp(j0)
     if abs(e0) < 1e-12:
         raise DomainError("exp(J) is numerically zero at the probe")
     lhs = 0.0 + 0.0j
     rhs = 0.0 + 0.0j
+    steps = h * _UNIT
     for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = 1.0
-        jp = complex(j_field(tau, z + h * e))
-        jm = complex(j_field(tau, z - h * e))
+        jp = complex(st(steps[mu]))
+        jm = complex(st(-steps[mu]))
         dj = (jp - jm) / (2 * h)
         d2j = (jp - 2 * j0 + jm) / (h * h)
         lhs += eta[mu] * (dj * dj + d2j)
@@ -397,42 +379,37 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     """
     if signing not in ("exact", "unsigned"):
         raise DomainError(f"signing must be 'exact' or 'unsigned', got {signing!r}")
-    z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
+    # one stencil for both routes: every component's log map reads the same
+    # spinor values, and the linear operator reuses them
+    st = _spinor_stencil(phi, tau, z)
+    z, phi0 = st.z, st()
     eta = gammas.metric.eta
     eps = np.asarray(COMPONENT_SIGNS)
-    h1 = _first_steps(z, h)
-    h2 = _second_step(z, h)
-    ht = default_step(max(1.0, abs(tau)))
-
-    phi0 = np.asarray(phi(tau, z), dtype=np.complex128)
-    if phi0.shape != (4,):
-        raise DomainError(f"phi must return 4 components, got {phi0.shape}")
+    h1, h2 = _step(_scale(z), 1, h), _step(_scale(z), 2, h)
+    ht = _step(max(1.0, abs(tau)))
     # components this small are treated as structural zeros: their rho factor
     # kills the coupling term and their own value field is rejected
     live = np.abs(phi0) > 1e-12 * float(np.abs(phi0).max())
 
-    def j_value(s: int, t2: float, z2: np.ndarray) -> complex:
+    def j_value(s: int, dz=None, dt=None) -> complex:
         # log anchored at the probe so stencil points never straddle the cut
-        ratio = complex(phi(t2, z2)[s]) / complex(phi0[s])
+        ratio = complex(st(dz, dt)[s]) / complex(phi0[s])
         return -1j * eps[s] * hbar * np.log(ratio)
 
+    e1, e2 = h1 * _UNIT, h2 * _UNIT
     # first derivatives of every live component; higher ones only where needed
     dj = np.zeros((4, 4), dtype=np.complex128)     # [component, mu]
     for s in range(4):
         if not live[s]:
             continue
         for mu in range(4):
-            e = np.zeros(4)
-            e[mu] = 1.0
-            dj[s, mu] = (j_value(s, tau, z + h1 * e)
-                         - j_value(s, tau, z - h1 * e)) / (2 * h1)
+            dj[s, mu] = (j_value(s, e1[mu]) - j_value(s, -e1[mu])) / (2 * h1)
 
     a_val = np.zeros(4, dtype=np.complex128)
     if A is not None:
         a_val = np.asarray(A(tau, z), dtype=np.complex128)
 
-    lin = linearized_residual(gammas, phi, tau, z, q=q, A=A,
-                              hbar=hbar, m=m, c=c, h=h)
+    lin = _linearized(gammas, st, lam=None, q=q, A=A, hbar=hbar, m=m, c=c, h=h)
 
     comps = tuple(int(r) for r in components)
     route_a = np.zeros(len(comps), dtype=np.complex128)
@@ -441,13 +418,10 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
         if not live[r]:
             raise DomainError(f"phi component {r} vanishes at the probe; "
                               "its value field is undefined there")
-        dtau_j = (j_value(r, tau + ht, z) - j_value(r, tau - ht, z)) / (2 * ht)
+        dtau_j = (j_value(r, dt=ht) - j_value(r, dt=-ht)) / (2 * ht)
         box_j = 0.0 + 0.0j
         for mu in range(4):
-            e = np.zeros(4)
-            e[mu] = 1.0
-            d2 = (j_value(r, tau, z + h2 * e) - 2 * j_value(r, tau, z)
-                  + j_value(r, tau, z - h2 * e)) / (h2 * h2)
+            d2 = (j_value(r, e2[mu]) - 2 * j_value(r) + j_value(r, -e2[mu])) / (h2 * h2)
             box_j += eta[mu] * d2
 
         coupling = 0.0 + 0.0j

@@ -34,7 +34,7 @@ from scipy.stats import qmc
 from .errors import DomainError
 from .spacetime import Metric
 from .wiener import DiffusionSpec, complex_sigma_squared
-from .ccalc import (DomainBox, complex_derivative, default_step,
+from .ccalc import (_UNIT, DomainBox, _Stencil, _step, complex_derivative,
                     second_complex_derivative, tau_derivative)
 from .lagrangian import Lagrangian
 from .control import solve_optimal_control
@@ -139,32 +139,14 @@ def hjb_residual_complex(problem: HJBProblem, value_field, tau: float, z,
     return hjb_residual_probe(problem, value_field, tau, z, h=h).residual
 
 
-def _pair_first(field: PairFieldFn, tau: float, x: np.ndarray, y: np.ndarray,
-                h: float) -> tuple[np.ndarray, np.ndarray]:
-    dx = np.empty(4)
-    dy = np.empty(4)
-    for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = h
-        dx[mu] = (field(tau, x + e, y) - field(tau, x - e, y)) / (2 * h)
-        dy[mu] = (field(tau, x, y + e) - field(tau, x, y - e)) / (2 * h)
-    return dx, dy
-
-
-def _pair_second(field: PairFieldFn, tau: float, x: np.ndarray, y: np.ndarray,
-                 h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    f0 = field(tau, x, y)
-    dxx = np.empty(4)
-    dyy = np.empty(4)
-    dxy = np.empty(4)
-    for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = h
-        dxx[mu] = (field(tau, x + e, y) - 2 * f0 + field(tau, x - e, y)) / (h * h)
-        dyy[mu] = (field(tau, x, y + e) - 2 * f0 + field(tau, x, y - e)) / (h * h)
-        dxy[mu] = (field(tau, x + e, y + e) - field(tau, x + e, y - e)
-                   - field(tau, x - e, y + e) + field(tau, x - e, y - e)) / (4 * h * h)
-    return dxx, dyy, dxy
+def _pair_partials(field: PairFieldFn, tau: float, z: np.ndarray, h: float,
+                   ht: float) -> tuple[np.ndarray, ...]:
+    """d/dx, d/dy, d2/dx2, d2/dy2, d2/dx dy (per axis) and d/dtau of a real
+    pair field from one stencil, so first and second routes share points."""
+    st = _Stencil(lambda t, p: field(t, p.real, p.imag), tau, z)
+    ex, ey = h * _UNIT, 1j * h * _UNIT
+    parts = (st.diff1(ex, h), st.diff1(ey, h), st.diff2(ex, h), st.diff2(ey, h), st.mixed(h))
+    return tuple(part.real for part in parts) + (st.diff_tau(ht),)
 
 
 def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFieldFn,
@@ -179,22 +161,16 @@ def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFi
     y = np.asarray(y, dtype=float)
     if x.shape != (4,) or y.shape != (4,):
         raise DomainError("x and y must each have 4 components")
-    if h is None:
-        h = default_step(max(1.0, float(np.abs(x).max()), float(np.abs(y).max())))
-    dxr, dyr = _pair_first(field_r, tau, x, y, h)
-    dxi, dyi = _pair_first(field_i, tau, x, y, h)
-    dxxr, dyyr, dxyr = _pair_second(field_r, tau, x, y, h)
-    dxxi, dyyi, dxyi = _pair_second(field_i, tau, x, y, h)
+    h = _step(max(1.0, float(np.abs(x).max()), float(np.abs(y).max())), 1, h)
+    ht = _step(max(1.0, abs(tau)))
+    z = x + 1j * y
+    dxr, dyr, dxxr, dyyr, dxyr, dtau_r = _pair_partials(field_r, tau, z, h, ht)
+    dxi, dyi, dxxi, dyyi, dxyi, dtau_i = _pair_partials(field_i, tau, z, h, ht)
 
     dj = dxr + 1j * dxi
-    z = x + 1j * y
     w_star, _ = optimal_control_at(problem, dj, tau, z)
     v, u = w_star.real, w_star.imag
     lval = complex(np.asarray(problem.lagrangian.value(tau, z, w_star)))
-
-    ht = default_step(max(1.0, abs(tau)))
-    dtau_r = (field_r(tau + ht, x, y) - field_r(tau - ht, x, y)) / (2 * ht)
-    dtau_i = (field_i(tau + ht, x, y) - field_i(tau - ht, x, y)) / (2 * ht)
 
     spec = problem.diffusion
     sx2 = spec.sigma_x * spec.sigma_x

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 from .spacetime import Metric, MOSTLY_PLUS
-from .ccalc import default_step
+from .ccalc import _UNIT, _step
 
 AFn = Callable[[float, np.ndarray], np.ndarray]
 
@@ -52,17 +52,19 @@ class Lagrangian:
 
     def grad(self, tau: float, z: np.ndarray, w: np.ndarray,
              h: Optional[float] = None) -> np.ndarray:
-        """Closed-form gradient when available, else central differences in w."""
+        """Closed-form gradient when available, else central differences in w.
+
+        w may carry leading axes; without an explicit h each row of w gets
+        the step of its own scale, so a batch equals its rows one by one.
+        """
         if self.gradient_w is not None:
             return np.asarray(self.gradient_w(tau, z, w), dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
-        if h is None:
-            h = default_step(max(1.0, float(np.abs(w).max())))
+        h = np.asarray(_step(np.maximum(1.0, np.abs(w).max(axis=-1)), h=h))
         g = np.empty(w.shape, dtype=np.complex128)
         for mu in range(4):
-            e = np.zeros(4, dtype=np.complex128)
-            e[mu] = 1.0
-            g[..., mu] = (self.value(tau, z, w + h * e) - self.value(tau, z, w - h * e)) / (2 * h)
+            e = h[..., None] * _UNIT[mu]
+            g[..., mu] = (self.value(tau, z, w + e) - self.value(tau, z, w - e)) / (2 * h)
         return g
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from csoc import cli
@@ -188,3 +189,50 @@ def test_help_documents_defaults(capsys):
     text = capsys.readouterr().out
     assert "default: natural" in text
     assert "default: mostly-plus" in text
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_write_json_is_strict_with_explicit_non_finite_values(tmp_path):
+    path = tmp_path / "report.json"
+    cli.write_json(str(path), {"zscore": float("inf"), "lines": [-np.inf, np.nan],
+                               "moment": complex(1.0, float("inf"))})
+    report = json.loads(read_bytes(path), parse_constant=refuse_constant)
+    assert report == {"zscore": "Infinity", "lines": ["-Infinity", "NaN"],
+                      "moment": {"re": 1.0, "im": "Infinity"}}
+    assert float(report["zscore"]) == float("inf")
+
+
+def test_every_check_of_run_all_has_one_schema(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "all", "--out-dir", str(out)]) == 0
+    for name in cli.SCENARIOS:
+        report = json.loads(read_bytes(out / f"{name}.json"),
+                            parse_constant=refuse_constant)
+        for check in report.get("checks", []):
+            assert sorted(check) == ["direction", "limit", "name", "passed", "value"]
+            assert check["direction"] in ("below", "above")
+
+
+def test_run_all_honours_scenario_sections(tmp_path):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[hjb-residual]\nprobes = 3\n")
+    out = tmp_path / "run"
+    assert main(["run", "all", "--config", str(ini), "--out-dir", str(out)]) == 0
+    assert len(json.loads(read_bytes(out / "hjb-probes.json"))["probes"]) == 3
+    assert json.loads(read_bytes(out / "cr-scan.json"))["params"]["probes"] == 64
+    manifest = json.loads(read_bytes(out / "manifest.json"))
+    assert manifest["scenario_overrides"] == {"hjb-residual": {"probes": "3"}}
+
+
+def test_audit_scenario_fails_when_no_probe_is_evaluated(tmp_path, monkeypatch):
+    # a zero value field puts every free-particle root on the branch point
+    monkeypatch.setattr(cli, "_audit_value_field", lambda metric: lambda tau, z: 0j)
+    out = tmp_path / "run"
+    assert main(["run", "equivalence-audit", "--out-dir", str(out), "--probes", "4"]) == 1
+    report = json.loads(read_bytes(out / "equivalence-audit.json"))
+    assert report["n_singular"] == 4
+    assert report["max_disagreement"] == "Infinity"
+    assert report["checks"][0]["passed"] is False

@@ -137,3 +137,44 @@ def test_audit_quadratic_lagrangian_has_no_branch_flag():
                                [(0.0, np.zeros(4, dtype=np.complex128))], h=1e-4)
     assert report.passed
     assert report.singular_probes == ()
+
+
+def test_audit_fails_when_the_stationarity_solve_does_not_converge():
+    # a gradient with no root is a solver failure, not a branch point: the
+    # probe stays in the pass criterion and fails it
+    stuck = Lagrangian(value=lambda tau, z, w: 0j,
+                       gradient_w=lambda tau, z, w: np.full(4, 1.0 + 0j))
+    report = equivalence_audit(stuck, quadratic_value_field,
+                               random_probes(3, seed=6), h=1e-4)
+    assert not report.passed
+    assert report.singular_probes == ()
+    assert report.max_disagreement == float("inf")
+    for probe in report.probes:
+        assert probe.w_real_set is None
+        assert "stationarity solve failed" in probe.note
+
+
+def counted(fn):
+    def wrapper(*args):
+        wrapper.calls += 1
+        return fn(*args)
+    wrapper.calls = 0
+    return wrapper
+
+
+def test_audit_evaluates_the_value_field_once_per_stencil_point():
+    # the scan's stencils feed the solves: 16 points per probe, not 32
+    field = counted(quadratic_value_field)
+    probes = random_probes(4, seed=7)
+    equivalence_audit(free_particle_lagrangian(), field, probes, h=1e-4)
+    assert field.calls == 16 * len(probes)
+
+
+def test_newton_jacobian_is_one_batched_gradient_call():
+    A, _ = vector_potential_preset("constant(0.2,-0.1,0,0.05)")
+    lag = em_lagrangian(EMFieldConfig(q=0.7, A=A))
+    grad = counted(lag.gradient_w)
+    lag = Lagrangian(value=lag.value, gradient_w=grad, params=lag.params)
+    res = solve_optimal_control(lag, np.array([0.3, -0.2, 0.1, 0.05]) + 0.02j)
+    assert res.converged
+    assert grad.calls <= 6

@@ -266,3 +266,19 @@ def test_route_consistency_validates_arguments():
         route_consistency(gammas, wave.phi, 0.3, PROBE_Z, signing="bogus")
     with pytest.raises(DomainError):
         nonlinear_linear_consistency(gammas, wave.phi, 5, 0.3, PROBE_Z)
+
+
+def test_route_consistency_evaluates_each_spinor_point_once():
+    # the centre, 8 first-step, 8 second-step and 2 tau points, shared by
+    # every component's log map and by the linear operator
+    gammas = build_gammas(MOSTLY_PLUS)
+    wave = plane_wave(gammas, P_LOWER, q=0.5, a_const=A_CONST)
+    calls = []
+
+    def phi(tau, z):
+        calls.append(tau)
+        return wave.phi(tau, z)
+
+    route_consistency(gammas, phi, 0.3, PROBE_Z, q=0.5, A=wave.potential(),
+                      components=(0, 2))
+    assert len(calls) == 19

@@ -197,3 +197,19 @@ def test_probe_points_non_power_of_two():
         probe_points(DomainBox.cube(0.5), n=0)
     with pytest.raises(DomainError):
         probe_points(DomainBox.cube(0.5), n=8, shrink=0.7)
+
+
+def test_pair_residual_evaluates_each_stencil_point_once():
+    # 8 first-route, 1 centre, 8 second-route (shared with the first at one
+    # h), 16 mixed and 2 tau points: 35 per field
+    calls = {"r": 0, "i": 0}
+
+    def make(part, key):
+        def field(tau, x, y):
+            calls[key] += 1
+            return float(part(FIELDS[0](tau, x + 1j * y)))
+        return field
+
+    hjb_residual_pair(free_problem(), make(np.real, "r"), make(np.imag, "i"),
+                      0.37, PROBE_Z.real, PROBE_Z.imag, h=1e-3)
+    assert calls == {"r": 35, "i": 35}

@@ -175,3 +175,11 @@ def test_potential_shape_is_validated():
     cfg = EMFieldConfig(q=1.0, A=lambda tau, z: np.zeros(3))
     with pytest.raises(DomainError):
         cfg.potential(0.0, Z0)
+
+
+def test_finite_difference_gradient_of_a_batch_equals_its_rows():
+    opaque = Lagrangian(value=em_lagrangian(EMFieldConfig()).value)
+    w = np.stack([apply_boost(REST, 0.3, 1).components, 3.0 * REST])
+    batch = opaque.grad(0.0, Z0, w)
+    for row, w_row in zip(batch, w):
+        assert np.array_equal(row, opaque.grad(0.0, Z0, w_row))
