@@ -217,15 +217,20 @@ class SecondDerivativeReport:
         return float(self.route_discrepancies.max())
 
 
-def second_complex_derivative(f, tau: float, z, h: Optional[float] = None) -> SecondDerivativeReport:
-    """Three-route second derivatives along every axis."""
+def _second_stencil(f, tau: float, z, h: Optional[float]) -> tuple[_Stencil, float]:
+    """The box-checked stencil at a probe and its second-difference step."""
     field = _as_field(f)
     z = _as_point(z)
     h = _step(_scale(z), 2, h)
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
     _check_stencil_box(field, tau, z, margin=3 * h)
-    st = _Stencil(field, tau, z)
+    return _Stencil(field, tau, z), h
+
+
+def second_complex_derivative(f, tau: float, z, h: Optional[float] = None) -> SecondDerivativeReport:
+    """Three-route second derivatives along every axis."""
+    st, h = _second_stencil(f, tau, z, h)
     xx = st.diff2(h * _UNIT, h)
     yy = -st.diff2(1j * h * _UNIT, h)
     xy = -1j * st.mixed(h)

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Optional
@@ -87,7 +86,6 @@ class ScenarioConfig:
     branch: str = "+"
     signing: str = "exact"
     seed: int = 0
-    jobs: int = 1
     out_dir: str = "csoc-out"
 
     def __post_init__(self):
@@ -104,7 +102,7 @@ class ScenarioConfig:
         for name in ("hbar", "m", "c", "d_tau", "box_half_width"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("n_paths", "n_steps", "demo_paths", "probes", "jobs"):
+        for name in ("n_paths", "n_steps", "demo_paths", "probes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if self.boost_axis not in (1, 2, 3):
@@ -155,7 +153,7 @@ class ScenarioConfig:
 _FLOAT_FIELDS = {"hbar", "m", "c", "q", "d_tau", "box_half_width", "tau_lo",
                  "tau_hi", "tau_f", "rapidity"}
 _INT_FIELDS = {"epsilon", "n_paths", "n_steps", "demo_paths", "probes",
-               "boost_axis", "seed", "jobs"}
+               "boost_axis", "seed"}
 _STR_FIELDS = {"metric", "branch", "signing", "potential", "out_dir"}
 _OPT_FLOAT_FIELDS = {"sigma_x", "sigma_y"}
 _ALL_FIELDS = _FLOAT_FIELDS | _INT_FIELDS | _STR_FIELDS | _OPT_FLOAT_FIELDS
@@ -246,13 +244,6 @@ def _check(name: str, value: float, limit: float, direction: str = "below") -> d
     passed = value < limit if direction == "below" else value > limit
     return {"name": name, "value": float(value), "limit": float(limit),
             "direction": direction, "passed": bool(passed)}
-
-
-def _ordered_map(fn: Callable, items, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # one fixed demo point per scenario family, inside the default box
@@ -406,9 +397,7 @@ def run_hjb_residual(cfg: ScenarioConfig) -> dict:
         return complex(scale * (cfg.tau_f - tau))
 
     pts = probe_points(cfg.box(), cfg.probes)
-    records = _ordered_map(
-        lambda p: hjb_residual_probe(problem, value, p[0], p[1]).to_record(),
-        pts, cfg.jobs)
+    records = [hjb_residual_probe(problem, value, tau, z).to_record() for tau, z in pts]
     worst = max(np.hypot(r["residual_re"], r["residual_im"]) for r in records)
     boundary = boundary_residual(problem, value, [z for _, z in pts])
     json_path = os.path.join(cfg.out_dir, "hjb-probes.json")
@@ -581,23 +570,32 @@ def run(scenario: str, cfg: ScenarioConfig, configs: dict) -> int:
     """Run one scenario or all of them; returns the process exit code.
 
     cfg is the run's own config (manifest, summary); configs maps each
-    scenario to run to its config resolved with its own section.
+    scenario to run to its config resolved with its own section. A domain
+    error fails its scenario, goes to the summary's errors map and makes the
+    exit code 3 once the other scenarios have run.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_manifest(cfg, configs)
-    all_passed = True
-    summary = {}
+    summary, errors = {}, {}
     for name, scenario_cfg in configs.items():
         os.makedirs(scenario_cfg.out_dir, exist_ok=True)
-        report = RUNNERS[name](scenario_cfg)
-        write_json(os.path.join(scenario_cfg.out_dir, f"{name}.json"), report)
-        summary[name] = report["passed"]
-        all_passed = all_passed and report["passed"]
-        print(f"{name}: {'pass' if report['passed'] else 'FAIL'}")
+        try:
+            report = RUNNERS[name](scenario_cfg)
+        except CsocError as exc:
+            errors[name] = str(exc)
+            summary[name] = False
+            print(f"domain error: {name}: {exc}", file=sys.stderr)
+        else:
+            write_json(os.path.join(scenario_cfg.out_dir, f"{name}.json"), report)
+            summary[name] = report["passed"]
+        print(f"{name}: {'pass' if summary[name] else 'FAIL'}")
+    all_passed = all(summary.values())
     if scenario == "all":
-        write_json(os.path.join(cfg.out_dir, "summary.json"),
-                   {"scenarios": summary, "passed": all_passed})
-    return 0 if all_passed else 1
+        payload = {"scenarios": summary, "passed": all_passed}
+        if errors:
+            payload["errors"] = errors
+        write_json(os.path.join(cfg.out_dir, "summary.json"), payload)
+    return 3 if errors else 0 if all_passed else 1
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
@@ -637,7 +635,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     flag("signing", choices=("exact", "unsigned"),
          help="route-consistency sign bookkeeping")
     flag("seed", type=int, help="RNG seed")
-    flag("jobs", type=int, help="worker threads for independent probes")
     flag("out-dir", type=str,
          help=f"output directory (env {ENV_OUT_DIR} overrides)")
 
@@ -684,11 +681,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return run(args.scenario, cfg, configs)
-    except CsocError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
+    return run(args.scenario, cfg, configs)
 
 
 if __name__ == "__main__":

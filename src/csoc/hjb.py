@@ -34,8 +34,8 @@ from scipy.stats import qmc
 from .errors import DomainError
 from .spacetime import Metric
 from .wiener import DiffusionSpec, complex_sigma_squared
-from .ccalc import (_UNIT, DomainBox, _Stencil, _step, complex_derivative,
-                    second_complex_derivative, tau_derivative)
+from .ccalc import (_UNIT, DomainBox, _second_stencil, _Stencil, _step,
+                    complex_derivative, second_complex_derivative, tau_derivative)
 from .lagrangian import Lagrangian
 from .control import solve_optimal_control
 
@@ -190,8 +190,8 @@ def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFi
 def dalembertian(value_field, tau: float, z, metric: Metric,
                  h: Optional[float] = None) -> complex:
     """sum eta^{mumu} d2J/dz^mu dz^mu via the xx-route stencils."""
-    rep2 = second_complex_derivative(value_field, tau, z, h=h)
-    return complex(np.sum(metric.eta * rep2.d2_z))
+    st, h = _second_stencil(value_field, tau, z, h)
+    return complex(np.sum(metric.eta * st.diff2(h * _UNIT, h)))
 
 
 def covariance_check(value_field, metric: Metric, rapidity: float, axis: int,

@@ -13,6 +13,11 @@ vectorized callables: policy(tau, z) takes z of shape (n, 4) complex and
 returns w of shape (n, 4) complex. Use pointwise_policy to adapt a scalar
 per-point function.
 
+One stepper, _euler, moves all paths of every ensemble, one policy call per
+step. A path is failed from the step at which its state or its action becomes
+non-finite, and its state is NaN from then on: vectorized policies and
+Lagrangians receive these NaN rows, per-point callables never see them.
+
 Each path draws its increments from an independent substream derived from
 (seed, path index), so ensembles are reproducible regardless of scheduling
 and paths can be regenerated in isolation.
@@ -27,13 +32,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .spacetime import ComplexFourVector
 from .wiener import DiffusionSpec, path_generator
 
 PolicyFn = Callable[[float, np.ndarray], np.ndarray]
 
 _CSV_FIELDS = ["path", "step", "tau",
                "x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3"]
+
+_NAN = complex(np.nan, np.nan)   # the state of a failed path
 
 
 def constant_policy(w) -> PolicyFn:
@@ -65,10 +71,17 @@ def linear_policy(matrix) -> PolicyFn:
 
 
 def pointwise_policy(f: Callable[[float, np.ndarray], np.ndarray]) -> PolicyFn:
-    """Adapt a per-point callable (tau, z (4,)) -> w (4,) to the batch protocol."""
+    """Adapt a per-point callable (tau, z (4,)) -> w (4,) to the batch protocol.
+    f is never called on a non-finite point (a failed path); its row of w is NaN."""
 
     def policy(tau: float, z: np.ndarray) -> np.ndarray:
-        return np.array([f(tau, zp) for zp in z], dtype=np.complex128)
+        w = np.full(z.shape, _NAN)
+        for i in np.flatnonzero(np.isfinite(z).all(axis=1)):
+            wi = np.asarray(f(tau, z[i]), dtype=np.complex128)
+            if wi.shape != (4,):
+                raise DomainError(f"policy returned shape {wi.shape} at a point, expected (4,)")
+            w[i] = wi
+        return w
 
     return policy
 
@@ -76,10 +89,8 @@ def pointwise_policy(f: Callable[[float, np.ndarray], np.ndarray]) -> PolicyFn:
 def path_increments(spec: DiffusionSpec, d_tau: float, n_steps: int,
                     seed: int, path: int) -> tuple[np.ndarray, np.ndarray]:
     """All increments for one path, shape (n_steps, 4) each."""
-    rng = path_generator(seed, path)
-    dWx = rng.normal(0.0, np.sqrt(d_tau), size=(n_steps, 4))
-    dWy = dWx * spec.sign_copy
-    return dWx, dWy
+    dWx = path_generator(seed, path).normal(0.0, np.sqrt(d_tau), size=(n_steps, 4))
+    return dWx, dWx * spec.sign_copy
 
 
 def ensemble_increments(spec: DiffusionSpec, d_tau: float, n_steps: int,
@@ -87,10 +98,8 @@ def ensemble_increments(spec: DiffusionSpec, d_tau: float, n_steps: int,
     """Increments for the whole ensemble, shape (n_paths, n_steps, 4) each."""
     dWx = np.empty((n_paths, n_steps, 4))
     for p in range(n_paths):
-        rng = path_generator(seed, p)
-        dWx[p] = rng.normal(0.0, np.sqrt(d_tau), size=(n_steps, 4))
-    dWy = dWx * spec.sign_copy
-    return dWx, dWy
+        dWx[p] = path_generator(seed, p).normal(0.0, np.sqrt(d_tau), size=(n_steps, 4))
+    return dWx, dWx * spec.sign_copy
 
 
 @dataclass(frozen=True)
@@ -150,13 +159,37 @@ def _check_grid(d_tau: float, n_steps: int, n_paths: int):
         raise DomainError("n_steps and n_paths must be at least 1")
 
 
-def _z0_array(z0) -> np.ndarray:
-    if isinstance(z0, ComplexFourVector):
-        return z0.components
-    z = np.asarray(z0, dtype=np.complex128)
+def _initial_state(z0, n_paths: int) -> np.ndarray:
+    """Every path at z0: a writable (n_paths, 4) complex array."""
+    z = np.asarray(getattr(z0, "components", z0), dtype=np.complex128)
     if z.shape != (4,):
         raise DomainError(f"z0 must have 4 components, got shape {z.shape}")
-    return z
+    return np.broadcast_to(z, (n_paths, 4)).copy()
+
+
+def _euler(policy: PolicyFn, spec: DiffusionSpec, z: np.ndarray, d_tau: float,
+           dWx: np.ndarray, dWy: np.ndarray, tau0: float):
+    """The Euler-Maruyama loop: advance every path of z in place.
+
+    Yields (t, tau, w) before each step moves the paths, so the caller sees
+    z_t and w_t; afterwards z holds the final state. x + v d_tau + sigma_x dWx
+    (and likewise y) keeps the order of operations of the stored states. A
+    path whose state turns non-finite is set to NaN and, NaN in NaN out, stays so.
+    """
+    x, y = z.real, z.imag
+    for t in range(dWx.shape[1]):
+        tau = tau0 + t * d_tau
+        w = np.asarray(policy(tau, z), dtype=np.complex128)
+        if w.shape != z.shape:
+            raise DomainError(f"policy returned shape {w.shape}, expected {z.shape}")
+        yield t, tau, w
+        x += w.real * d_tau
+        x += spec.sigma_x * dWx[:, t]
+        y += w.imag * d_tau
+        y += spec.sigma_y * dWy[:, t]
+        failed = ~np.isfinite(z).all(axis=1)
+        if failed.any():
+            z[failed] = _NAN
 
 
 def integrate_with_increments(policy: PolicyFn, spec: DiffusionSpec, z0,
@@ -168,35 +201,15 @@ def integrate_with_increments(policy: PolicyFn, spec: DiffusionSpec, z0,
     the same Brownian path (coarse increments as sums of fine ones).
     """
     n_paths, n_steps = dWx.shape[0], dWx.shape[1]
-    z = np.broadcast_to(_z0_array(z0), (n_paths, 4)).copy()
+    z = _initial_state(z0, n_paths)
     states = np.empty((n_paths, n_steps + 1, 8))
-    states[:, 0, 0:4] = z.real
-    states[:, 0, 4:8] = z.imag
-    alive = np.ones(n_paths, dtype=bool)
-    failed: list[int] = []
-    x = z.real.copy()
-    y = z.imag.copy()
-    for t in range(n_steps):
-        tau = tau0 + t * d_tau
-        idx = np.flatnonzero(alive)
-        if idx.size:
-            w = np.asarray(policy(tau, x[idx] + 1j * y[idx]), dtype=np.complex128)
-            if w.shape != (idx.size, 4):
-                raise DomainError(f"policy returned shape {w.shape}, expected {(idx.size, 4)}")
-            x[idx] = x[idx] + w.real * d_tau + spec.sigma_x * dWx[idx, t]
-            y[idx] = y[idx] + w.imag * d_tau + spec.sigma_y * dWy[idx, t]
-            ok = np.isfinite(x[idx]).all(axis=1) & np.isfinite(y[idx]).all(axis=1)
-            newly_dead = idx[~ok]
-            if newly_dead.size:
-                failed.extend(int(i) for i in newly_dead)
-                x[newly_dead] = np.nan
-                y[newly_dead] = np.nan
-                alive[newly_dead] = False
-        states[:, t + 1, 0:4] = x
-        states[:, t + 1, 4:8] = y
+    for t, _, _ in _euler(policy, spec, z, d_tau, dWx, dWy, tau0):
+        states[:, t, 0:4], states[:, t, 4:8] = z.real, z.imag
+    states[:, n_steps, 0:4], states[:, n_steps, 4:8] = z.real, z.imag
     states.flags.writeable = False
+    failed = tuple(np.flatnonzero(~np.isfinite(z).all(axis=1)).tolist())
     return TrajectoryEnsemble(states=states, d_tau=float(d_tau), tau0=float(tau0),
-                              seed=seed, failed_paths=tuple(sorted(failed)))
+                              seed=seed, failed_paths=failed)
 
 
 def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
@@ -207,6 +220,13 @@ def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
     dWx, dWy = ensemble_increments(spec, d_tau, n_steps, n_paths, seed)
     return integrate_with_increments(policy, spec, z0, d_tau, dWx, dWy,
                                      tau0=tau0, seed=seed)
+
+
+def _sample_stats(samples: np.ndarray) -> tuple[complex, float, float]:
+    """Sample mean and the standard errors of its real and imaginary parts."""
+    n = samples.size
+    se = [float(p.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0 for p in (samples.real, samples.imag)]
+    return complex(samples.mean()), se[0], se[1]
 
 
 @dataclass(frozen=True)
@@ -228,34 +248,21 @@ def estimate_action(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0,
 
     Ito (left endpoint) quadrature: each step contributes
     L(tau_t, z_t, w_t) d_tau with w_t the same control used for stepping.
-    Failed (non-finite) paths are excluded from the estimate and counted;
-    the estimate is marked invalid when they exceed 0.1% of the ensemble.
+    Failed paths, whose state or action turned non-finite, are excluded
+    from the estimate and counted; the estimate is marked invalid when they
+    exceed 0.1% of the ensemble.
     """
     _check_grid(d_tau, n_steps, n_paths)
     dWx, dWy = ensemble_increments(spec, d_tau, n_steps, n_paths, seed)
-    z = np.broadcast_to(_z0_array(z0), (n_paths, 4)).copy()
+    z = _initial_state(z0, n_paths)
     action = np.zeros(n_paths, dtype=np.complex128)
-    alive = np.ones(n_paths, dtype=bool)
-    for t in range(n_steps):
-        tau = tau0 + t * d_tau
-        idx = np.flatnonzero(alive)
-        if not idx.size:
-            break
-        w = np.asarray(policy(tau, z[idx]), dtype=np.complex128)
-        lval = np.asarray(lagrangian.value(tau, z[idx], w), dtype=np.complex128)
-        action[idx] += lval * d_tau
-        z[idx] = z[idx] + w * d_tau + spec.sigma_x * dWx[idx, t] + 1j * (spec.sigma_y * dWy[idx, t])
-        ok = np.isfinite(z[idx].view(float).reshape(idx.size, 8)).all(axis=1)
-        ok &= np.isfinite(action[idx].view(float).reshape(idx.size, 2)).all(axis=1)
-        alive[idx[~ok]] = False
-    n_failed = int((~alive).sum())
-    good = action[alive]
-    n_good = good.size
-    if n_good == 0:
+    for _, tau, w in _euler(policy, spec, z, d_tau, dWx, dWy, tau0):
+        action += np.asarray(lagrangian.value(tau, z, w), dtype=np.complex128) * d_tau
+    good = np.isfinite(z).all(axis=1) & np.isfinite(action)
+    if not good.any():
         raise DomainError("all paths failed, no action estimate available")
-    mean = complex(good.mean())
-    se_re = float(good.real.std(ddof=1) / np.sqrt(n_good)) if n_good > 1 else 0.0
-    se_im = float(good.imag.std(ddof=1) / np.sqrt(n_good)) if n_good > 1 else 0.0
+    n_failed = n_paths - int(good.sum())
+    mean, se_re, se_im = _sample_stats(action[good])
     return ActionEstimate(mean=mean, stderr_re=se_re, stderr_im=se_im,
                           n_paths=n_paths, n_failed=n_failed,
                           valid=n_failed <= 0.001 * n_paths)
@@ -279,23 +286,17 @@ def bellman_consistency(value_field, lagrangian, policy: PolicyFn,
     value_field is a callable (tau, z (4,) complex) -> complex. For the
     optimal policy and a field solving the dynamic program the residual is
     O(d_tau^2) plus sampling error; a suboptimal policy shows up as a
-    residual beyond its standard error.
+    residual beyond its standard error. A failed path contributes NaN.
     """
     _check_grid(d_tau, 1, n_paths)
-    z0 = _z0_array(z0)
     dWx, dWy = ensemble_increments(spec, d_tau, 1, n_paths, seed)
-    zb = np.broadcast_to(z0, (n_paths, 4))
-    w = np.asarray(policy(tau, zb), dtype=np.complex128)
-    if w.shape != (n_paths, 4):
-        raise DomainError(f"policy returned shape {w.shape}, expected {(n_paths, 4)}")
-    lval = np.asarray(lagrangian.value(tau, zb, w), dtype=np.complex128)
-    lval = np.broadcast_to(lval, (n_paths,))
-    z1 = zb + w * d_tau + spec.sigma_x * dWx[:, 0] + 1j * (spec.sigma_y * dWy[:, 0])
-    j1 = np.array([value_field(tau + d_tau, zp) for zp in z1], dtype=np.complex128)
-    samples = lval * d_tau + j1
-    j0 = complex(value_field(tau, z0))
-    mean = complex(samples.mean())
-    se_re = float(samples.real.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    se_im = float(samples.imag.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    z = _initial_state(z0, n_paths)
+    j0 = complex(value_field(tau, z[0]))
+    for _, _, w in _euler(policy, spec, z, d_tau, dWx, dWy, tau):
+        lval = np.asarray(lagrangian.value(tau, z, w), dtype=np.complex128)
+    j1 = np.full(n_paths, _NAN)
+    moved = np.isfinite(z).all(axis=1)
+    j1[moved] = [value_field(tau + d_tau, zp) for zp in z[moved]]
+    mean, se_re, se_im = _sample_stats(np.broadcast_to(lval, (n_paths,)) * d_tau + j1)
     return BellmanResidual(residual=j0 - mean, stderr_re=se_re, stderr_im=se_im,
                            n_paths=n_paths)

@@ -57,14 +57,6 @@ def test_rerun_is_byte_identical(tmp_path):
     assert read_bytes(a / "hjb-probes.json") == read_bytes(b / "hjb-probes.json")
 
 
-def test_jobs_do_not_change_results(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "hjb-residual", "--out-dir", str(a), "--jobs", "1"]) == 0
-    assert main(["run", "hjb-residual", "--out-dir", str(b), "--jobs", "3"]) == 0
-    assert read_bytes(a / "hjb-probes.json") == read_bytes(b / "hjb-probes.json")
-    assert read_bytes(a / "hjb-residual.json") == read_bytes(b / "hjb-residual.json")
-
-
 def test_probe_records_have_the_documented_shape(tmp_path):
     out = tmp_path / "run"
     main(["run", "hjb-residual", "--out-dir", str(out), "--probes", "8"])
@@ -100,11 +92,14 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
-    ini = tmp_path / "bad.ini"
-    ini.write_text("[common]\nwavelength = 3\n")
-    code = main(["run", "clifford", "--config", str(ini),
-                 "--out-dir", str(tmp_path / "run")])
-    assert code == 2
+    # jobs was a key until the probe thread pool was retired
+    for key in ("wavelength", "jobs"):
+        ini = tmp_path / f"{key}.ini"
+        ini.write_text(f"[common]\n{key} = 3\n")
+        code = main(["run", "clifford", "--config", str(ini),
+                     "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
 def test_unknown_config_section_rejected(tmp_path):
@@ -120,6 +115,20 @@ def test_domain_error_exits_three(tmp_path, capsys):
                  "--tau-f", "inf"])
     assert code == 3
     assert "domain error" in capsys.readouterr().err
+
+
+def test_domain_error_in_run_all_still_runs_the_rest(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "all", "--out-dir", str(out), "--tau-f", "inf"]) == 3
+    assert "domain error: hjb-residual: tau_f must be finite" in capsys.readouterr().err
+    summary = json.loads(read_bytes(out / "summary.json"))
+    assert sorted(summary["scenarios"]) == sorted(cli.SCENARIOS)
+    assert summary["scenarios"]["hjb-residual"] is False
+    assert summary["scenarios"]["clifford"] is True
+    assert summary["passed"] is False
+    assert summary["errors"] == {"hjb-residual": "tau_f must be finite"}
+    assert not (out / "hjb-residual.json").exists()
+    assert (out / "clifford.json").exists()
 
 
 def test_config_file_sections_layer_under_flags(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csoc.ccalc import DomainBox
+from csoc.ccalc import DomainBox, second_complex_derivative
 from csoc.errors import DomainError
 from csoc.hjb import (
     HJBProblem,
@@ -213,3 +213,21 @@ def test_pair_residual_evaluates_each_stencil_point_once():
     hjb_residual_pair(free_problem(), make(np.real, "r"), make(np.imag, "i"),
                       0.37, PROBE_Z.real, PROBE_Z.imag, h=1e-3)
     assert calls == {"r": 35, "i": 35}
+
+
+@pytest.mark.parametrize("h", [None, 1e-3])
+def test_dalembertian_evaluates_only_the_xx_route(h):
+    # centre plus 8 xx-route points; the covariance check takes two of them
+    calls = []
+
+    def field(tau, z):
+        calls.append(z)
+        return FIELDS[2](tau, z)
+
+    val = dalembertian(field, 0.2, PROBE_Z, MOSTLY_PLUS, h=h)
+    assert len(calls) == 9
+    rep2 = second_complex_derivative(FIELDS[2], 0.2, PROBE_Z, h=h)
+    assert val == complex(np.sum(ETA * rep2.d2_z))
+    calls.clear()
+    covariance_check(field, MOSTLY_PLUS, 0.3, 1, 0.2, PROBE_Z, h=h)
+    assert len(calls) == 18

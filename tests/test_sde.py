@@ -27,6 +27,62 @@ from csoc.sde import (
 from csoc.wiener import DiffusionSpec
 
 ZERO4 = np.zeros(4, dtype=np.complex128)
+ETA = DiffusionSpec.natural().metric.eta
+
+# a state-feedback drift mixing the real and imaginary sheets
+MIX = np.array([[0.3j, 0.2, 0, 0],
+                [0.2, -0.1j, 0, 0],
+                [0, 0, 0.1, 0.05],
+                [0, 0, 0.05, -0.1]])
+
+
+def blow_up(tau, zp):
+    """A per-point policy that fails a path once its x^1 passes 0.05."""
+    if zp[1].real > 0.05:
+        return np.array([np.nan, 0, 0, 0], dtype=np.complex128)
+    return ZERO4
+
+
+def gather_reference(policy, spec, z0, d_tau, dWx, dWy, tau0=0.0, lagrangian=None):
+    """Reference Euler loop that gathers the live paths by index every step.
+
+    A path dies when its state (or, with a Lagrangian, its action) turns
+    non-finite: its state is set to NaN and it is stepped no more. Returns
+    the states, the failed paths, the action and the mask of live paths.
+    """
+    n_paths, n_steps = dWx.shape[0], dWx.shape[1]
+    x = np.broadcast_to(z0.real, (n_paths, 4)).copy()
+    y = np.broadcast_to(z0.imag, (n_paths, 4)).copy()
+    states = np.empty((n_paths, n_steps + 1, 8))
+    states[:, 0, 0:4], states[:, 0, 4:8] = x, y
+    action = np.zeros(n_paths, dtype=np.complex128)
+    alive = np.ones(n_paths, dtype=bool)
+    failed = []
+    for t in range(n_steps):
+        tau = tau0 + t * d_tau
+        idx = np.flatnonzero(alive)
+        if idx.size:
+            z = x[idx] + 1j * y[idx]
+            w = np.asarray(policy(tau, z), dtype=np.complex128)
+            if lagrangian is not None:
+                action[idx] += np.asarray(lagrangian.value(tau, z, w)) * d_tau
+            x[idx] = x[idx] + w.real * d_tau + spec.sigma_x * dWx[idx, t]
+            y[idx] = y[idx] + w.imag * d_tau + spec.sigma_y * dWy[idx, t]
+            ok = np.isfinite(x[idx]).all(axis=1) & np.isfinite(y[idx]).all(axis=1)
+            ok &= np.isfinite(action[idx])
+            dead = idx[~ok]
+            failed.extend(int(i) for i in dead)
+            x[dead] = np.nan
+            y[dead] = np.nan
+            alive[dead] = False
+        states[:, t + 1, 0:4], states[:, t + 1, 4:8] = x, y
+    return states, tuple(sorted(failed)), action, alive
+
+
+def reference_stats(samples):
+    n = samples.size
+    se = [float(part.std(ddof=1) / np.sqrt(n)) for part in (samples.real, samples.imag)]
+    return complex(samples.mean()), se[0], se[1]
 
 
 def test_noiseless_drift_is_exact_quadrature():
@@ -81,11 +137,7 @@ def test_strong_error_halves_with_the_step():
     # state-feedback drift, additive noise: strong order 1, so the coupled
     # difference between successive refinements shrinks by about 2x
     spec = DiffusionSpec.natural()
-    mat = np.array([[0.3j, 0.2, 0, 0],
-                    [0.2, -0.1j, 0, 0],
-                    [0, 0, 0.1, 0.05],
-                    [0, 0, 0.05, -0.1]])
-    policy = linear_policy(mat)
+    policy = linear_policy(MIX)
     z0 = np.array([1.0, 0.5 + 0.2j, -0.3, 0.1j])
     n_paths, n1, d1 = 200, 32, 0.02
     dx4, dy4 = ensemble_increments(spec, d1 / 4, 4 * n1, n_paths, seed=6)
@@ -104,11 +156,6 @@ def test_strong_error_halves_with_the_step():
 def test_failed_paths_are_frozen_and_counted():
     spec = DiffusionSpec.natural()
 
-    def blow_up(tau, zp):
-        if zp[1].real > 0.05:
-            return np.array([np.nan, 0, 0, 0], dtype=np.complex128)
-        return ZERO4
-
     ens = integrate(pointwise_policy(blow_up), spec, ZERO4, d_tau=0.01,
                     n_steps=30, n_paths=40, seed=5)
     assert 0 < len(ens.failed_paths) < 40
@@ -126,6 +173,13 @@ def test_grid_validation():
     with pytest.raises(DomainError):
         integrate(zero_policy(), spec, np.zeros(3), d_tau=0.01, n_steps=5,
                   n_paths=2, seed=0)
+    flat = lambda tau, z: np.zeros(4, dtype=np.complex128)
+    with pytest.raises(DomainError):
+        estimate_action(zero_lagrangian(), flat, spec, ZERO4, d_tau=0.01,
+                        n_steps=5, n_paths=2, seed=0)
+    with pytest.raises(DomainError):
+        bellman_consistency(lambda tau, z: 0j, zero_lagrangian(), flat, spec,
+                            tau=0.0, z0=ZERO4, d_tau=0.01, n_paths=2, seed=0)
 
 
 def test_csv_round_trip():
@@ -184,11 +238,6 @@ def test_action_of_free_particle_at_rest():
 def test_action_counts_failed_paths():
     spec = DiffusionSpec.natural()
 
-    def blow_up(tau, zp):
-        if zp[1].real > 0.05:
-            return np.array([np.nan, 0, 0, 0], dtype=np.complex128)
-        return ZERO4
-
     est = estimate_action(zero_lagrangian(), pointwise_policy(blow_up), spec,
                           ZERO4, d_tau=0.01, n_steps=30, n_paths=40, seed=5)
     assert est.n_failed > 0
@@ -228,3 +277,59 @@ def test_bellman_flags_suboptimal_policy():
                               tau=0.3, z0=ZERO4, d_tau=0.01, n_paths=200, seed=1)
     assert res.residual.real == pytest.approx(0.001, rel=1e-9)
     assert abs(res.residual.imag) < 1e-12
+
+
+REFERENCE_CASES = {
+    "linear-feedback": (linear_policy(MIX), DiffusionSpec.natural(),
+                        np.array([1.0, 0.5 + 0.2j, -0.3, 0.1j]), 0.02, 40, 60, 6),
+    "noiseless-constant": (constant_policy([1, 0, 0, 0]), DiffusionSpec.noiseless(),
+                           ZERO4, 0.01, 100, 4, 0),
+    "blow-up": (pointwise_policy(blow_up), DiffusionSpec.natural(), ZERO4, 0.01, 30, 40, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_stepper_matches_the_gather_reference_bit_for_bit(case):
+    policy, spec, z0, d_tau, n_steps, n_paths, seed = REFERENCE_CASES[case]
+    # depends on z as well as w, so it pins which state each step's L sees
+    lag = Lagrangian(value=lambda tau, z, w: 0.55 * np.sum(ETA * w * w, axis=-1) + tau * z[..., 1])
+    dWx, dWy = ensemble_increments(spec, d_tau, n_steps, n_paths, seed)
+
+    ens = integrate_with_increments(policy, spec, z0, d_tau, dWx, dWy, tau0=0.1)
+    states, failed, _, _ = gather_reference(policy, spec, z0, d_tau, dWx, dWy, tau0=0.1)
+    assert np.array_equal(ens.states.view(np.uint64), states.view(np.uint64))
+    assert ens.failed_paths == failed
+
+    est = estimate_action(lag, policy, spec, z0, d_tau, n_steps, n_paths, seed)
+    _, _, action, alive = gather_reference(policy, spec, z0, d_tau, dWx, dWy,
+                                           lagrangian=lag)
+    assert (est.mean, est.stderr_re, est.stderr_im) == reference_stats(action[alive])
+    assert est.n_failed == n_paths - alive.sum()
+
+    value = lambda tau, z: complex(np.sum(ETA * z * z)) + 0.3 * z[0] + tau
+    res = bellman_consistency(value, lag, policy, spec, 0.2, z0, d_tau, n_paths, seed)
+    dx1, dy1 = ensemble_increments(spec, d_tau, 1, n_paths, seed)
+    states, _, action, _ = gather_reference(policy, spec, z0, d_tau, dx1, dy1,
+                                            tau0=0.2, lagrangian=lag)
+    z1 = states[:, 1, 0:4] + 1j * states[:, 1, 4:8]
+    samples = action + np.array([value(0.2 + d_tau, zp) for zp in z1])
+    mean, se_re, se_im = reference_stats(samples)
+    assert (res.residual, res.stderr_re, res.stderr_im) == (value(0.2, z0) - mean, se_re, se_im)
+
+
+def test_pointwise_policy_never_sees_a_non_finite_point():
+    seen = []
+
+    def record(tau, zp):
+        seen.append(zp.copy())
+        return blow_up(tau, zp)
+
+    z = np.array([[0.1, 0.02, 0.3, 0.4], [np.nan, 0, 0, 0], [0, np.inf, 0, 0], [0, 0, 0, 1j * np.inf]])
+    w = pointwise_policy(record)(0.0, z)
+    assert len(seen) == 1
+    assert np.array_equal(w[0], ZERO4)
+    assert np.isnan(w[1:].real).all() and np.isnan(w[1:].imag).all()
+    ens = integrate(pointwise_policy(record), DiffusionSpec.natural(), ZERO4, d_tau=0.01,
+                    n_steps=30, n_paths=40, seed=5)
+    assert ens.failed_paths
+    assert np.isfinite(seen).all()
