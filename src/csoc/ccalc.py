@@ -147,6 +147,11 @@ def _as_point(z) -> np.ndarray:
     return z
 
 
+def _probe_stencil(f, tau: float, z) -> _Stencil:
+    """The stencil of a field (ScalarField or callable) at a probe point."""
+    return _Stencil(_as_field(f), tau, _as_point(z))
+
+
 def _check_stencil_box(field: ScalarField, tau: float, z: np.ndarray,
                        margin: float, tau_margin: float = 0.0):
     if field.box is None:
@@ -182,13 +187,15 @@ class DerivativeReport:
 
 def complex_derivative(f, tau: float, z, h: Optional[float] = None) -> DerivativeReport:
     """Central-difference first derivatives along every axis, both routes."""
-    field = _as_field(f)
-    z = _as_point(z)
-    h = _step(_scale(z), 1, h)
+    return _first_report(_probe_stencil(f, tau, z), h)
+
+
+def _first_report(st: _Stencil, h: Optional[float]) -> DerivativeReport:
+    """complex_derivative on a box-checked stencil, sharing its points."""
+    h = _step(_scale(st.z), 1, h)
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
-    _check_stencil_box(field, tau, z, margin=2 * h)
-    st = _Stencil(field, tau, z)
+    _check_stencil_box(st.f, st.tau, st.z, margin=2 * h)
     d_x, d_y = st.diff1(h * _UNIT, h), st.diff1(1j * h * _UNIT, h)
     y_route = -1j * d_y
     cr = np.abs(d_x.real - d_y.imag) + np.abs(d_x.imag + d_y.real)
@@ -217,20 +224,23 @@ class SecondDerivativeReport:
         return float(self.route_discrepancies.max())
 
 
-def _second_stencil(f, tau: float, z, h: Optional[float]) -> tuple[_Stencil, float]:
-    """The box-checked stencil at a probe and its second-difference step."""
-    field = _as_field(f)
-    z = _as_point(z)
-    h = _step(_scale(z), 2, h)
+def _second_step(st: _Stencil, h: Optional[float]) -> float:
+    """The second-difference step at a stencil's probe, box-checked."""
+    h = _step(_scale(st.z), 2, h)
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
-    _check_stencil_box(field, tau, z, margin=3 * h)
-    return _Stencil(field, tau, z), h
+    _check_stencil_box(st.f, st.tau, st.z, margin=3 * h)
+    return h
 
 
 def second_complex_derivative(f, tau: float, z, h: Optional[float] = None) -> SecondDerivativeReport:
     """Three-route second derivatives along every axis."""
-    st, h = _second_stencil(f, tau, z, h)
+    return _second_report(_probe_stencil(f, tau, z), h)
+
+
+def _second_report(st: _Stencil, h: Optional[float]) -> SecondDerivativeReport:
+    """second_complex_derivative on a stencil, sharing its points."""
+    h = _second_step(st, h)
     xx = st.diff2(h * _UNIT, h)
     yy = -st.diff2(1j * h * _UNIT, h)
     xy = -1j * st.mixed(h)
@@ -241,11 +251,14 @@ def second_complex_derivative(f, tau: float, z, h: Optional[float] = None) -> Se
 
 def tau_derivative(f, tau: float, z, h: Optional[float] = None) -> complex:
     """Central difference in tau at fixed z."""
-    field = _as_field(f)
-    z = _as_point(z)
-    h = _step(max(1.0, abs(tau)), 1, h)
-    _check_stencil_box(field, tau, z, margin=0.0, tau_margin=h)
-    return _Stencil(field, tau, z).diff_tau(h)
+    return _tau_difference(_probe_stencil(f, tau, z), h)
+
+
+def _tau_difference(st: _Stencil, h: Optional[float]) -> complex:
+    """tau_derivative on a stencil, sharing its points."""
+    h = _step(max(1.0, abs(st.tau)), 1, h)
+    _check_stencil_box(st.f, st.tau, st.z, margin=0.0, tau_margin=h)
+    return st.diff_tau(h)
 
 
 @dataclass(frozen=True)

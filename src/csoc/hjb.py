@@ -34,8 +34,8 @@ from scipy.stats import qmc
 from .errors import DomainError
 from .spacetime import Metric
 from .wiener import DiffusionSpec, complex_sigma_squared
-from .ccalc import (_UNIT, DomainBox, _second_stencil, _Stencil, _step,
-                    complex_derivative, second_complex_derivative, tau_derivative)
+from .ccalc import (_UNIT, DomainBox, _first_report, _probe_stencil, _second_report,
+                    _second_step, _Stencil, _step, _tau_difference)
 from .lagrangian import Lagrangian
 from .control import solve_optimal_control
 
@@ -118,14 +118,15 @@ class ResidualProbe:
 def hjb_residual_probe(problem: HJBProblem, value_field, tau: float, z,
                        h: Optional[float] = None) -> ResidualProbe:
     """Complex-route residual with its ingredients at one interior probe."""
-    z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
-    rep = complex_derivative(value_field, tau, z, h=h)
-    rep2 = second_complex_derivative(value_field, tau, z, h=h)
+    st = _probe_stencil(value_field, tau, z)   # one stencil, so routes share points
+    z = st.z
+    rep = _first_report(st, h)
+    rep2 = _second_report(st, h)
     dj = rep.d_z
     w_star, method = optimal_control_at(problem, dj, tau, z)
     lval = complex(np.asarray(problem.lagrangian.value(tau, z, w_star)))
     bracket = lval + complex(np.sum(w_star * dj))
-    dtau_j = tau_derivative(value_field, tau, z, h=h)
+    dtau_j = _tau_difference(st, h)
     sigsq = complex_sigma_squared(problem.diffusion)
     second = 0.5 * complex(np.sum(sigsq * rep2.d2_z))
     residual = -dtau_j - bracket - second
@@ -190,7 +191,8 @@ def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFi
 def dalembertian(value_field, tau: float, z, metric: Metric,
                  h: Optional[float] = None) -> complex:
     """sum eta^{mumu} d2J/dz^mu dz^mu via the xx-route stencils."""
-    st, h = _second_stencil(value_field, tau, z, h)
+    st = _probe_stencil(value_field, tau, z)
+    h = _second_step(st, h)
     return complex(np.sum(metric.eta * st.diff2(h * _UNIT, h)))
 
 

@@ -18,9 +18,17 @@ step. A path is failed from the step at which its state or its action becomes
 non-finite, and its state is NaN from then on: vectorized policies and
 Lagrangians receive these NaN rows, per-point callables never see them.
 
-Each path draws its increments from an independent substream derived from
-(seed, path index), so ensembles are reproducible regardless of scheduling
-and paths can be regenerated in isolation.
+Each path draws its increments from an independent substream keyed by
+(seed, path index) alone, so an ensemble is reproducible and any path can be
+regenerated in isolation (path_increments). An ensemble computes all its keys
+at once and re-keys one generator per path (see wiener).
+
+Arrays are time-major: increments are drawn into one (n_steps, n_paths, 4)
+buffer and trajectories stored in one (n_steps+1, n_paths, 8) buffer, so each
+step reads and writes contiguous slabs. TrajectoryEnsemble.states and the
+arrays of ensemble_increments expose them as (n_paths, ...) views, which are
+not C-contiguous. dWy is never stored for a run: each step forms its slice
+as the signed copy of dWx's.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .wiener import DiffusionSpec, path_generator
+from .wiener import DiffusionSpec, _path_generators, path_generator
 
 PolicyFn = Callable[[float, np.ndarray], np.ndarray]
 
@@ -93,18 +101,34 @@ def path_increments(spec: DiffusionSpec, d_tau: float, n_steps: int,
     return dWx, dWx * spec.sign_copy
 
 
+def _increments(d_tau: float, n_steps: int, n_paths: int, seed: int) -> np.ndarray:
+    """dWx of the whole ensemble in a time-major (n_steps, n_paths, 4) buffer;
+    path p's column holds exactly the numbers of path_increments(..., path=p)."""
+    dW = np.empty((n_steps, n_paths, 4))
+    scale = np.sqrt(d_tau)
+    for p, rng in enumerate(_path_generators(seed, n_paths)):
+        dW[:, p] = rng.normal(0.0, scale, size=(n_steps, 4))
+    return dW
+
+
+def _signed_steps(spec: DiffusionSpec, dW: np.ndarray):
+    """Per-step (dWx, dWy) of a time-major dWx, each dWy slice its signed copy."""
+    sign = spec.sign_copy
+    return ((dx, dx * sign) for dx in dW)
+
+
 def ensemble_increments(spec: DiffusionSpec, d_tau: float, n_steps: int,
                         n_paths: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Increments for the whole ensemble, shape (n_paths, n_steps, 4) each."""
-    dWx = np.empty((n_paths, n_steps, 4))
-    for p in range(n_paths):
-        dWx[p] = path_generator(seed, p).normal(0.0, np.sqrt(d_tau), size=(n_steps, 4))
-    return dWx, dWx * spec.sign_copy
+    """Increments for the whole ensemble, shape (n_paths, n_steps, 4) each:
+    views of time-major buffers, not C-contiguous."""
+    dW = _increments(d_tau, n_steps, n_paths, seed)
+    return dW.swapaxes(0, 1), (dW * spec.sign_copy).swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Integrated ensemble. states has shape (n_paths, n_steps+1, 8)."""
+    """Integrated ensemble. states has shape (n_paths, n_steps+1, 8): a
+    read-only view of a time-major (n_steps+1, n_paths, 8) buffer."""
 
     states: np.ndarray
     d_tau: float
@@ -153,7 +177,7 @@ class TrajectoryEnsemble:
 
 
 def _check_grid(d_tau: float, n_steps: int, n_paths: int):
-    if d_tau <= 0:
+    if not d_tau > 0:
         raise DomainError(f"d_tau must be positive, got {d_tau}")
     if n_steps < 1 or n_paths < 1:
         raise DomainError("n_steps and n_paths must be at least 1")
@@ -168,48 +192,61 @@ def _initial_state(z0, n_paths: int) -> np.ndarray:
 
 
 def _euler(policy: PolicyFn, spec: DiffusionSpec, z: np.ndarray, d_tau: float,
-           dWx: np.ndarray, dWy: np.ndarray, tau0: float):
+           steps, tau0: float):
     """The Euler-Maruyama loop: advance every path of z in place.
 
-    Yields (t, tau, w) before each step moves the paths, so the caller sees
-    z_t and w_t; afterwards z holds the final state. x + v d_tau + sigma_x dWx
-    (and likewise y) keeps the order of operations of the stored states. A
-    path whose state turns non-finite is set to NaN and, NaN in NaN out, stays so.
+    steps yields one (dWx, dWy) pair of (n_paths, 4) slices per step. Yields
+    (t, tau, w) before each step moves the paths, so the caller sees z_t and
+    w_t; afterwards z holds the final state. x + v d_tau + sigma_x dWx (and
+    likewise y) keeps the order of operations of the stored states. A path
+    whose state turns non-finite is set to NaN and, NaN in NaN out, stays so.
     """
     x, y = z.real, z.imag
-    for t in range(dWx.shape[1]):
+    for t, (dx, dy) in enumerate(steps):
         tau = tau0 + t * d_tau
         w = np.asarray(policy(tau, z), dtype=np.complex128)
         if w.shape != z.shape:
             raise DomainError(f"policy returned shape {w.shape}, expected {z.shape}")
         yield t, tau, w
         x += w.real * d_tau
-        x += spec.sigma_x * dWx[:, t]
+        x += spec.sigma_x * dx
         y += w.imag * d_tau
-        y += spec.sigma_y * dWy[:, t]
-        failed = ~np.isfinite(z).all(axis=1)
-        if failed.any():
-            z[failed] = _NAN
+        y += spec.sigma_y * dy
+        if not np.isfinite(z).all():  # the row test costs ~4x this one
+            z[~np.isfinite(z).all(axis=1)] = _NAN
+
+
+def _integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float, steps,
+               n_steps: int, n_paths: int, tau0: float, seed: int) -> TrajectoryEnsemble:
+    """Run _euler over n_steps (dWx, dWy) pairs, storing every state time-major."""
+    z = _initial_state(z0, n_paths)
+    states = np.empty((n_steps + 1, n_paths, 8))
+    for t, _, _ in _euler(policy, spec, z, d_tau, steps, tau0):
+        states[t, :, 0:4], states[t, :, 4:8] = z.real, z.imag
+    states[n_steps, :, 0:4], states[n_steps, :, 4:8] = z.real, z.imag
+    states.flags.writeable = False
+    failed = tuple(np.flatnonzero(~np.isfinite(z).all(axis=1)).tolist())
+    return TrajectoryEnsemble(states=states.swapaxes(0, 1), d_tau=float(d_tau),
+                              tau0=float(tau0), seed=seed, failed_paths=failed)
 
 
 def integrate_with_increments(policy: PolicyFn, spec: DiffusionSpec, z0,
                               d_tau: float, dWx: np.ndarray, dWy: np.ndarray,
                               tau0: float = 0.0, seed: int = 0) -> TrajectoryEnsemble:
-    """Core stepper against externally supplied increments.
+    """Core stepper against externally supplied increments, each of shape
+    (n_paths, n_steps, 4).
 
     Exposed so refinement studies can integrate coarse and fine grids against
     the same Brownian path (coarse increments as sums of fine ones).
     """
+    dWx, dWy = np.asarray(dWx), np.asarray(dWy)
+    if dWx.ndim != 3 or dWx.shape[2] != 4 or dWy.shape != dWx.shape:
+        raise DomainError(f"dWx and dWy must both have shape (n_paths, n_steps, 4), "
+                          f"got {dWx.shape} and {dWy.shape}")
     n_paths, n_steps = dWx.shape[0], dWx.shape[1]
-    z = _initial_state(z0, n_paths)
-    states = np.empty((n_paths, n_steps + 1, 8))
-    for t, _, _ in _euler(policy, spec, z, d_tau, dWx, dWy, tau0):
-        states[:, t, 0:4], states[:, t, 4:8] = z.real, z.imag
-    states[:, n_steps, 0:4], states[:, n_steps, 4:8] = z.real, z.imag
-    states.flags.writeable = False
-    failed = tuple(np.flatnonzero(~np.isfinite(z).all(axis=1)).tolist())
-    return TrajectoryEnsemble(states=states, d_tau=float(d_tau), tau0=float(tau0),
-                              seed=seed, failed_paths=failed)
+    _check_grid(d_tau, n_steps, n_paths)
+    steps = zip(dWx.swapaxes(0, 1), dWy.swapaxes(0, 1))
+    return _integrate(policy, spec, z0, d_tau, steps, n_steps, n_paths, tau0, seed)
 
 
 def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
@@ -217,9 +254,9 @@ def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
               tau0: float = 0.0) -> TrajectoryEnsemble:
     """Integrate the ensemble forward from a shared initial point."""
     _check_grid(d_tau, n_steps, n_paths)
-    dWx, dWy = ensemble_increments(spec, d_tau, n_steps, n_paths, seed)
-    return integrate_with_increments(policy, spec, z0, d_tau, dWx, dWy,
-                                     tau0=tau0, seed=seed)
+    dW = _increments(d_tau, n_steps, n_paths, seed)
+    return _integrate(policy, spec, z0, d_tau, _signed_steps(spec, dW),
+                      n_steps, n_paths, tau0, seed)
 
 
 def _sample_stats(samples: np.ndarray) -> tuple[complex, float, float]:
@@ -253,10 +290,10 @@ def estimate_action(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0,
     exceed 0.1% of the ensemble.
     """
     _check_grid(d_tau, n_steps, n_paths)
-    dWx, dWy = ensemble_increments(spec, d_tau, n_steps, n_paths, seed)
+    dW = _increments(d_tau, n_steps, n_paths, seed)
     z = _initial_state(z0, n_paths)
     action = np.zeros(n_paths, dtype=np.complex128)
-    for _, tau, w in _euler(policy, spec, z, d_tau, dWx, dWy, tau0):
+    for _, tau, w in _euler(policy, spec, z, d_tau, _signed_steps(spec, dW), tau0):
         action += np.asarray(lagrangian.value(tau, z, w), dtype=np.complex128) * d_tau
     good = np.isfinite(z).all(axis=1) & np.isfinite(action)
     if not good.any():
@@ -276,6 +313,7 @@ class BellmanResidual:
     stderr_re: float
     stderr_im: float
     n_paths: int
+    n_failed: int
 
 
 def bellman_consistency(value_field, lagrangian, policy: PolicyFn,
@@ -286,17 +324,22 @@ def bellman_consistency(value_field, lagrangian, policy: PolicyFn,
     value_field is a callable (tau, z (4,) complex) -> complex. For the
     optimal policy and a field solving the dynamic program the residual is
     O(d_tau^2) plus sampling error; a suboptimal policy shows up as a
-    residual beyond its standard error. A failed path contributes NaN.
+    residual beyond its standard error. Failed paths, whose state or sample
+    turned non-finite, are excluded from the residual and counted.
     """
     _check_grid(d_tau, 1, n_paths)
-    dWx, dWy = ensemble_increments(spec, d_tau, 1, n_paths, seed)
+    dW = _increments(d_tau, 1, n_paths, seed)
     z = _initial_state(z0, n_paths)
     j0 = complex(value_field(tau, z[0]))
-    for _, _, w in _euler(policy, spec, z, d_tau, dWx, dWy, tau):
+    for _, _, w in _euler(policy, spec, z, d_tau, _signed_steps(spec, dW), tau):
         lval = np.asarray(lagrangian.value(tau, z, w), dtype=np.complex128)
     j1 = np.full(n_paths, _NAN)
     moved = np.isfinite(z).all(axis=1)
     j1[moved] = [value_field(tau + d_tau, zp) for zp in z[moved]]
-    mean, se_re, se_im = _sample_stats(np.broadcast_to(lval, (n_paths,)) * d_tau + j1)
+    samples = np.broadcast_to(lval, (n_paths,)) * d_tau + j1
+    good = np.isfinite(samples)
+    if not good.any():
+        raise DomainError("all paths failed, no Bellman residual available")
+    mean, se_re, se_im = _sample_stats(samples[good])
     return BellmanResidual(residual=j0 - mean, stderr_re=se_re, stderr_im=se_im,
-                           n_paths=n_paths)
+                           n_paths=n_paths, n_failed=n_paths - int(good.sum()))

@@ -11,13 +11,17 @@ per axis; only this product is exposed, never an individual complex factor.
 Defaults are natural units, hbar = m = c = 1.
 
 RNG: counter-based Philox (4x64, 10 rounds) seeded through numpy SeedSequence.
-Batch sampling uses SeedSequence(seed); ensemble integration elsewhere derives
-per-path substreams from (seed, path index). The algorithm name is recorded in
-CLI run manifests as RNG_ALGORITHM.
+Batch sampling uses SeedSequence(seed); ensemble integration elsewhere draws
+path k from the substream keyed by SeedSequence(entropy=seed, spawn_key=(k,)),
+a pure function of (seed, k). path_generator builds that stream for one path;
+_path_generators computes the keys of a whole ensemble in one vectorized pass
+and re-keys a single generator per path, drawing the same numbers. The
+algorithm name is recorded in CLI run manifests as RNG_ALGORITHM.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,6 +42,76 @@ def path_generator(seed: int, path: int) -> np.random.Generator:
     """Independent substream for one path, derived from (seed, path index)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(path,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4   # SeedSequence's default pool size, in 32-bit words
+
+
+def _substream_keys(seed: int, paths: np.ndarray) -> np.ndarray:
+    """Philox keys of SeedSequence(entropy=seed, spawn_key=(k,)) for every path
+    index k < 2**32 in paths, shape (len(paths), 2) uint64.
+
+    A uint32 port of SeedSequence's entropy assembly, hashmix/mix pool and
+    generate_state(2, uint64), run on arrays over k. Everything stays in
+    arrays: uint32 arithmetic wraps there, as the hash needs, where numpy
+    scalars would warn on overflow.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+    n_words = max(_POOL, -(-seed.bit_length() // 32))  # zero-padded to the pool
+    words = [(seed >> (32 * i)) & 0xFFFFFFFF for i in range(n_words)]
+    paths = np.asarray(paths, dtype=np.uint32)
+    entropy = [np.full(paths.shape, w, dtype=np.uint32) for w in words]
+    entropy.append(paths)   # the spawn key
+    const = np.array(_INIT_A, dtype=np.uint32)
+
+    def hashmix(v):
+        v = v ^ const
+        const[...] = const * np.uint32(_MULT_A)
+        v = v * const
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(e) for e in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    const[...] = _INIT_B
+    state = []
+    for v in pool:
+        v = v ^ const
+        const[...] = const * np.uint32(_MULT_B)
+        v = v * const
+        state.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
+
+
+def _path_generators(seed: int, n_paths: int):
+    """Yield, for path k = 0, 1, ..., the generator of path_generator(seed, k).
+
+    One Generator is re-keyed per path (counter and buffer zeroed, as fresh),
+    so draw from each before asking for the next.
+    """
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for key in _substream_keys(seed, np.arange(n_paths)):
+        bits.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _sigma_array(sigma, name: str) -> np.ndarray:

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from csoc.ccalc import DomainBox, second_complex_derivative
+from csoc.ccalc import (
+    DomainBox,
+    complex_derivative,
+    second_complex_derivative,
+    tau_derivative,
+)
 from csoc.errors import DomainError
 from csoc.hjb import (
     HJBProblem,
@@ -19,7 +24,7 @@ from csoc.hjb import (
 )
 from csoc.lagrangian import free_particle_lagrangian
 from csoc.spacetime import MOSTLY_MINUS, MOSTLY_PLUS
-from csoc.wiener import DiffusionSpec
+from csoc.wiener import DiffusionSpec, complex_sigma_squared
 
 ETA = MOSTLY_PLUS.eta
 
@@ -213,6 +218,32 @@ def test_pair_residual_evaluates_each_stencil_point_once():
     hjb_residual_pair(free_problem(), make(np.real, "r"), make(np.imag, "i"),
                       0.37, PROBE_Z.real, PROBE_Z.imag, h=1e-3)
     assert calls == {"r": 35, "i": 35}
+
+
+@pytest.mark.parametrize("h, n_calls", [(None, 51), (1e-3, 35)])
+def test_residual_probe_shares_one_stencil(h, n_calls):
+    # 16 first-route, 33 second-route and 2 tau points; at one explicit h the
+    # 16 single-axis first-route points are second-route points too
+    calls = []
+
+    def field(tau, z):
+        calls.append(z)
+        return FIELDS[1](tau, z)
+
+    problem = free_problem()
+    probe = hjb_residual_probe(problem, field, 0.37, PROBE_Z, h=h)
+    assert len(calls) == n_calls
+    # the public derivatives, each on its own stencil, give the same bits
+    dj = complex_derivative(FIELDS[1], 0.37, PROBE_Z, h=h).d_z
+    d2j = second_complex_derivative(FIELDS[1], 0.37, PROBE_Z, h=h).d2_z
+    w_star, method = optimal_control_at(problem, dj, 0.37, PROBE_Z)
+    bracket = complex(np.asarray(problem.lagrangian.value(0.37, PROBE_Z, w_star))) \
+        + complex(np.sum(w_star * dj))
+    second = 0.5 * complex(np.sum(complex_sigma_squared(problem.diffusion) * d2j))
+    residual = -tau_derivative(FIELDS[1], 0.37, PROBE_Z, h=h) - bracket - second
+    assert np.array_equal(probe.dJ, dj) and np.array_equal(probe.d2J, d2j)
+    assert np.array_equal(probe.w_star, w_star) and probe.control_method == method
+    assert probe.residual == residual
 
 
 @pytest.mark.parametrize("h", [None, 1e-3])

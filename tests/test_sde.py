@@ -1,6 +1,7 @@
 """Euler-Maruyama stepping, action estimates, one-step dynamic programming."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,11 @@ def test_grid_validation():
     with pytest.raises(DomainError):
         bellman_consistency(lambda tau, z: 0j, zero_lagrangian(), flat, spec,
                             tau=0.0, z0=ZERO4, d_tau=0.01, n_paths=2, seed=0)
+    dWx, dWy = ensemble_increments(spec, 0.01, 5, n_paths=2, seed=0)
+    for d_tau, dx, dy in ((-0.01, dWx, dWy), (0.01, dWx, dWy[:, :2]),
+                          (0.01, dWx[:, :0], dWy[:, :0]), (0.01, dWx[..., :3], dWy[..., :3])):
+        with pytest.raises(DomainError):
+            integrate_with_increments(zero_policy(), spec, ZERO4, d_tau, dx, dy)
 
 
 def test_csv_round_trip():
@@ -244,6 +250,38 @@ def test_action_counts_failed_paths():
     assert not est.valid
 
 
+def test_bellman_excludes_and_counts_failed_paths():
+    def one_bad_row(tau, z):
+        w = np.zeros(z.shape, dtype=np.complex128)
+        w[17, 2] = np.inf
+        return w
+
+    res = bellman_consistency(lambda tau, z: complex(np.sum(z)), zero_lagrangian(), one_bad_row,
+                              DiffusionSpec.natural(), tau=0.2, z0=ZERO4, d_tau=0.01,
+                              n_paths=50, seed=3)
+    assert np.isfinite(res.residual) and np.isfinite([res.stderr_re, res.stderr_im]).all()
+    assert (res.n_paths, res.n_failed) == (50, 1)
+    all_bad = lambda tau, z: np.full(z.shape, np.inf + 0j)
+    with pytest.raises(DomainError):
+        bellman_consistency(lambda tau, z: 0j, zero_lagrangian(), all_bad,
+                            DiffusionSpec.natural(), 0.2, ZERO4, 0.01, 50, 3)
+
+
+def test_integrate_holds_no_increment_copy():
+    # the time-major states and one dWx buffer; a stored dWy would add half again
+    n_paths, n_steps = 2000, 100
+    tracemalloc.start()
+    try:
+        ens = integrate(linear_policy(MIX), DiffusionSpec.natural(), ZERO4, 0.01,
+                        n_steps, n_paths, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states, increments = n_paths * (n_steps + 1) * 8 * 8, n_paths * n_steps * 4 * 8
+    assert ens.states.nbytes == states
+    assert peak <= 1.1 * (states + increments)
+
+
 def test_bellman_zero_field_zero_lagrangian():
     spec = DiffusionSpec.natural()
     res = bellman_consistency(lambda tau, z: 0j, zero_lagrangian(),
@@ -288,17 +326,24 @@ REFERENCE_CASES = {
 }
 
 
+def path_major_increments(spec, d_tau, n_steps, n_paths, seed):
+    """Reference increments, path by path from each path's own SeedSequence."""
+    pairs = [path_increments(spec, d_tau, n_steps, seed, p) for p in range(n_paths)]
+    return np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
+
+
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_stepper_matches_the_gather_reference_bit_for_bit(case):
     policy, spec, z0, d_tau, n_steps, n_paths, seed = REFERENCE_CASES[case]
     # depends on z as well as w, so it pins which state each step's L sees
     lag = Lagrangian(value=lambda tau, z, w: 0.55 * np.sum(ETA * w * w, axis=-1) + tau * z[..., 1])
-    dWx, dWy = ensemble_increments(spec, d_tau, n_steps, n_paths, seed)
+    dWx, dWy = path_major_increments(spec, d_tau, n_steps, n_paths, seed)
 
-    ens = integrate_with_increments(policy, spec, z0, d_tau, dWx, dWy, tau0=0.1)
     states, failed, _, _ = gather_reference(policy, spec, z0, d_tau, dWx, dWy, tau0=0.1)
-    assert np.array_equal(ens.states.view(np.uint64), states.view(np.uint64))
-    assert ens.failed_paths == failed
+    for ens in (integrate_with_increments(policy, spec, z0, d_tau, dWx, dWy, tau0=0.1),
+                integrate(policy, spec, z0, d_tau, n_steps, n_paths, seed, tau0=0.1)):
+        assert np.array_equal(ens.states.view(np.uint64), states.view(np.uint64))
+        assert ens.failed_paths == failed
 
     est = estimate_action(lag, policy, spec, z0, d_tau, n_steps, n_paths, seed)
     _, _, action, alive = gather_reference(policy, spec, z0, d_tau, dWx, dWy,
@@ -308,7 +353,7 @@ def test_stepper_matches_the_gather_reference_bit_for_bit(case):
 
     value = lambda tau, z: complex(np.sum(ETA * z * z)) + 0.3 * z[0] + tau
     res = bellman_consistency(value, lag, policy, spec, 0.2, z0, d_tau, n_paths, seed)
-    dx1, dy1 = ensemble_increments(spec, d_tau, 1, n_paths, seed)
+    dx1, dy1 = path_major_increments(spec, d_tau, 1, n_paths, seed)
     states, _, action, _ = gather_reference(policy, spec, z0, d_tau, dx1, dy1,
                                             tau0=0.2, lagrangian=lag)
     z1 = states[:, 1, 0:4] + 1j * states[:, 1, 4:8]

@@ -7,8 +7,11 @@ from csoc.errors import DomainError
 from csoc.spacetime import MOSTLY_MINUS, MOSTLY_PLUS
 from csoc.wiener import (
     DiffusionSpec,
+    _path_generators,
+    _substream_keys,
     complex_sigma_squared,
     moment_check,
+    path_generator,
     sample_increments,
 )
 
@@ -165,3 +168,24 @@ def test_moment_check_requires_large_batch():
     spec = DiffusionSpec.natural()
     with pytest.raises(DomainError):
         moment_check(spec, [0, 0, 0, 0], [0, 0, 0, 0], 0.01, n=9_999, seed=0)
+
+
+SEED_GRID = (0, 1, 7, 2**31 - 1, 2**32, 2**40 + 5, 2**130 + 3)
+
+
+@pytest.mark.parametrize("seed", SEED_GRID)
+def test_vectorized_substream_keys_equal_seed_sequence(seed):
+    # one- to five-word seeds, and spawn keys at both ends of the uint32 range
+    paths = np.r_[np.arange(3000), 2**31, 2**32 - 1]
+    want = [np.random.SeedSequence(entropy=seed, spawn_key=(int(k),)).generate_state(2, np.uint64)
+            for k in paths]
+    assert np.array_equal(_substream_keys(seed, paths), want)
+
+
+def test_rekeyed_generator_draws_each_path_substream():
+    # 7 normals leave Philox's buffer part used, so each re-key must clear it
+    for k, rng in enumerate(_path_generators(2**40 + 5, 5)):
+        want = path_generator(2**40 + 5, k).normal(size=7)
+        assert np.array_equal(rng.normal(size=7).view(np.uint64), want.view(np.uint64))
+    with pytest.raises(DomainError):
+        next(_path_generators(-1, 3))
