@@ -7,7 +7,7 @@ Layers and sizes (those of the perfbench `ensemble` workload):
     sde.estimate_action        4,096 paths x 200 steps, action only
     wiener.moment_check       1e6 increment samples
 
-Each layer is called once small to warm up, then timed `--repeats` times in
+Each layer is called once small to warm up, then timed REPEATS (5) times in
 this one process; an entry holds the median and quartiles of those times,
 the throughput (path-steps/s, or samples/s for moment_check), the array
 bytes computed from the sizes (the two increment arrays returned, the stored
@@ -45,6 +45,7 @@ D_TAU = 1e-3
 INTEGRATE_PATHS = 34_236
 ACTION_PATHS = 4_096
 MOMENT_SAMPLES = 1_000_000
+REPEATS = 5   # timed calls per layer
 F64 = 8
 
 
@@ -103,11 +104,11 @@ def src_sha256(src: Path) -> str:
     return digest.hexdigest()
 
 
-def measure(call, repeats: int) -> tuple[list[float], int]:
+def measure(call) -> tuple[list[float], int]:
     """Seconds of each timed call, then the traced peak bytes of one more."""
     call(64)  # warm-up at 1/64 of the size
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         result = call(1)
         times.append(time.perf_counter() - start)
@@ -126,11 +127,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="csoc sources to time")
-    parser.add_argument("--repeats", type=int, default=5, help="timed calls per layer")
     parser.add_argument("--out-dir", type=Path, default=ROOT / "bench")
     args = parser.parse_args(argv)
-    if args.repeats < 2:
-        parser.error("--repeats must be at least 2, for quartiles")
     src = args.src.resolve()
     if not (src / "csoc" / "__init__.py").is_file():
         parser.error(f"no csoc sources at {src}")
@@ -140,10 +138,10 @@ def main(argv=None) -> int:
 
     entries = []
     for name, layer, sizes, work, unit, array_bytes, call in layers(csoc, np):
-        times, peak = measure(call, args.repeats)
+        times, peak = measure(call)
         q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
         entries.append({
-            "name": name, "layer": layer, "sizes": sizes, "repeats": args.repeats,
+            "name": name, "layer": layer, "sizes": sizes, "repeats": REPEATS,
             "median_s": median, "q1_s": q1, "q3_s": q3, "times_s": times,
             "work": work, "work_unit": unit, "work_per_s": work / median,
             "array_bytes": array_bytes, "peak_traced_bytes": peak,

@@ -314,6 +314,7 @@ class BellmanResidual:
     stderr_im: float
     n_paths: int
     n_failed: int
+    valid: bool  # False when more than 0.1% of paths were excluded
 
 
 def bellman_consistency(value_field, lagrangian, policy: PolicyFn,
@@ -325,7 +326,9 @@ def bellman_consistency(value_field, lagrangian, policy: PolicyFn,
     optimal policy and a field solving the dynamic program the residual is
     O(d_tau^2) plus sampling error; a suboptimal policy shows up as a
     residual beyond its standard error. Failed paths, whose state or sample
-    turned non-finite, are excluded from the residual and counted.
+    turned non-finite, are excluded from the residual and counted; the
+    residual is marked invalid when they exceed 0.1% of the ensemble, since
+    the surviving paths are then a biased sample.
     """
     _check_grid(d_tau, 1, n_paths)
     dW = _increments(d_tau, 1, n_paths, seed)
@@ -340,6 +343,8 @@ def bellman_consistency(value_field, lagrangian, policy: PolicyFn,
     good = np.isfinite(samples)
     if not good.any():
         raise DomainError("all paths failed, no Bellman residual available")
+    n_failed = n_paths - int(good.sum())
     mean, se_re, se_im = _sample_stats(samples[good])
     return BellmanResidual(residual=j0 - mean, stderr_re=se_re, stderr_im=se_im,
-                           n_paths=n_paths, n_failed=n_paths - int(good.sum()))
+                           n_paths=n_paths, n_failed=n_failed,
+                           valid=n_failed <= 0.001 * n_paths)

@@ -261,10 +261,32 @@ def test_bellman_excludes_and_counts_failed_paths():
                               n_paths=50, seed=3)
     assert np.isfinite(res.residual) and np.isfinite([res.stderr_re, res.stderr_im]).all()
     assert (res.n_paths, res.n_failed) == (50, 1)
+    assert not res.valid   # 1 of 50 is above 0.1%
     all_bad = lambda tau, z: np.full(z.shape, np.inf + 0j)
     with pytest.raises(DomainError):
         bellman_consistency(lambda tau, z: 0j, zero_lagrangian(), all_bad,
                             DiffusionSpec.natural(), 0.2, ZERO4, 0.01, 50, 3)
+
+
+def test_bellman_marks_a_mostly_failed_ensemble_invalid():
+    def all_but_one_row(tau, z):
+        w = np.full(z.shape, np.inf + 0j)
+        w[7] = 0.0
+        return w
+
+    res = bellman_consistency(lambda tau, z: complex(np.sum(z)), zero_lagrangian(),
+                              all_but_one_row, DiffusionSpec.natural(), tau=0.2, z0=ZERO4,
+                              d_tau=0.01, n_paths=50, seed=3)
+    assert (res.n_paths, res.n_failed) == (50, 49)
+    assert np.isfinite(res.residual)
+    assert not res.valid
+
+
+def test_bellman_is_valid_without_failed_paths():
+    res = bellman_consistency(lambda tau, z: complex(np.sum(z)), zero_lagrangian(),
+                              zero_policy(), DiffusionSpec.natural(), tau=0.2, z0=ZERO4,
+                              d_tau=0.01, n_paths=50, seed=3)
+    assert res.n_failed == 0 and res.valid
 
 
 def test_integrate_holds_no_increment_copy():
