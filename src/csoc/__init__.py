@@ -7,13 +7,12 @@ desk scale from the command line (`csoc run <scenario>`).
 """
 
 from .errors import (AnalyticityError, CsocError, DomainError,
-                     NonConvergenceError, SingularityError)
+                     NonConvergenceError)
 from .spacetime import (LOWER, MOSTLY_MINUS, MOSTLY_PLUS, UPPER,
                         ComplexFourVector, Metric, apply_boost, boost_matrix,
                         contract, weak_equation_residual)
-from .wiener import (RNG_ALGORITHM, DiffusionSpec, IncrementBatch, MomentLine,
-                     MomentReport, complex_sigma_squared, moment_check,
-                     sample_increments)
+from .wiener import (RNG_ALGORITHM, DiffusionSpec, MomentLine, MomentReport,
+                     complex_sigma_squared, moment_check, sample_increments)
 from .sde import (ActionEstimate, BellmanResidual, TrajectoryEnsemble,
                   bellman_consistency, constant_policy, estimate_action,
                   integrate, integrate_with_increments, linear_policy,
@@ -21,11 +20,9 @@ from .sde import (ActionEstimate, BellmanResidual, TrajectoryEnsemble,
 from .ccalc import (DerivativeReport, DomainBox, ScalarField, ScanReport,
                     analyticity_scan, complex_derivative, default_step,
                     second_complex_derivative, tau_derivative)
-from .lagrangian import (EMFieldConfig, Lagrangian, WeakGradientCheck,
-                         check_weak_gradient, em_lagrangian,
+from .lagrangian import (EMFieldConfig, Lagrangian, em_lagrangian,
                          free_particle_lagrangian, quadratic_lagrangian,
-                         unconstrained_sqrt_gradient, vector_potential_preset,
-                         zero_lagrangian)
+                         vector_potential_preset, zero_lagrangian)
 from .control import (AuditReport, StationarityResult, equivalence_audit,
                       solve_optimal_control)
 from .hjb import (HJBProblem, ResidualProbe, boundary_residual,
@@ -35,20 +32,17 @@ from .hjb import (HJBProblem, ResidualProbe, boundary_residual,
 from .dirac import (COMPONENT_SIGNS, GammaSet, HopfColeReport, PlaneWave,
                     RouteReport, build_gammas, clifford_check,
                     hopf_cole_check, hopf_cole_order, linearization_check,
-                    linearized_residual, nonlinear_linear_consistency,
-                    plane_wave, route_consistency)
+                    linearized_residual, plane_wave, route_consistency)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticityError", "CsocError", "DomainError", "NonConvergenceError",
-    "SingularityError",
     "LOWER", "MOSTLY_MINUS", "MOSTLY_PLUS", "UPPER", "ComplexFourVector",
     "Metric", "apply_boost", "boost_matrix", "contract",
     "weak_equation_residual",
-    "RNG_ALGORITHM", "DiffusionSpec", "IncrementBatch", "MomentLine",
-    "MomentReport", "complex_sigma_squared", "moment_check",
-    "sample_increments",
+    "RNG_ALGORITHM", "DiffusionSpec", "MomentLine", "MomentReport",
+    "complex_sigma_squared", "moment_check", "sample_increments",
     "ActionEstimate", "BellmanResidual", "TrajectoryEnsemble",
     "bellman_consistency", "constant_policy", "estimate_action", "integrate",
     "integrate_with_increments", "linear_policy", "pointwise_policy",
@@ -56,10 +50,8 @@ __all__ = [
     "DerivativeReport", "DomainBox", "ScalarField", "ScanReport",
     "analyticity_scan", "complex_derivative", "default_step",
     "second_complex_derivative", "tau_derivative",
-    "EMFieldConfig", "Lagrangian", "WeakGradientCheck", "check_weak_gradient",
-    "em_lagrangian", "free_particle_lagrangian", "quadratic_lagrangian",
-    "unconstrained_sqrt_gradient", "vector_potential_preset",
-    "zero_lagrangian",
+    "EMFieldConfig", "Lagrangian", "em_lagrangian", "free_particle_lagrangian",
+    "quadratic_lagrangian", "vector_potential_preset", "zero_lagrangian",
     "AuditReport", "StationarityResult", "equivalence_audit",
     "solve_optimal_control",
     "HJBProblem", "ResidualProbe", "boundary_residual", "covariance_check",
@@ -68,6 +60,6 @@ __all__ = [
     "COMPONENT_SIGNS", "GammaSet", "HopfColeReport", "PlaneWave",
     "RouteReport", "build_gammas", "clifford_check", "hopf_cole_check",
     "hopf_cole_order", "linearization_check", "linearized_residual",
-    "nonlinear_linear_consistency", "plane_wave", "route_consistency",
+    "plane_wave", "route_consistency",
     "__version__",
 ]

@@ -130,7 +130,6 @@ class ScalarField:
 
     f: FieldFn
     box: Optional[DomainBox] = None
-    name: str = ""
 
     def __call__(self, tau: float, z: np.ndarray) -> complex:
         return self.f(tau, z)

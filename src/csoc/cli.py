@@ -113,6 +113,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be nonnegative")
         if not self.tau_lo < self.tau_hi:
             raise ConfigError("tau_lo must be below tau_hi")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def metric_object(self) -> Metric:
@@ -273,8 +275,8 @@ def run_moments(cfg: ScenarioConfig) -> dict:
         "n_lines": len(lines), "n_flagged": report.n_flagged,
         "worst_zscore": abs(report.worst.zscore), "z_max": report.z_max,
         "lines": lines,
+        "checks": [_check("flagged-lines", report.n_flagged, 1.0)],
         "artifacts": ["moments.csv"],
-        "passed": report.passed,
     }
 
 
@@ -300,7 +302,6 @@ def run_sde_demo(cfg: ScenarioConfig) -> dict:
         "checks": [_check("final-drift-error", drift_err, limit),
                    _check("failed-paths", float(len(ens.failed_paths)), 1.0)],
         "artifacts": ["trajectories.csv"],
-        "passed": drift_err < limit and not ens.failed_paths,
     }
 
 
@@ -323,7 +324,6 @@ def run_cr_scan(cfg: ScenarioConfig) -> dict:
     bad = analyticity_scan(twisted, pts)
     worst_good = good.results[good.worst_index].scaled_residual
     worst_bad = bad.results[bad.worst_index].scaled_residual
-    passed = good.passed and worst_bad > 0.1
     return {
         "scenario": "cr-scan",
         "verifies": ["cauchy-riemann-consistency", "analyticity-refusal"],
@@ -332,7 +332,6 @@ def run_cr_scan(cfg: ScenarioConfig) -> dict:
         "non_analytic_worst_residual": worst_bad,
         "checks": [_check("analytic-worst", worst_good, good.tol),
                    _check("non-analytic-detected", worst_bad, 0.1, "above")],
-        "passed": passed,
     }
 
 
@@ -353,7 +352,6 @@ def run_optimal_control(cfg: ScenarioConfig) -> dict:
         "w_star_im": list(result.w_star.components.imag),
         "checks": [_check("newton-residual", res, 1e-10),
                    _check("closed-form-difference", diff, 1e-8)],
-        "passed": res < 1e-10 and diff < 1e-8,
     }
 
 
@@ -381,15 +379,13 @@ def run_equivalence_audit(cfg: ScenarioConfig) -> dict:
         "max_closed_form_disagreement": report.max_closed_form_disagreement,
         "n_singular": n_singular,
         "checks": [_check("pair-root-disagreement", disagreement, report.tol)],
-        "passed": report.passed and disagreement < report.tol,
     }
 
 
 def run_hjb_residual(cfg: ScenarioConfig) -> dict:
     metric = cfg.metric_object
     lag = em_lagrangian(cfg.em_config())
-    problem = HJBProblem(lagrangian=lag, diffusion=cfg.diffusion(),
-                         tau_f=cfg.tau_f, box=cfg.box())
+    problem = HJBProblem(lagrangian=lag, diffusion=cfg.diffusion(), tau_f=cfg.tau_f)
     sigma_tilde = metric.sigma_tilde
     scale = sigma_tilde * cfg.m * cfg.c * cfg.c
 
@@ -413,7 +409,6 @@ def run_hjb_residual(cfg: ScenarioConfig) -> dict:
         "checks": [_check("max-abs-residual", worst, 1e-6),
                    _check("boundary-residual", boundary, 1e-12)],
         "artifacts": ["hjb-probes.json"],
-        "passed": worst < 1e-6 and boundary < 1e-12,
     }
 
 
@@ -438,7 +433,6 @@ def run_covariance(cfg: ScenarioConfig) -> dict:
         "dalembertian_re": d_val.real, "dalembertian_im": d_val.imag,
         "max_discrepancy": worst,
         "checks": [_check("boost-discrepancy", worst, 1e-6)],
-        "passed": worst < 1e-6,
     }
 
 
@@ -467,7 +461,6 @@ def run_hopf_cole(cfg: ScenarioConfig) -> dict:
         "checks": [_check("linear-residual", r_lin, 1e-6),
                    _check("quadratic-residual", r_quad, 1e-6),
                    _check("order-deviation", abs(order - 2.0), 0.3)],
-        "passed": r_lin < 1e-6 and r_quad < 1e-6 and 1.7 <= order <= 2.3,
     }
 
 
@@ -487,7 +480,6 @@ def run_clifford(cfg: ScenarioConfig) -> dict:
         "checks": [_check("anticommutator-residual", anti, 1e-14),
                    _check("linearization-residual", lin, 1e-12)],
         "artifacts": ["gammas.json"],
-        "passed": anti < 1e-14 and lin < 1e-12,
     }
 
 
@@ -527,8 +519,6 @@ def run_dirac_planewave(cfg: ScenarioConfig) -> dict:
         "checks": [_check("free-plane-wave-residual", res_free, 1e-6),
                    _check("coupled-plane-wave-residual", res_coupled, 1e-6),
                    _check("route-discrepancy", route.max_discrepancy, 1e-6)],
-        "passed": (res_free < 1e-6 and res_coupled < 1e-6
-                   and route.max_discrepancy < 1e-6),
     }
 
 
@@ -586,6 +576,9 @@ def run(scenario: str, cfg: ScenarioConfig, configs: dict) -> int:
             summary[name] = False
             print(f"domain error: {name}: {exc}", file=sys.stderr)
         else:
+            # one verdict rule: a report passes when it has checks and all pass
+            checks = report.get("checks", [])
+            report["passed"] = bool(checks) and all(c["passed"] for c in checks)
             write_json(os.path.join(scenario_cfg.out_dir, f"{name}.json"), report)
             summary[name] = report["passed"]
         print(f"{name}: {'pass' if summary[name] else 'FAIL'}")

@@ -187,11 +187,7 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
             f"value field failed analyticity scan at tau={worst.tau}, z={worst.z}: "
             f"scaled residual {worst.scaled_residual:.3e} >= {scan_tol:.3e}")
 
-    metric = None
-    cfg = lagrangian.params.get("config")
-    if cfg is not None:
-        metric = cfg.metric
-    has_branch = bool(lagrangian.params.get("sqrt_branch"))
+    cfg = lagrangian.params.get("config")   # only the EM Lagrangian sets it, and only it has a branch point
     closed_form = lagrangian.params.get("closed_form_control")
 
     out: list[AuditProbe] = []
@@ -224,8 +220,8 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
             continue
         w_r, w_i = _theta_to_w(theta_r), _theta_to_w(theta_i)
 
-        if has_branch and metric is not None:
-            ww = complex(np.sum(metric.eta * w_r * w_r))
+        if cfg is not None:
+            ww = complex(np.sum(cfg.metric.eta * w_r * w_r))
             if abs(ww) < branch_tol * (cfg.c * cfg.c):
                 out.append(AuditProbe(tau=tau, z=z, w_real_set=w_r, w_imag_set=w_i,
                                       disagreement=float("nan"),

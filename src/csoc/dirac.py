@@ -170,11 +170,6 @@ class PlaneWave:
         phase = 1j * complex(np.sum(self.p * z)) / self.hbar - 1j * self.lam * tau
         return np.exp(phase) * self.chi
 
-    def component(self, s: int) -> Callable[[float, np.ndarray], complex]:
-        def f(tau: float, z: np.ndarray) -> complex:
-            return complex(self.phi(tau, z)[s])
-        return f
-
     def potential(self) -> Optional[PotentialFn]:
         if self.q == 0.0 and not np.any(self.a_const):
             return None
@@ -369,7 +364,8 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     Route A substitutes the log-map fields J^(s) into the coupled first-order
     form and differentiates them directly. Route B applies the linear
     operator to phi and divides by eps_r m phi_r. The two agree identically
-    for exact derivatives; the report shows the stencil-level discrepancy.
+    for exact derivatives; the report shows the stencil-level discrepancy on
+    each of the requested components, a nonempty selection of 0..3.
 
     signing selects the bookkeeping of the eps factors in route A. "exact"
     is the arrangement that follows from the log map on every component;
@@ -379,6 +375,9 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     """
     if signing not in ("exact", "unsigned"):
         raise DomainError(f"signing must be 'exact' or 'unsigned', got {signing!r}")
+    comps = tuple(int(r) for r in components)
+    if not comps or any(r not in (0, 1, 2, 3) for r in comps):
+        raise DomainError(f"components must be a nonempty choice of 0..3, got {components!r}")
     # one stencil for both routes: every component's log map reads the same
     # spinor values, and the linear operator reuses them
     st = _spinor_stencil(phi, tau, z)
@@ -411,7 +410,6 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
 
     lin = _linearized(gammas, st, lam=None, q=q, A=A, hbar=hbar, m=m, c=c, h=h)
 
-    comps = tuple(int(r) for r in components)
     route_a = np.zeros(len(comps), dtype=np.complex128)
     route_b = np.zeros(len(comps), dtype=np.complex128)
     for out, r in enumerate(comps):
@@ -453,16 +451,3 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     return RouteReport(components=comps, route_a=route_a, route_b=route_b,
                        signing=signing)
 
-
-def nonlinear_linear_consistency(gammas: GammaSet, phi: SpinorFieldFn, r: int,
-                                 tau: float, z, *, q: float = 0.0,
-                                 A: Optional[PotentialFn] = None,
-                                 hbar: float = 1.0, m: float = 1.0,
-                                 c: float = 1.0, signing: str = "exact",
-                                 h: Optional[float] = None) -> float:
-    """Discrepancy between the two residual routes for one component."""
-    if r not in (0, 1, 2, 3):
-        raise DomainError(f"component index must be 0..3, got {r}")
-    report = route_consistency(gammas, phi, tau, z, q=q, A=A, hbar=hbar,
-                               m=m, c=c, components=(r,), signing=signing, h=h)
-    return report.max_discrepancy

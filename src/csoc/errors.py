@@ -9,10 +9,6 @@ class DomainError(CsocError, ValueError):
     """Input outside the valid domain (bad signs, off-box probes, stencil overrun)."""
 
 
-class SingularityError(CsocError, ArithmeticError):
-    """Evaluation at or too near a square-root branch point."""
-
-
 class NonConvergenceError(CsocError, RuntimeError):
     """Iterative solver failed to reach tolerance."""
 

@@ -49,7 +49,6 @@ class HJBProblem:
     lagrangian: Lagrangian
     diffusion: DiffusionSpec
     tau_f: float
-    box: Optional[DomainBox] = None
 
     def __post_init__(self):
         cfg = self.lagrangian.params.get("config")
@@ -63,7 +62,7 @@ class HJBProblem:
         return self.diffusion.metric
 
 
-def rest_shell_velocity(metric: Metric, c: float) -> np.ndarray:
+def rest_shell_velocity(c: float) -> np.ndarray:
     """The representative shell point (c, 0, 0, 0), on shell either convention."""
     w = np.zeros(4, dtype=np.complex128)
     w[0] = c
@@ -84,7 +83,7 @@ def optimal_control_at(problem: HJBProblem, dJ: np.ndarray, tau: float, z,
     if closed_form is not None and cfg is not None:
         p = dJ + cfg.q * cfg.potential(tau, z)
         if float(np.abs(p).max()) < degenerate_tol * cfg.m * cfg.c:
-            return rest_shell_velocity(problem.metric, cfg.c), "shell-degenerate"
+            return rest_shell_velocity(cfg.c), "shell-degenerate"
         return np.asarray(closed_form(tau, z, dJ), dtype=np.complex128), "closed-form"
     result = solve_optimal_control(problem.lagrangian, dJ, tau=tau, z=z)
     return result.w_star.components, "newton"

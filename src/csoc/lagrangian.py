@@ -12,10 +12,6 @@ the on-shell simplification
     dL/dw^mu = m w_mu + q A_mu
 
 which is what gradient_w returns and what the control solver drives to zero.
-The raw unconstrained gradient of the square-root term,
-m c w_mu / sqrt(sigma_tilde sum w^mu w_mu) + q A_mu, is exposed separately and
-agrees with gradient_w exactly on the shell; check_weak_gradient verifies that
-against finite differences of the value.
 
 Vector potentials are callables A(tau, z) -> (..., 4) lower-index components,
 analytic in z and broadcasting over leading axes of z.
@@ -29,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 from .spacetime import Metric, MOSTLY_PLUS
 from .ccalc import _UNIT, _step
 
@@ -42,12 +38,12 @@ class Lagrangian:
 
     value(tau, z, w) maps (..., 4) complex z, w to (...) complex;
     gradient_w(tau, z, w), when present, returns the lower-index gradient
-    dL/dw^mu with the same leading shape.
+    dL/dw^mu with the same leading shape. The EM Lagrangian's params carry
+    its "config" and its "closed_form_control"; others leave params empty.
     """
 
     value: Callable
     gradient_w: Optional[Callable] = None
-    name: str = ""
     params: dict = field(default_factory=dict)
 
     def grad(self, tau: float, z: np.ndarray, w: np.ndarray,
@@ -124,9 +120,8 @@ def em_lagrangian(cfg: EMFieldConfig) -> Lagrangian:
         p = np.asarray(dJ, dtype=np.complex128) + cfg.q * cfg.potential(tau, np.asarray(z, dtype=np.complex128))
         return eta * (-p / cfg.m)
 
-    params = {"q": cfg.q, "m": cfg.m, "c": cfg.c, "config": cfg,
-              "sqrt_branch": True, "closed_form_control": closed_form_control}
-    return Lagrangian(value=value, gradient_w=gradient_w, name="em", params=params)
+    params = {"config": cfg, "closed_form_control": closed_form_control}
+    return Lagrangian(value=value, gradient_w=gradient_w, params=params)
 
 
 def free_particle_lagrangian(m: float = 1.0, c: float = 1.0,
@@ -145,8 +140,7 @@ def quadratic_lagrangian(a: float = 1.0, metric: Metric = MOSTLY_PLUS) -> Lagran
     def gradient_w(tau, z, w):
         return a * (eta * np.asarray(w, dtype=np.complex128))
 
-    return Lagrangian(value=value, gradient_w=gradient_w, name="quadratic",
-                      params={"a": a})
+    return Lagrangian(value=value, gradient_w=gradient_w)
 
 
 def zero_lagrangian() -> Lagrangian:
@@ -157,65 +151,7 @@ def zero_lagrangian() -> Lagrangian:
     def gradient_w(tau, z, w):
         return np.zeros(np.asarray(w).shape, dtype=np.complex128)
 
-    return Lagrangian(value=value, gradient_w=gradient_w, name="zero", params={})
-
-
-def unconstrained_sqrt_gradient(cfg: EMFieldConfig, tau: float, z, w,
-                                branch_tol: float = 1e-12) -> np.ndarray:
-    """Raw gradient m c w_mu / sqrt(sigma_tilde sum w^mu w_mu) + q A_mu.
-
-    Raises SingularityError at the branch point sum w^mu w_mu = 0, where the
-    square root is not differentiable.
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    st = cfg.metric.sigma_tilde
-    ww = _sum_ww(cfg.metric, w)
-    if np.any(np.abs(ww) < branch_tol * (cfg.c * cfg.c)):
-        raise SingularityError("velocity at the square-root branch point, sum w^mu w_mu = 0")
-    root = np.sqrt(st * ww + 0j)
-    g = cfg.m * cfg.c * (cfg.metric.eta * w) / root[..., None] if w.ndim > 1 \
-        else cfg.m * cfg.c * (cfg.metric.eta * w) / root
-    if cfg.q != 0.0 or cfg.A is not None:
-        g = g + cfg.q * cfg.potential(tau, np.asarray(z, dtype=np.complex128))
-    return g
-
-
-@dataclass(frozen=True)
-class WeakGradientCheck:
-    passed: bool
-    max_abs_error: float
-    fd_gradient: np.ndarray
-    shell_gradient: np.ndarray
-
-
-def check_weak_gradient(cfg: EMFieldConfig, w, tau: float = 0.0, z=None,
-                        tol: float = 1e-6, h: Optional[float] = None,
-                        shell_tol: float = 1e-8) -> WeakGradientCheck:
-    """Compare finite differences of the square-root term against m w_mu.
-
-    Precondition: w lies on the weak-equation shell, sum w^mu w_mu close to
-    sigma_tilde c^2 (checked to shell_tol). The finite-difference gradient of
-    the square-root term then equals the simplified gradient m w_mu.
-    """
-    from .spacetime import weak_equation_residual
-
-    w = np.asarray(getattr(w, "components", w), dtype=np.complex128)
-    if z is None:
-        z = np.zeros(4, dtype=np.complex128)
-    res = weak_equation_residual(w, cfg.metric, cfg.c)
-    if abs(res) > shell_tol:
-        raise DomainError(f"w is off the weak-equation shell, residual {res}")
-    st = cfg.metric.sigma_tilde
-    sqrt_only = Lagrangian(
-        value=lambda tau_, z_, w_: st * cfg.m * cfg.c * np.sqrt(
-            st * _sum_ww(cfg.metric, np.asarray(w_, dtype=np.complex128)) + 0j),
-        gradient_w=None)
-    fd = sqrt_only.grad(tau, z, w, h=h)
-    shell = cfg.m * (cfg.metric.eta * w)
-    err = float(np.abs(fd - shell).max())
-    scale = max(1.0, float(np.abs(shell).max()))
-    return WeakGradientCheck(passed=err < tol * scale, max_abs_error=err,
-                             fd_gradient=fd, shell_gradient=shell)
+    return Lagrangian(value=value, gradient_w=gradient_w)
 
 
 _PRESET_RE = re.compile(r"^\s*([a-z-]+)\s*(?:\(([^)]*)\))?\s*$")

@@ -12,7 +12,7 @@ contraction rule depends on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -27,33 +27,25 @@ _ALLOWED_DIAGS = ((-1, 1, 1, 1), (1, -1, -1, -1))
 
 @dataclass(frozen=True)
 class Metric:
-    """Diagonal flat metric plus the sign conventions bound to it.
+    """Diagonal flat metric plus the sign convention bound to it.
 
     diag: the four diagonal entries, (-1,1,1,1) or (1,-1,-1,-1).
-    sigma_tilde: -1 for the former, +1 for the latter. Derived from diag when
-        not given; validated against diag when given.
-    epsilon: correlation sign between the real and imaginary Wiener sheets,
-        +1 or -1. A convention carried with the metric, defaulting to +1.
+    sigma_tilde (derived, not settable): diag[0], so -1 for the former and +1
+    for the latter.
     """
 
     diag: tuple[int, int, int, int] = (-1, 1, 1, 1)
-    sigma_tilde: int = field(default=0)  # 0 sentinel: derive from diag
-    epsilon: int = 1
 
     def __post_init__(self):
         diag = tuple(int(d) for d in self.diag)
         if diag not in _ALLOWED_DIAGS:
             raise DomainError(f"unsupported metric diagonal {self.diag!r}")
         object.__setattr__(self, "diag", diag)
-        expected = -1 if diag == (-1, 1, 1, 1) else 1
-        if self.sigma_tilde == 0:
-            object.__setattr__(self, "sigma_tilde", expected)
-        elif self.sigma_tilde != expected:
-            raise DomainError(
-                f"sigma_tilde={self.sigma_tilde} inconsistent with diag {diag}"
-            )
-        if self.epsilon not in (1, -1):
-            raise DomainError(f"epsilon must be +1 or -1, got {self.epsilon!r}")
+
+    @property
+    def sigma_tilde(self) -> int:
+        """Sign of the shell, sum w^mu w_mu = sigma_tilde c^2."""
+        return self.diag[0]
 
     @property
     def eta(self) -> np.ndarray:

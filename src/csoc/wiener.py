@@ -170,25 +170,12 @@ def complex_sigma_squared(spec: DiffusionSpec) -> np.ndarray:
     return sx * sx - sy * sy + 2j * spec.epsilon * spec.metric.eta * sx * sy
 
 
-@dataclass(frozen=True)
-class IncrementBatch:
-    """One batch of paired increments. dWy is a bit-exact signed copy of dWx."""
-
-    d_tau: float
-    dWx: np.ndarray  # shape (n, 4)
-    dWy: np.ndarray  # shape (n, 4)
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.dWx.shape[0]
-
-
-def sample_increments(spec: DiffusionSpec, d_tau: float, n: int, seed: int) -> IncrementBatch:
-    """Draw n paired Wiener increments over one step of size d_tau.
+def sample_increments(spec: DiffusionSpec, d_tau: float, n: int,
+                      seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n paired Wiener increments (dWx, dWy), each (n, 4), over one step.
 
     dWx^mu ~ N(0, d_tau) i.i.d. per axis; dWy^mu = epsilon eta^{mumu} dWx^mu
-    exactly (sign copy of the same floats).
+    exactly (sign copy of the same floats). Both arrays are read-only.
     """
     if d_tau <= 0:
         raise DomainError(f"d_tau must be positive, got {d_tau}")
@@ -199,7 +186,7 @@ def sample_increments(spec: DiffusionSpec, d_tau: float, n: int, seed: int) -> I
     dWy = dWx * spec.sign_copy  # multiplication by +-1 is exact
     dWx.flags.writeable = False
     dWy.flags.writeable = False
-    return IncrementBatch(d_tau=float(d_tau), dWx=dWx, dWy=dWy, seed=seed)
+    return dWx, dWy
 
 
 @dataclass(frozen=True)
@@ -257,9 +244,9 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
         raise DomainError("v and u must have 4 entries each")
     if n < 10_000:
         raise DomainError(f"n must be at least 10000 for stable moments, got {n}")
-    batch = sample_increments(spec, d_tau, n, seed)
-    dx = v * d_tau + spec.sigma_x * batch.dWx
-    dy = u * d_tau + spec.sigma_y * batch.dWy
+    dWx, dWy = sample_increments(spec, d_tau, n, seed)
+    dx = v * d_tau + spec.sigma_x * dWx
+    dy = u * d_tau + spec.sigma_y * dWy
 
     lines: list[MomentLine] = []
 

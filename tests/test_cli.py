@@ -69,12 +69,15 @@ def test_probe_records_have_the_documented_shape(tmp_path):
 
 
 def test_failing_check_exits_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(cli.RUNNERS, "clifford",
-                        lambda cfg: {"scenario": "clifford", "verifies": [],
-                                     "passed": False})
-    out = tmp_path / "run"
-    assert main(["run", "clifford", "--out-dir", str(out)]) == 1
-    assert "clifford: FAIL" in capsys.readouterr().out
+    # a failing check fails the report, and so does a report with no checks
+    for checks in ([cli._check("stub", 1.0, 0.5)], []):
+        monkeypatch.setitem(cli.RUNNERS, "clifford",
+                            lambda cfg: {"scenario": "clifford", "verifies": [],
+                                         "checks": checks})
+        out = tmp_path / "run"
+        assert main(["run", "clifford", "--out-dir", str(out)]) == 1
+        assert "clifford: FAIL" in capsys.readouterr().out
+        assert json.loads(read_bytes(out / "clifford.json"))["passed"] is False
 
 
 def test_bad_flag_value_exits_two(tmp_path):
@@ -89,6 +92,12 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
                  "--box-half-width", "-1.0"])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    # a negative seed is refused before numpy sees it, from a flag or the file
+    ini = tmp_path / "seed.ini"
+    ini.write_text("[common]\nseed = -1\n")
+    for args in (["--seed", "-1"], ["--config", str(ini)]):
+        assert main(["run", "moments", "--out-dir", str(out), *args]) == 2
+        assert "config error: seed must be nonnegative, got -1" in capsys.readouterr().err
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
@@ -220,9 +229,11 @@ def test_every_check_of_run_all_has_one_schema(tmp_path):
     for name in cli.SCENARIOS:
         report = json.loads(read_bytes(out / f"{name}.json"),
                             parse_constant=refuse_constant)
-        for check in report.get("checks", []):
+        assert report["checks"], name
+        for check in report["checks"]:
             assert sorted(check) == ["direction", "limit", "name", "passed", "value"]
             assert check["direction"] in ("below", "above")
+        assert report["passed"] is all(c["passed"] for c in report["checks"])
 
 
 def test_run_all_honours_scenario_sections(tmp_path):

@@ -11,7 +11,6 @@ from csoc.dirac import (
     hopf_cole_order,
     linearization_check,
     linearized_residual,
-    nonlinear_linear_consistency,
     plane_wave,
     route_consistency,
 )
@@ -239,13 +238,12 @@ def test_alternative_signing_departs_on_minus_components():
     # only where those signs are +1; on the lower pair it misses by O(1)
     gammas = build_gammas(MOSTLY_PLUS)
     wave = plane_wave(gammas, P_LOWER, q=0.5, a_const=A_CONST)
-    exact = nonlinear_linear_consistency(gammas, wave.phi, 2, 0.3, PROBE_Z,
-                                         q=0.5, A=wave.potential())
-    alt = nonlinear_linear_consistency(gammas, wave.phi, 2, 0.3, PROBE_Z,
-                                       q=0.5, A=wave.potential(),
-                                       signing="unsigned")
-    assert exact < 1e-6
-    assert alt > 1e-3
+    exact = route_consistency(gammas, wave.phi, 0.3, PROBE_Z, q=0.5,
+                              A=wave.potential(), components=(2,))
+    alt = route_consistency(gammas, wave.phi, 0.3, PROBE_Z, q=0.5,
+                            A=wave.potential(), components=(2,), signing="unsigned")
+    assert exact.max_discrepancy < 1e-6
+    assert alt.max_discrepancy > 1e-3
 
 
 def test_route_consistency_rejects_dead_component():
@@ -264,8 +262,10 @@ def test_route_consistency_validates_arguments():
     wave = plane_wave(gammas, P_LOWER)
     with pytest.raises(DomainError):
         route_consistency(gammas, wave.phi, 0.3, PROBE_Z, signing="bogus")
-    with pytest.raises(DomainError):
-        nonlinear_linear_consistency(gammas, wave.phi, 5, 0.3, PROBE_Z)
+    # out of range, negative (no wrap-around to component 3) and empty
+    for components in ((5,), (-1,), ()):
+        with pytest.raises(DomainError):
+            route_consistency(gammas, wave.phi, 0.3, PROBE_Z, components=components)
 
 
 def test_route_consistency_evaluates_each_spinor_point_once():

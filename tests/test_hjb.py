@@ -53,7 +53,7 @@ def test_rest_shell_velocity_is_on_shell_both_conventions():
     from csoc.spacetime import weak_equation_residual
 
     for metric in (MOSTLY_PLUS, MOSTLY_MINUS):
-        w = rest_shell_velocity(metric, 2.0)
+        w = rest_shell_velocity(2.0)
         assert np.array_equal(w, [2, 0, 0, 0])
         assert weak_equation_residual(w, metric, 2.0) == 0
 

@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from csoc.errors import DomainError, SingularityError
+from csoc.errors import DomainError
 from csoc.lagrangian import (
     EMFieldConfig,
     Lagrangian,
-    check_weak_gradient,
     em_lagrangian,
     free_particle_lagrangian,
     quadratic_lagrangian,
-    unconstrained_sqrt_gradient,
     vector_potential_preset,
     zero_lagrangian,
 )
-from csoc.spacetime import MOSTLY_MINUS, MOSTLY_PLUS, apply_boost
+from csoc.spacetime import MOSTLY_MINUS, MOSTLY_PLUS, apply_boost, weak_equation_residual
 
 REST = np.array([1, 0, 0, 0], dtype=np.complex128)
 Z0 = np.zeros(4, dtype=np.complex128)
@@ -62,34 +60,6 @@ def test_value_broadcasts_over_batches():
     assert np.allclose(vals, -1.0)
 
 
-def test_weak_gradient_check_at_rest():
-    chk = check_weak_gradient(EMFieldConfig(), REST)
-    assert chk.passed
-    assert np.allclose(chk.shell_gradient, [-1, 0, 0, 0])
-    assert chk.max_abs_error < 1e-6
-
-
-def test_weak_gradient_check_boosted():
-    w = apply_boost(REST, 0.5, 1)
-    chk = check_weak_gradient(EMFieldConfig(), w)
-    assert chk.passed
-
-
-def test_weak_gradient_check_complex_rapidity():
-    # cosh^2 - sinh^2 = 1 holds for complex arguments, so the shell admits
-    # genuinely complex velocities
-    th = 0.2 + 0.1j
-    w = np.array([np.cosh(th), np.sinh(th), 0, 0], dtype=np.complex128)
-    chk = check_weak_gradient(EMFieldConfig(), w)
-    assert chk.passed
-    assert np.allclose(chk.shell_gradient, MOSTLY_PLUS.eta * w)
-
-
-def test_weak_gradient_check_rejects_off_shell():
-    with pytest.raises(DomainError):
-        check_weak_gradient(EMFieldConfig(), np.array([1.2, 0, 0, 0]))
-
-
 def test_value_is_boost_invariant_without_charge():
     lag = free_particle_lagrangian()
     rng = np.random.default_rng(0)
@@ -100,21 +70,6 @@ def test_value_is_boost_invariant_without_charge():
         v0 = lag.value(0.0, Z0, w)
         v1 = lag.value(0.0, Z0, apply_boost(w, th, int(axis)).components)
         assert abs(v1 - v0) < 1e-10
-
-
-def test_unconstrained_gradient_matches_shell_form_on_shell():
-    cfg = EMFieldConfig()
-    w = apply_boost(REST, 0.4, 2).components
-    raw = unconstrained_sqrt_gradient(cfg, 0.0, Z0, w)
-    shell = cfg.m * (MOSTLY_PLUS.eta * w)
-    assert np.allclose(raw, shell, atol=1e-12)
-
-
-def test_unconstrained_gradient_rejects_branch_point():
-    # null velocity sits exactly on the square-root branch point
-    null = np.array([1, 1, 0, 0], dtype=np.complex128)
-    with pytest.raises(SingularityError):
-        unconstrained_sqrt_gradient(EMFieldConfig(), 0.0, Z0, null)
 
 
 def test_quadratic_lagrangian_value_and_gradient():
@@ -130,14 +85,43 @@ def test_zero_lagrangian_is_zero():
     assert np.all(lag.gradient_w(0.0, Z0, REST) == 0)
 
 
-def test_finite_difference_gradient_fallback():
-    cfg = EMFieldConfig(q=0.5, A=vector_potential_preset("constant(0.1,0.2,0,0)")[0])
+def _on_shell_gradient(cfg, w):
+    # the weak equation: on the shell sum w^mu w_mu = sigma_tilde c^2 the square
+    # root differentiates to m w_mu, so finite differences of the EM value equal
+    # the published gradient m w_mu + q A_mu
+    assert abs(weak_equation_residual(w, MOSTLY_PLUS, cfg.c)) < 1e-12
     closed = em_lagrangian(cfg)
     opaque = Lagrangian(value=closed.value)  # no closed-form gradient
-    w = apply_boost(REST, 0.3, 1).components
-    fd = opaque.grad(0.0, Z0, w, h=1e-6)
-    want = unconstrained_sqrt_gradient(cfg, 0.0, Z0, w)
-    assert np.allclose(fd, want, atol=1e-8)
+    want = closed.grad(0.0, Z0, w)
+    assert np.allclose(opaque.grad(0.0, Z0, w, h=1e-6), want, atol=1e-8)
+    return want
+
+
+def _complex_rapidity_velocity():
+    # cosh^2 - sinh^2 = 1 also holds for complex rapidities, so the shell
+    # admits genuinely complex velocities
+    th = 0.2 + 0.1j
+    return np.array([np.cosh(th), np.sinh(th), 0, 0], dtype=np.complex128)
+
+
+def test_weak_gradient_check_at_rest():
+    assert np.allclose(_on_shell_gradient(EMFieldConfig(), REST), [-1, 0, 0, 0])
+
+
+def test_weak_gradient_check_boosted():
+    w = apply_boost(REST, 0.5, 1).components
+    assert np.allclose(_on_shell_gradient(EMFieldConfig(), w), MOSTLY_PLUS.eta * w)
+
+
+def test_weak_gradient_check_complex_rapidity():
+    w = _complex_rapidity_velocity()
+    assert np.allclose(_on_shell_gradient(EMFieldConfig(), w), MOSTLY_PLUS.eta * w)
+
+
+def test_finite_difference_gradient_fallback():
+    cfg = EMFieldConfig(q=0.5, A=vector_potential_preset("constant(0.1,0.2,0,0)")[0])
+    for w in (REST, apply_boost(REST, 0.3, 1).components, _complex_rapidity_velocity()):
+        _on_shell_gradient(cfg, w)
 
 
 def test_config_validation():

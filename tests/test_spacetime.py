@@ -23,16 +23,17 @@ def test_metric_diagonals_and_signs():
     assert MOSTLY_PLUS.sigma_tilde == -1
     assert MOSTLY_MINUS.diag == (1, -1, -1, -1)
     assert MOSTLY_MINUS.sigma_tilde == 1
-    assert MOSTLY_PLUS.epsilon == 1
+    assert Metric(diag=(1, -1, -1, -1)) == MOSTLY_MINUS
 
 
 def test_metric_rejects_bad_inputs():
     with pytest.raises(DomainError):
         Metric(diag=(1, 1, 1, 1))
-    with pytest.raises(DomainError):
-        Metric(diag=(-1, 1, 1, 1), sigma_tilde=1)
-    with pytest.raises(DomainError):
-        Metric(diag=(-1, 1, 1, 1), epsilon=0)
+    # diag is the only field: sigma_tilde is derived, epsilon belongs to the diffusion
+    with pytest.raises(TypeError):
+        Metric(diag=(-1, 1, 1, 1), sigma_tilde=-1)
+    with pytest.raises(TypeError):
+        Metric(diag=(-1, 1, 1, 1), epsilon=1)
 
 
 def test_double_flip_is_identity():

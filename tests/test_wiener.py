@@ -71,52 +71,52 @@ def test_sign_copy_factor():
 
 def test_increments_are_bit_exact_signed_copies():
     spec = DiffusionSpec.natural()
-    batch = sample_increments(spec, d_tau=0.01, n=1000, seed=42)
-    assert np.array_equal(batch.dWy, batch.dWx * spec.sign_copy)
-    assert np.array_equal(batch.dWy[:, 0], -batch.dWx[:, 0])
-    assert np.array_equal(batch.dWy[:, 1], batch.dWx[:, 1])
+    dWx, dWy = sample_increments(spec, d_tau=0.01, n=1000, seed=42)
+    assert np.array_equal(dWy, dWx * spec.sign_copy)
+    assert np.array_equal(dWy[:, 0], -dWx[:, 0])
+    assert np.array_equal(dWy[:, 1], dWx[:, 1])
 
 
 def test_increment_sheets_fully_anticorrelated_on_time_axis():
     spec = DiffusionSpec.natural()
-    batch = sample_increments(spec, d_tau=0.01, n=5000, seed=1)
-    corr = np.corrcoef(batch.dWx[:, 0], batch.dWy[:, 0])[0, 1]
+    dWx, dWy = sample_increments(spec, d_tau=0.01, n=5000, seed=1)
+    corr = np.corrcoef(dWx[:, 0], dWy[:, 0])[0, 1]
     assert abs(corr + 1.0) < 1e-12
 
 
 def test_single_increment_batch():
     spec = DiffusionSpec.natural()
-    batch = sample_increments(spec, d_tau=0.5, n=1, seed=9)
-    assert batch.n == 1
-    assert batch.dWy[0, 1] == batch.dWx[0, 1]
+    dWx, dWy = sample_increments(spec, d_tau=0.5, n=1, seed=9)
+    assert dWx.shape == dWy.shape == (1, 4)
+    assert dWy[0, 1] == dWx[0, 1]
 
 
 def test_increments_deterministic_in_seed():
     spec = DiffusionSpec.natural()
-    a = sample_increments(spec, 0.01, 256, seed=7)
-    b = sample_increments(spec, 0.01, 256, seed=7)
-    c = sample_increments(spec, 0.01, 256, seed=8)
-    assert np.array_equal(a.dWx, b.dWx)
-    assert not np.array_equal(a.dWx, c.dWx)
+    a, _ = sample_increments(spec, 0.01, 256, seed=7)
+    b, _ = sample_increments(spec, 0.01, 256, seed=7)
+    c, _ = sample_increments(spec, 0.01, 256, seed=8)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_increment_variance_matches_step():
     spec = DiffusionSpec.natural()
     d_tau = 0.01
     n = 100_000
-    batch = sample_increments(spec, d_tau, n, seed=3)
+    dWx, _ = sample_increments(spec, d_tau, n, seed=3)
     # sampling error of a variance estimate is about d_tau sqrt(2/n)
     tol = 5.0 * d_tau * np.sqrt(2.0 / n)
     for mu in range(4):
-        assert abs(batch.dWx[:, mu].var(ddof=1) - d_tau) < tol
+        assert abs(dWx[:, mu].var(ddof=1) - d_tau) < tol
 
 
 def test_increment_scale_follows_sqrt_step():
     spec = DiffusionSpec.natural()
-    small = sample_increments(spec, 0.01, 512, seed=5)
-    big = sample_increments(spec, 0.04, 512, seed=5)
+    small, _ = sample_increments(spec, 0.01, 512, seed=5)
+    big, _ = sample_increments(spec, 0.04, 512, seed=5)
     # same seed, 4x the step: same normals scaled by 2
-    assert np.allclose(big.dWx, 2.0 * small.dWx, rtol=1e-12)
+    assert np.allclose(big, 2.0 * small, rtol=1e-12)
 
 
 def test_increments_reject_bad_arguments():
