@@ -11,9 +11,13 @@ which agree exactly when f is analytic in z^mu. Their disagreement, and the
 Cauchy-Riemann residuals of the component fields, quantify analyticity.
 Second derivatives come in three routes, d2/dx2, -d2/dy2 and -i * d/dx d/dy.
 
-All stencils are central and run on one engine, _Stencil, which evaluates
-each distinct point once. Steps follow one rule, _step: eps**(1/3) * scale
-for first differences and eps**(1/4) * scale for second differences.
+Every central difference in csoc runs on one engine, _Stencil, which
+evaluates each distinct point once; the one exception is the Newton Jacobian
+in control, which takes all its points in one batched call. _Stencil.map
+gives the stencil of g(f) about the same probe from the values already taken,
+so differences of g(f) evaluate no new point of f. Steps follow one rule,
+_step: eps**(1/3) * scale for first differences and eps**(1/4) * scale for
+second differences.
 """
 
 from __future__ import annotations
@@ -68,9 +72,19 @@ class _Stencil:
     def __call__(self, dz=None, dt=None):
         key = (dt, None if dz is None else dz.tobytes())
         if key not in self._values:
-            self._values[key] = self.f(self.tau if dt is None else self.tau + dt,
-                                       self.z if dz is None else self.z + dz)
+            self._values[key] = self._eval(dz, dt)
         return self._values[key]
+
+    def _eval(self, dz, dt):
+        return self.f(self.tau if dt is None else self.tau + dt,
+                      self.z if dz is None else self.z + dz)
+
+    def map(self, g) -> "_Stencil":
+        """The stencil of g(f) about the same probe. It reads this stencil's
+        values by offset, so it evaluates no new point of f."""
+        mapped = _Stencil(self.f, self.tau, self.z)
+        mapped._eval = lambda dz, dt: g(self(dz, dt))
+        return mapped
 
     def diff1(self, steps: np.ndarray, h) -> np.ndarray:
         """(f(z + v) - f(z - v)) / 2h for each row v of steps."""
@@ -184,17 +198,19 @@ class DerivativeReport:
         return float(max(self.cr_residuals.max(), self.consistency_residuals.max()))
 
 
-def complex_derivative(f, tau: float, z, h: Optional[float] = None) -> DerivativeReport:
-    """Central-difference first derivatives along every axis, both routes."""
-    return _first_report(_probe_stencil(f, tau, z), h)
-
-
-def _first_report(st: _Stencil, h: Optional[float]) -> DerivativeReport:
-    """complex_derivative on a box-checked stencil, sharing its points."""
+def _first_step(st: _Stencil, h: Optional[float]) -> float:
+    """The first-difference step at a stencil's probe, box-checked."""
     h = _step(_scale(st.z), 1, h)
     if h <= 0:
         raise DomainError(f"h must be positive, got {h}")
     _check_stencil_box(st.f, st.tau, st.z, margin=2 * h)
+    return h
+
+
+def complex_derivative(f, tau: float, z, h: Optional[float] = None) -> DerivativeReport:
+    """Central-difference first derivatives along every axis, both routes."""
+    st = _probe_stencil(f, tau, z)
+    h = _first_step(st, h)
     d_x, d_y = st.diff1(h * _UNIT, h), st.diff1(1j * h * _UNIT, h)
     y_route = -1j * d_y
     cr = np.abs(d_x.real - d_y.imag) + np.abs(d_x.imag + d_y.real)
@@ -234,11 +250,7 @@ def _second_step(st: _Stencil, h: Optional[float]) -> float:
 
 def second_complex_derivative(f, tau: float, z, h: Optional[float] = None) -> SecondDerivativeReport:
     """Three-route second derivatives along every axis."""
-    return _second_report(_probe_stencil(f, tau, z), h)
-
-
-def _second_report(st: _Stencil, h: Optional[float]) -> SecondDerivativeReport:
-    """second_complex_derivative on a stencil, sharing its points."""
+    st = _probe_stencil(f, tau, z)
     h = _second_step(st, h)
     xx = st.diff2(h * _UNIT, h)
     yy = -st.diff2(1j * h * _UNIT, h)

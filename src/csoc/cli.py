@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 import numpy as np
 
@@ -152,25 +152,20 @@ class ScenarioConfig:
         return "\n".join(lines) + "\n"
 
 
-_FLOAT_FIELDS = {"hbar", "m", "c", "q", "d_tau", "box_half_width", "tau_lo",
-                 "tau_hi", "tau_f", "rapidity"}
-_INT_FIELDS = {"epsilon", "n_paths", "n_steps", "demo_paths", "probes",
-               "boost_axis", "seed"}
-_STR_FIELDS = {"metric", "branch", "signing", "potential", "out_dir"}
-_OPT_FLOAT_FIELDS = {"sigma_x", "sigma_y"}
-_ALL_FIELDS = _FLOAT_FIELDS | _INT_FIELDS | _STR_FIELDS | _OPT_FLOAT_FIELDS
+# each key's type, read from the annotations of ScenarioConfig
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
+_ALL_FIELDS = tuple(_FIELD_TYPES)
 
 
 def _coerce(key: str, raw) -> object:
     if not isinstance(raw, str):
         return raw
+    kind = _FIELD_TYPES[key]
     try:
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _OPT_FLOAT_FIELDS:
+        if kind == Optional[float]:
             return None if raw == _NATURAL else float(raw)
+        if kind in (float, int):
+            return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
     return raw
@@ -420,10 +415,9 @@ def run_covariance(cfg: ScenarioConfig) -> dict:
         return complex(np.sum(eta * z * z))
 
     pts = probe_points(cfg.box(), min(cfg.probes, 8))
-    worst = 0.0
-    for tau, z in pts:
-        worst = max(worst, covariance_check(value, metric, cfg.rapidity,
-                                            cfg.boost_axis, tau, z))
+    # np.max, unlike the builtin, propagates a NaN discrepancy
+    worst = float(np.max([covariance_check(value, metric, cfg.rapidity, cfg.boost_axis,
+                                           tau, z) for tau, z in pts]))
     d_val = dalembertian(value, pts[0][0], pts[0][1], metric)
     return {
         "scenario": "covariance",

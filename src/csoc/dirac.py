@@ -191,6 +191,9 @@ def plane_wave(gammas: GammaSet, p, *, q: float = 0.0, a_const=None,
         raise DomainError(f"a_const must have 4 components, got {a_const.shape}")
     if branch not in ("+", "-"):
         raise DomainError(f"branch must be '+' or '-', got {branch!r}")
+    # checked before P = p + q a_const, where inf * 0 would make a NaN
+    if not np.isfinite([*p, *a_const, q, hbar, m, c]).all():
+        raise DomainError("p, a_const, q, hbar, m and c must all be finite")
 
     big_p = p + q * a_const
     p_scale = float(np.sum(np.abs(big_p) ** 2))
@@ -305,23 +308,16 @@ def hopf_cole_check(j_field, tau: float, z, metric: Metric = MOSTLY_PLUS,
     z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
     eta = metric.eta
     h = float(_step(_scale(z), 2, h))
-    st = _Stencil(j_field, tau, z)
-
-    j0 = complex(st())
-    e0 = np.exp(j0)
+    st = _Stencil(lambda t, p: complex(j_field(t, p)), tau, z)
+    e0 = np.exp(st())
     if abs(e0) < 1e-12:
         raise DomainError("exp(J) is numerically zero at the probe")
-    lhs = 0.0 + 0.0j
-    rhs = 0.0 + 0.0j
     steps = h * _UNIT
-    for mu in range(4):
-        jp = complex(st(steps[mu]))
-        jm = complex(st(-steps[mu]))
-        dj = (jp - jm) / (2 * h)
-        d2j = (jp - 2 * j0 + jm) / (h * h)
-        lhs += eta[mu] * (dj * dj + d2j)
-        d2phi = (np.exp(jp) - 2 * e0 + np.exp(jm)) / (h * h)
-        rhs += eta[mu] * d2phi / e0
+    dj, d2j = st.diff1(steps, h), st.diff2(steps, h)
+    d2phi = st.map(np.exp).diff2(steps, h)   # reads J's points, evaluates none
+    # the builtin sum adds in axis order; np.sum would round the residual differently
+    lhs = sum(eta[mu] * (dj[mu] * dj[mu] + d2j[mu]) for mu in range(4))
+    rhs = sum(eta[mu] * d2phi[mu] / e0 for mu in range(4))
     return HopfColeReport(lhs=lhs, rhs=rhs, h=h)
 
 
@@ -390,19 +386,15 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     # kills the coupling term and their own value field is rejected
     live = np.abs(phi0) > 1e-12 * float(np.abs(phi0).max())
 
-    def j_value(s: int, dz=None, dt=None) -> complex:
-        # log anchored at the probe so stencil points never straddle the cut
-        ratio = complex(st(dz, dt)[s]) / complex(phi0[s])
-        return -1j * eps[s] * hbar * np.log(ratio)
-
-    e1, e2 = h1 * _UNIT, h2 * _UNIT
-    # first derivatives of every live component; higher ones only where needed
-    dj = np.zeros((4, 4), dtype=np.complex128)     # [component, mu]
-    for s in range(4):
-        if not live[s]:
-            continue
-        for mu in range(4):
-            dj[s, mu] = (j_value(s, e1[mu]) - j_value(s, -e1[mu])) / (2 * h1)
+    # value fields of the live components (zero elsewhere), the log anchored at
+    # the probe so no point straddles the cut; Python complex division per
+    # component fixes the rounding, which dominates the reported discrepancy
+    jst = st.map(lambda v: np.array([
+        -1j * eps[s] * hbar * np.log(complex(v[s]) / complex(phi0[s])) if live[s] else 0j
+        for s in range(4)]))
+    dj = jst.diff1(h1 * _UNIT, h1).T       # [component, mu]
+    d2j = jst.diff2(h2 * _UNIT, h2)        # [mu, component]
+    dtau_j = jst.diff_tau(ht)
 
     a_val = np.zeros(4, dtype=np.complex128)
     if A is not None:
@@ -416,11 +408,7 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
         if not live[r]:
             raise DomainError(f"phi component {r} vanishes at the probe; "
                               "its value field is undefined there")
-        dtau_j = (j_value(r, dt=ht) - j_value(r, dt=-ht)) / (2 * ht)
-        box_j = 0.0 + 0.0j
-        for mu in range(4):
-            d2 = (j_value(r, e2[mu]) - 2 * j_value(r) + j_value(r, -e2[mu])) / (h2 * h2)
-            box_j += eta[mu] * d2
+        box_j = sum(eta[mu] * d2j[mu, r] for mu in range(4))   # in axis order
 
         coupling = 0.0 + 0.0j
         for s in range(4):
@@ -435,14 +423,14 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
         a_sq = complex(np.sum(eta * a_val * a_val))
 
         if signing == "exact":
-            route_a[out] = (-dtau_j
+            route_a[out] = (-dtau_j[r]
                             + eps[r] * c * coupling
                             - 1j * hbar / m * box_j
                             + eps[r] / m * grad_sq
                             + 2.0 * q / m * a_grad
                             + eps[r] * q * q / m * a_sq)
         else:
-            route_a[out] = (-dtau_j
+            route_a[out] = (-dtau_j[r]
                             + eps[r] * c * coupling
                             - 1j * eps[r] * hbar / m * box_j
                             + (grad_sq + 2.0 * q * a_grad + q * q * a_sq) / m)

@@ -34,7 +34,7 @@ from scipy.stats import qmc
 from .errors import DomainError
 from .spacetime import Metric
 from .wiener import DiffusionSpec, complex_sigma_squared
-from .ccalc import (_UNIT, DomainBox, _first_report, _probe_stencil, _second_report,
+from .ccalc import (_UNIT, DomainBox, _as_point, _first_step, _probe_stencil,
                     _second_step, _Stencil, _step, _tau_difference)
 from .lagrangian import Lagrangian
 from .control import solve_optimal_control
@@ -119,18 +119,18 @@ def hjb_residual_probe(problem: HJBProblem, value_field, tau: float, z,
     """Complex-route residual with its ingredients at one interior probe."""
     st = _probe_stencil(value_field, tau, z)   # one stencil, so routes share points
     z = st.z
-    rep = _first_report(st, h)
-    rep2 = _second_report(st, h)
-    dj = rep.d_z
+    h1, h2 = _first_step(st, h), _second_step(st, h)
+    dj = st.diff1(h1 * _UNIT, h1)     # the x-route, as complex_derivative's d_z
+    d2j = st.diff2(h2 * _UNIT, h2)    # the xx-route, as second_complex_derivative's d2_z
     w_star, method = optimal_control_at(problem, dj, tau, z)
     lval = complex(np.asarray(problem.lagrangian.value(tau, z, w_star)))
     bracket = lval + complex(np.sum(w_star * dj))
     dtau_j = _tau_difference(st, h)
     sigsq = complex_sigma_squared(problem.diffusion)
-    second = 0.5 * complex(np.sum(sigsq * rep2.d2_z))
+    second = 0.5 * complex(np.sum(sigsq * d2j))
     residual = -dtau_j - bracket - second
     return ResidualProbe(tau=float(tau), z=z, residual=residual, w_star=w_star,
-                         control_method=method, dJ=dj, d2J=rep2.d2_z)
+                         control_method=method, dJ=dj, d2J=d2j)
 
 
 def hjb_residual_complex(problem: HJBProblem, value_field, tau: float, z,
@@ -214,12 +214,11 @@ def covariance_check(value_field, metric: Metric, rapidity: float, axis: int,
 
 def boundary_residual(problem: HJBProblem, value_field,
                       points: Sequence[np.ndarray]) -> float:
-    """max |J(tau_f, z)| over the probe points."""
-    worst = 0.0
-    for z in points:
-        z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
-        worst = max(worst, abs(complex(value_field(problem.tau_f, z))))
-    return worst
+    """max |J(tau_f, z)| over the probe points, NaN if any value is NaN."""
+    if not len(points):
+        raise DomainError("boundary point list is empty")
+    return float(np.max([abs(complex(value_field(problem.tau_f, _as_point(z))))
+                         for z in points]))
 
 
 def probe_points(box: DomainBox, n: int = 64,
@@ -233,6 +232,10 @@ def probe_points(box: DomainBox, n: int = 64,
         raise DomainError(f"n must be at least 1, got {n}")
     if not 0.0 <= shrink < 0.5:
         raise DomainError(f"shrink must be in [0, 0.5), got {shrink}")
+    lo = np.array([box.tau_lo, *box.x_lo, *box.y_lo])
+    hi = np.array([box.tau_hi, *box.x_hi, *box.y_hi])
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise DomainError("the probe box must be finite")
     sampler = qmc.Sobol(d=9, scramble=False)
     if n & (n - 1) == 0:
         unit = sampler.random_base2(int(np.log2(n)))
@@ -240,8 +243,6 @@ def probe_points(box: DomainBox, n: int = 64,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             unit = sampler.random(n)
-    lo = np.array([box.tau_lo, *box.x_lo, *box.y_lo])
-    hi = np.array([box.tau_hi, *box.x_hi, *box.y_hi])
     span = hi - lo
     lo_s = lo + shrink * span
     hi_s = hi - shrink * span

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spacetime import Metric, MOSTLY_PLUS
-from .ccalc import _UNIT, _step
+from .ccalc import _UNIT, _Stencil, _step
 
 AFn = Callable[[float, np.ndarray], np.ndarray]
 
@@ -57,11 +57,10 @@ class Lagrangian:
             return np.asarray(self.gradient_w(tau, z, w), dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
         h = np.asarray(_step(np.maximum(1.0, np.abs(w).max(axis=-1)), h=h))
-        g = np.empty(w.shape, dtype=np.complex128)
-        for mu in range(4):
-            e = h[..., None] * _UNIT[mu]
-            g[..., mu] = (self.value(tau, z, w + e) - self.value(tau, z, w - e)) / (2 * h)
-        return g
+        st = _Stencil(lambda t, v: self.value(t, z, v), tau, w)
+        # row mu holds each w-row's own step along axis mu
+        g = st.diff1(np.moveaxis(h[..., None, None] * _UNIT, -2, 0), h)
+        return np.moveaxis(g, 0, -1)
 
 
 @dataclass(frozen=True)

@@ -177,8 +177,8 @@ class TrajectoryEnsemble:
 
 
 def _check_grid(d_tau: float, n_steps: int, n_paths: int):
-    if not d_tau > 0:
-        raise DomainError(f"d_tau must be positive, got {d_tau}")
+    if not 0 < d_tau < np.inf:
+        raise DomainError(f"d_tau must be finite and positive, got {d_tau}")
     if n_steps < 1 or n_paths < 1:
         raise DomainError("n_steps and n_paths must be at least 1")
 

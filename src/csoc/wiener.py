@@ -177,8 +177,8 @@ def sample_increments(spec: DiffusionSpec, d_tau: float, n: int,
     dWx^mu ~ N(0, d_tau) i.i.d. per axis; dWy^mu = epsilon eta^{mumu} dWx^mu
     exactly (sign copy of the same floats). Both arrays are read-only.
     """
-    if d_tau <= 0:
-        raise DomainError(f"d_tau must be positive, got {d_tau}")
+    if not 0 < d_tau < np.inf:
+        raise DomainError(f"d_tau must be finite and positive, got {d_tau}")
     if n < 1:
         raise DomainError(f"n must be at least 1, got {n}")
     rng = generator(seed)
@@ -235,8 +235,8 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
     <dy^mu> = u^mu d_tau, <dx dx> and <dy dy> diagonal sigma^2 d_tau
     (off-diagonal 0), and <dx^mu dy^nu> = epsilon eta^{mumu} sigma_x sigma_y
     d_tau on the diagonal (0 off it). Standard errors are sample standard
-    deviations over the batch divided by sqrt(n); a line is flagged when
-    |z| > z_max.
+    deviations over the batch divided by sqrt(n); a line is flagged unless
+    |z| <= z_max, so a NaN z-score is flagged.
     """
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -254,7 +254,7 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
         est = float(samples.mean())
         se = float(samples.std(ddof=1) / np.sqrt(n))
         z = _zscore(est, target, se)
-        lines.append(MomentLine(name, est, float(target), se, z, abs(z) > z_max))
+        lines.append(MomentLine(name, est, float(target), se, z, not abs(z) <= z_max))
 
     for mu in range(4):
         add(f"dx{mu}", dx[:, mu], v[mu] * d_tau)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -138,6 +140,35 @@ def test_domain_error_in_run_all_still_runs_the_rest(tmp_path, capsys):
     assert summary["errors"] == {"hjb-residual": "tau_f must be finite"}
     assert not (out / "hjb-residual.json").exists()
     assert (out / "clifford.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--m", "--box-half-width"])
+def test_infinite_flag_is_a_domain_error_not_a_traceback(tmp_path, flag):
+    # in a fresh interpreter, so numpy's warnings stay warnings
+    out = tmp_path / "run"
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "csoc.cli", "run", "all",
+                           "--out-dir", str(out), flag, "inf"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    summary = json.loads(read_bytes(out / "summary.json"))
+    assert summary["errors"] and summary["passed"] is False
+
+
+def test_nan_rapidity_fails_the_covariance_check(tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "covariance", "--out-dir", str(out), "--rapidity", "nan"]) == 1
+    report = json.loads(read_bytes(out / "covariance.json"))
+    assert report["max_discrepancy"] == "NaN"
+
+
+def test_nan_step_is_a_domain_error_for_moments(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "moments", "--out-dir", str(out), "--d-tau", "nan"]) == 3
+    assert "d_tau must be finite and positive" in capsys.readouterr().err
 
 
 def test_config_file_sections_layer_under_flags(tmp_path):

@@ -113,6 +113,16 @@ def test_plane_wave_rejects_light_cone():
         plane_wave(build_gammas(MOSTLY_PLUS), np.array([0.3, 0.3, 0, 0]))
 
 
+def test_plane_wave_rejects_non_finite_inputs():
+    gammas = build_gammas(MOSTLY_PLUS)
+    for kwargs in ({"m": np.inf}, {"c": np.inf}, {"hbar": np.nan}, {"q": np.inf},
+                   {"q": -np.inf, "a_const": A_CONST}):
+        with pytest.raises(DomainError):
+            plane_wave(gammas, P_LOWER, **kwargs)
+    with pytest.raises(DomainError):
+        plane_wave(gammas, [0.3, np.nan, 0.0, 0.0])
+
+
 def test_plane_wave_potential_bookkeeping():
     gammas = build_gammas(MOSTLY_PLUS)
     free = plane_wave(gammas, P_LOWER)
@@ -182,6 +192,18 @@ def test_hopf_cole_second_order_convergence():
     j_field = lambda tau, z: 0.25 * complex(np.sum(ETA * z * z)) + complex(np.sum(a * z))
     order = hopf_cole_order(j_field, 0.0, PROBE_Z)
     assert 1.7 < order < 2.3
+
+
+def test_hopf_cole_exp_side_evaluates_no_new_point():
+    # the centre and 8 single-axis points; the exp side reads J's values
+    calls = []
+
+    def j_field(tau, z):
+        calls.append(z)
+        return 0.25 * complex(np.sum(ETA * z * z))
+
+    hopf_cole_check(j_field, 0.0, PROBE_Z, h=1e-3)
+    assert len(calls) == 9
 
 
 def test_hopf_cole_rejects_vanishing_exponential():

@@ -195,6 +195,21 @@ def test_probe_points_deterministic_and_interior():
         assert np.all(np.abs(z.imag) <= 0.9 + 1e-12)
 
 
+def test_boundary_residual_propagates_nan():
+    problem = free_problem()
+    nan_field = lambda tau, z: complex(np.nan, 0.0)
+    assert np.isnan(boundary_residual(problem, nan_field, [PROBE_Z, np.zeros(4)]))
+    with pytest.raises(DomainError):
+        boundary_residual(problem, nan_field, [])
+
+
+def test_probe_points_reject_a_non_finite_box():
+    for box in (DomainBox.cube(np.inf), DomainBox.cube(0.5, tau_hi=np.inf),
+                DomainBox.cube(0.5, tau_lo=-np.inf)):
+        with pytest.raises(DomainError):
+            probe_points(box, n=8)
+
+
 def test_probe_points_non_power_of_two():
     pts = probe_points(DomainBox.cube(0.5), n=50)
     assert len(pts) == 50
@@ -220,10 +235,11 @@ def test_pair_residual_evaluates_each_stencil_point_once():
     assert calls == {"r": 35, "i": 35}
 
 
-@pytest.mark.parametrize("h, n_calls", [(None, 51), (1e-3, 35)])
+@pytest.mark.parametrize("h, n_calls", [(None, 19), (1e-3, 11)])
 def test_residual_probe_shares_one_stencil(h, n_calls):
-    # 16 first-route, 33 second-route and 2 tau points; at one explicit h the
-    # 16 single-axis first-route points are second-route points too
+    # only the routes the residual reads: 8 x-route, the centre plus 8
+    # xx-route and 2 tau points; at one explicit h the 8 x-route points are
+    # xx-route points too
     calls = []
 
     def field(tau, z):

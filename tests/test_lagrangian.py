@@ -164,6 +164,7 @@ def test_potential_shape_is_validated():
 def test_finite_difference_gradient_of_a_batch_equals_its_rows():
     opaque = Lagrangian(value=em_lagrangian(EMFieldConfig()).value)
     w = np.stack([apply_boost(REST, 0.3, 1).components, 3.0 * REST])
-    batch = opaque.grad(0.0, Z0, w)
-    for row, w_row in zip(batch, w):
-        assert np.array_equal(row, opaque.grad(0.0, Z0, w_row))
+    for h in (None, 1e-6):   # each row's own step, and one explicit step
+        batch = opaque.grad(0.0, Z0, w, h=h)
+        for row, w_row in zip(batch, w):
+            assert np.array_equal(row, opaque.grad(0.0, Z0, w_row, h=h))

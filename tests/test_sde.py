@@ -168,9 +168,10 @@ def test_failed_paths_are_frozen_and_counted():
 
 def test_grid_validation():
     spec = DiffusionSpec.natural()
-    with pytest.raises(DomainError):
-        integrate(zero_policy(), spec, ZERO4, d_tau=-0.01, n_steps=5,
-                  n_paths=2, seed=0)
+    for d_tau in (-0.01, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            integrate(zero_policy(), spec, ZERO4, d_tau=d_tau, n_steps=5,
+                      n_paths=2, seed=0)
     with pytest.raises(DomainError):
         integrate(zero_policy(), spec, np.zeros(3), d_tau=0.01, n_steps=5,
                   n_paths=2, seed=0)

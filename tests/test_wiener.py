@@ -164,6 +164,24 @@ def test_moment_check_threshold_controls_flagging():
     assert strict.worst.zscore == loose.worst.zscore
 
 
+def test_increments_require_a_finite_positive_step():
+    spec = DiffusionSpec.natural()
+    for d_tau in (np.nan, np.inf, 0.0, -0.01):
+        with pytest.raises(DomainError):
+            sample_increments(spec, d_tau, 16, seed=0)
+        with pytest.raises(DomainError):
+            moment_check(spec, [0] * 4, [0] * 4, d_tau, n=20_000, seed=0)
+
+
+def test_moment_check_flags_nan_lines():
+    # a NaN drift makes NaN estimates and z-scores; none of them may pass
+    spec = DiffusionSpec.natural()
+    report = moment_check(spec, [np.nan, 0, 0, 0], [0] * 4, 0.01, n=20_000, seed=0)
+    nan_lines = [ln for ln in report.lines if np.isnan(ln.zscore)]
+    assert nan_lines and all(ln.flagged for ln in nan_lines)
+    assert not report.passed
+
+
 def test_moment_check_requires_large_batch():
     spec = DiffusionSpec.natural()
     with pytest.raises(DomainError):
