@@ -156,6 +156,30 @@ class ScenarioConfig:
 _FIELD_TYPES = get_type_hints(ScenarioConfig)
 _ALL_FIELDS = tuple(_FIELD_TYPES)
 
+# argparse reads a separate value such as "-inf", "-nan" or "-1e-3" as an
+# option, since its negative-number pattern covers plain decimals only; main
+# glues such a value to the float flag before it, as "--flag=value"
+_FLOAT_FLAGS = frozenset("--" + k.replace("_", "-") for k, kind in _FIELD_TYPES.items()
+                         if kind in (float, Optional[float]))
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _glue_float_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_FLAGS and token.startswith("-") and _is_float(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
 
 def _coerce(key: str, raw) -> object:
     if not isinstance(raw, str):
@@ -650,7 +674,8 @@ def _flag_layer(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_glue_float_values(argv))
     try:
         sections = read_config_file(args.config) if args.config else {}
         env_out = os.environ.get(ENV_OUT_DIR)

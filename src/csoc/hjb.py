@@ -24,12 +24,10 @@ their numerical difference is pure stencil error.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DomainError
 from .spacetime import Metric
@@ -221,32 +219,76 @@ def boundary_residual(problem: HJBProblem, value_field,
                          for z in points]))
 
 
+# Sobol direction numbers: the first nine dimensions of Joe and Kuo's table,
+# as (primitive polynomial, initial m_k) with the polynomial's leading and
+# trailing bits included; dimension 0 has m_k = 1 for every k
+_SOBOL_BITS = 30
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41)
+_SOBOL_VINIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
+                (1, 3, 5, 13), (1, 1, 5, 5, 17), (1, 1, 5, 5, 5))
+
+
+def _sobol_directions() -> np.ndarray:
+    """(bits, 9) direction numbers v_k = m_k 2^(bits-1-k).
+
+    m_k for k past the initial values follows the Bratley-Fox recurrence
+    m_k = 2 a_1 m_{k-1} ^ ... ^ 2^(s-1) a_{s-1} m_{k-s+1} ^ 2^s m_{k-s} ^ m_{k-s}
+    for a polynomial of degree s with inner coefficients a_1 .. a_{s-1}.
+    """
+    cols = []
+    for poly, vinit in zip(_SOBOL_POLY, _SOBOL_VINIT):
+        s = poly.bit_length() - 1
+        m = list(vinit)
+        while len(m) < _SOBOL_BITS:
+            k = len(m)
+            new = 1 if s == 0 else m[k - s] ^ (m[k - s] << s)
+            for j in range(1, s):
+                if poly >> (s - j) & 1:
+                    new ^= m[k - j] << j
+            m.append(new)
+        cols.append([mk << (_SOBOL_BITS - 1 - k) for k, mk in enumerate(m)])
+    return np.array(cols, dtype=np.int64).T
+
+
+_SOBOL_V = _sobol_directions()
+
+
+def _sobol_unit(n: int) -> np.ndarray:
+    """The first n unscrambled Sobol points in [0, 1)^9, in gray-code order.
+
+    Point 0 is the origin; point i is point i-1 XORed with the direction
+    numbers of the lowest zero bit of i-1, which is the lowest set bit of i.
+    """
+    i = np.arange(1, n, dtype=np.int64)
+    bit = np.log2(i & -i).astype(np.int64)   # exact: i & -i is a power of two
+    steps = np.vstack([np.zeros((1, 9), dtype=np.int64), _SOBOL_V[bit]])
+    return np.bitwise_xor.accumulate(steps, axis=0) / 2.0 ** _SOBOL_BITS
+
+
 def probe_points(box: DomainBox, n: int = 64,
                  shrink: float = 0.05) -> list[tuple[float, np.ndarray]]:
     """Deterministic low-discrepancy probes strictly inside the box.
 
-    Unscrambled 9-dimensional Sobol points mapped into the box shrunk by the
-    given fraction of each span, so stencils of moderate step stay interior.
+    The first n unscrambled 9-dimensional Sobol points (Bratley and Fox, ACM
+    TOMS 14, 1988, Algorithm 659; direction numbers of Joe and Kuo, SIAM J.
+    Sci. Comput. 30, 2008), mapped into the box shrunk by the given fraction
+    of each span, so stencils of moderate step stay interior. The first n
+    probes of a larger n are the same points.
     """
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
+    if not 1 <= n <= 2 ** _SOBOL_BITS:
+        raise DomainError(f"n must be in [1, 2**{_SOBOL_BITS}], got {n}")
     if not 0.0 <= shrink < 0.5:
         raise DomainError(f"shrink must be in [0, 0.5), got {shrink}")
     lo = np.array([box.tau_lo, *box.x_lo, *box.y_lo])
     hi = np.array([box.tau_hi, *box.x_hi, *box.y_hi])
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise DomainError("the probe box must be finite")
-    sampler = qmc.Sobol(d=9, scramble=False)
-    if n & (n - 1) == 0:
-        unit = sampler.random_base2(int(np.log2(n)))
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            unit = sampler.random(n)
+    if not (lo < hi).all():
+        raise DomainError("the probe box must have lo < hi on every axis")
     span = hi - lo
     lo_s = lo + shrink * span
     hi_s = hi - shrink * span
-    pts = qmc.scale(unit, lo_s, hi_s)
+    pts = _sobol_unit(n) * (hi_s - lo_s) + lo_s
     out = []
     for row in pts:
         tau = float(row[0])

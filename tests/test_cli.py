@@ -142,20 +142,45 @@ def test_domain_error_in_run_all_still_runs_the_rest(tmp_path, capsys):
     assert (out / "clifford.json").exists()
 
 
-@pytest.mark.parametrize("flag", ["--m", "--box-half-width"])
-def test_infinite_flag_is_a_domain_error_not_a_traceback(tmp_path, flag):
-    # in a fresh interpreter, so numpy's warnings stay warnings
-    out = tmp_path / "run"
+def run_fresh(*args):
+    """`python -m csoc.cli` in a fresh interpreter, so numpy's warnings stay warnings."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "csoc.cli", "run", "all",
-                           "--out-dir", str(out), flag, "inf"],
+    return subprocess.run([sys.executable, "-m", "csoc.cli", *args],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("flag", ["--m", "--box-half-width"])
+def test_infinite_flag_is_a_domain_error_not_a_traceback(tmp_path, flag):
+    out = tmp_path / "run"
+    proc = run_fresh("run", "all", "--out-dir", str(out), flag, "inf")
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     summary = json.loads(read_bytes(out / "summary.json"))
     assert summary["errors"] and summary["passed"] is False
+
+
+@pytest.mark.parametrize("flag", ["--q", "--tau-lo"])
+def test_negative_infinity_as_a_separate_value_acts_like_the_equals_form(tmp_path, flag):
+    apart = run_fresh("run", "all", "--out-dir", str(tmp_path / "apart"), flag, "-inf")
+    joined = run_fresh("run", "all", "--out-dir", str(tmp_path / "joined"), f"{flag}=-inf")
+    assert "expected one argument" not in apart.stderr
+    assert apart.returncode == joined.returncode != 2, apart.stderr
+    assert (read_bytes(tmp_path / "apart" / "summary.json")
+            == read_bytes(tmp_path / "joined" / "summary.json"))
+
+
+@pytest.mark.parametrize("value", ["-inf", "-INFINITY", "-nan", "-1e-3", "-0.5"])
+def test_float_flags_take_a_negative_value_apart(value):
+    parser = cli.build_parser()
+    for flag in ("--q", "--tau-lo", "--tau-hi", "--tau-f", "--rapidity", "--sigma-x"):
+        apart = parser.parse_args(cli._glue_float_values(["run", "all", flag, value]))
+        joined = parser.parse_args(["run", "all", f"{flag}={value}"])
+        assert cli._flag_layer(apart) == cli._flag_layer(joined) != {}
+    with pytest.raises(SystemExit) as exc:   # an int flag still refuses it
+        main(["run", "all", "--seed", value])
+    assert exc.value.code == 2
 
 
 def test_nan_rapidity_fails_the_covariance_check(tmp_path):

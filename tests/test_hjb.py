@@ -1,5 +1,7 @@
 """Combined-equation residuals, pair recombination, covariance, probes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from csoc.ccalc import (
 from csoc.errors import DomainError
 from csoc.hjb import (
     HJBProblem,
+    _sobol_unit,
     boundary_residual,
     covariance_check,
     dalembertian,
@@ -217,6 +220,50 @@ def test_probe_points_non_power_of_two():
         probe_points(DomainBox.cube(0.5), n=0)
     with pytest.raises(DomainError):
         probe_points(DomainBox.cube(0.5), n=8, shrink=0.7)
+
+
+# the first 8 unscrambled 9-D Sobol points, in eighths (Joe-Kuo directions)
+SOBOL_FIRST_8 = [
+    [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [4, 4, 4, 4, 4, 4, 4, 4, 4],
+    [6, 2, 2, 2, 6, 6, 2, 6, 6],
+    [2, 6, 6, 6, 2, 2, 6, 2, 2],
+    [3, 3, 5, 7, 3, 1, 3, 7, 7],
+    [7, 7, 1, 3, 7, 5, 7, 3, 3],
+    [5, 1, 7, 5, 5, 7, 1, 1, 1],
+    [1, 5, 3, 1, 1, 3, 5, 5, 5],
+]
+# sha256 of the little-endian float64 bytes of the first 4096 points
+SOBOL_4096_SHA256 = "9c4901a351fa59c136ea7166c280ea32b31d7b944edccee4ae582756401d8d2c"
+
+
+def test_sobol_points_match_the_pinned_table_and_digest():
+    assert np.array_equal(_sobol_unit(8), np.array(SOBOL_FIRST_8) / 8)
+    unit = _sobol_unit(4096)
+    assert unit.shape == (4096, 9)
+    assert 0.0 <= unit.min() and unit.max() < 1.0
+    assert hashlib.sha256(unit.astype("<f8").tobytes()).hexdigest() == SOBOL_4096_SHA256
+    assert np.array_equal(_sobol_unit(1), np.zeros((1, 9)))
+
+
+def test_probe_points_are_a_prefix_of_a_longer_sequence():
+    box = DomainBox.cube(0.5)
+    short, long_ = probe_points(box, 50), probe_points(box, 64)
+    for (ta, za), (tb, zb) in zip(short, long_[:50], strict=True):
+        assert ta == tb
+        assert np.array_equal(za, zb)
+    unit_box = DomainBox(0.0, 1.0, (0.0,) * 4, (1.0,) * 4, (0.0,) * 4, (1.0,) * 4)
+    rows = [[tau, *z.real, *z.imag] for tau, z in probe_points(unit_box, 64, shrink=0.0)]
+    assert np.array_equal(rows, _sobol_unit(64))
+
+
+def test_probe_points_reject_an_empty_box_and_too_many_points():
+    for box in (DomainBox.cube(0.0), DomainBox.cube(0.5, tau_lo=1.0, tau_hi=1.0),
+                DomainBox.cube(0.5, tau_lo=1.0, tau_hi=0.0)):
+        with pytest.raises(DomainError):
+            probe_points(box, n=8)
+    with pytest.raises(DomainError):
+        probe_points(DomainBox.cube(0.5), n=2 ** 30 + 1)
 
 
 def test_pair_residual_evaluates_each_stencil_point_once():
