@@ -50,8 +50,11 @@ def _scale(v) -> float:
 
 def _step(scale, order: int = 1, h=None):
     """h when given, else the step balancing truncation against roundoff for
-    differences of the given order; scale may be an array of scales."""
+    differences of the given order; scale may be an array of scales. A given
+    h must be positive."""
     if h is not None:
+        if not h > 0:
+            raise DomainError(f"h must be positive, got {h}")
         return h
     return (_EPS_CBRT if order == 1 else _EPS_QRT) * scale
 
@@ -198,19 +201,18 @@ class DerivativeReport:
         return float(max(self.cr_residuals.max(), self.consistency_residuals.max()))
 
 
-def _first_step(st: _Stencil, h: Optional[float]) -> float:
-    """The first-difference step at a stencil's probe, box-checked."""
-    h = _step(_scale(st.z), 1, h)
-    if h <= 0:
-        raise DomainError(f"h must be positive, got {h}")
-    _check_stencil_box(st.f, st.tau, st.z, margin=2 * h)
+def _box_step(st: _Stencil, order: int, h: Optional[float]) -> float:
+    """The step for differences of the given order at a stencil's probe,
+    box-checked with a margin of 2 steps (first order) or 3 (second)."""
+    h = _step(_scale(st.z), order, h)
+    _check_stencil_box(st.f, st.tau, st.z, margin=(order + 1) * h)
     return h
 
 
 def complex_derivative(f, tau: float, z, h: Optional[float] = None) -> DerivativeReport:
     """Central-difference first derivatives along every axis, both routes."""
     st = _probe_stencil(f, tau, z)
-    h = _first_step(st, h)
+    h = _box_step(st, 1, h)
     d_x, d_y = st.diff1(h * _UNIT, h), st.diff1(1j * h * _UNIT, h)
     y_route = -1j * d_y
     cr = np.abs(d_x.real - d_y.imag) + np.abs(d_x.imag + d_y.real)
@@ -239,19 +241,10 @@ class SecondDerivativeReport:
         return float(self.route_discrepancies.max())
 
 
-def _second_step(st: _Stencil, h: Optional[float]) -> float:
-    """The second-difference step at a stencil's probe, box-checked."""
-    h = _step(_scale(st.z), 2, h)
-    if h <= 0:
-        raise DomainError(f"h must be positive, got {h}")
-    _check_stencil_box(st.f, st.tau, st.z, margin=3 * h)
-    return h
-
-
 def second_complex_derivative(f, tau: float, z, h: Optional[float] = None) -> SecondDerivativeReport:
     """Three-route second derivatives along every axis."""
     st = _probe_stencil(f, tau, z)
-    h = _second_step(st, h)
+    h = _box_step(st, 2, h)
     xx = st.diff2(h * _UNIT, h)
     yy = -st.diff2(1j * h * _UNIT, h)
     xy = -1j * st.mixed(h)

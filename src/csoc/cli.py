@@ -358,7 +358,7 @@ def run_optimal_control(cfg: ScenarioConfig) -> dict:
     lag = em_lagrangian(cfg.em_config())
     dj = np.array([0.3, -0.2, 0.1, 0.05]) + 0.02j * np.ones(4)
     result = solve_optimal_control(lag, dj, tau=0.1, z=_PROBE_Z)
-    closed = lag.params["closed_form_control"](0.1, _PROBE_Z, dj)
+    closed = lag.em.stationary_control(0.1, _PROBE_Z, dj)
     diff = float(np.abs(result.w_star.components - closed).max())
     res = float(np.abs(result.residual_complex).max())
     return {

@@ -40,19 +40,24 @@ class StationarityResult:
 
 
 _K = np.arange(8)
+_MAX_ITER = 100       # Newton iterations per solve
+_AUDIT_TOL = 1e-8     # the audit's largest passing root disagreement
+_SCAN_TOL = 1e-6      # the audit's analyticity-scan tolerance
+_SOLVER_TOL = 1e-12   # the audit's Newton tolerance per condition set
+_BRANCH_TOL = 1e-10   # |sum w w| / c^2 below which a root is on the branch point
 
 
-def _newton8(residual_fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndarray,
-             tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Damped Newton with finite-difference Jacobian on an 8-real system.
+def _newton8(residual_fn: Callable[[np.ndarray], np.ndarray],
+             tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Damped Newton from zero, finite-difference Jacobian, on an 8-real system.
 
     residual_fn maps thetas (..., 8) to residuals of the same shape, or to
     one (8,) row if it ignores theta; the Jacobian is one (16, 8) call.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
+    theta = np.zeros(8)
     r = residual_fn(theta)
     norm = float(np.abs(r).max())
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if norm < tol:
             return theta, r, it - 1
         step = _step(np.maximum(1.0, np.abs(theta)))
@@ -81,9 +86,9 @@ def _newton8(residual_fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndarray
                                       residual=norm, iterations=it)
         theta, r, norm = cand, rc, nc
     if norm < tol:
-        return theta, r, max_iter
-    raise NonConvergenceError(f"no convergence in {max_iter} iterations, residual {norm}",
-                              residual=norm, iterations=max_iter)
+        return theta, r, _MAX_ITER
+    raise NonConvergenceError(f"no convergence in {_MAX_ITER} iterations, residual {norm}",
+                              residual=norm, iterations=_MAX_ITER)
 
 
 def _theta_to_w(theta: np.ndarray) -> np.ndarray:
@@ -102,24 +107,18 @@ def _dj_lower(dJ) -> np.ndarray:
 
 
 def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0, z=None,
-                          guess=None, tol: float = 1e-10,
-                          max_iter: int = 100) -> StationarityResult:
-    """Newton solve of dL/dw + dJ = 0 over the 8 real velocity components."""
+                          tol: float = 1e-10) -> StationarityResult:
+    """Newton solve of dL/dw + dJ = 0 from w = 0 over the 8 real velocity components."""
     dj = _dj_lower(dJ)
     if z is None:
         z = np.zeros(4, dtype=np.complex128)
     z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
-    if guess is None:
-        theta0 = np.zeros(8)
-    else:
-        g = np.asarray(getattr(guess, "components", guess), dtype=np.complex128)
-        theta0 = np.concatenate([g.real, g.imag])
 
     def residual(theta: np.ndarray) -> np.ndarray:
         g_c = lagrangian.grad(tau, z, _theta_to_w(theta)) + dj
         return np.concatenate([g_c.real, g_c.imag], axis=-1)
 
-    theta, _, iterations = _newton8(residual, theta0, tol, max_iter)
+    theta, _, iterations = _newton8(residual, tol)
     w = _theta_to_w(theta)
     g_c = lagrangian.grad(tau, z, w) + dj
     real_pair = np.concatenate([g_c.real, -g_c.imag])
@@ -167,28 +166,27 @@ class AuditReport:
 
 def equivalence_audit(lagrangian: Lagrangian, value_field,
                       probes: Sequence[tuple[float, np.ndarray]],
-                      h: Optional[float] = None, tol: float = 1e-8,
-                      scan_tol: float = 1e-6, solver_tol: float = 1e-12,
-                      branch_tol: float = 1e-10) -> AuditReport:
+                      h: Optional[float] = None) -> AuditReport:
     """Solve both real-pair condition sets at every probe and compare roots.
 
     Refuses (AnalyticityError) when the value field fails its analyticity
-    scan; the field partials come from that scan's stencils. Probes whose
-    root lands on the square-root branch point of a shell-constrained
-    Lagrangian (sum w^mu w_mu ~ 0) are flagged singular, "no interior
-    stationary point", and excluded from the pass criterion. A probe where
-    either Newton solve fails is not singular: it fails the audit with an
-    infinite disagreement.
+    scan; the field partials come from that scan's stencils. The audit
+    passes when the two roots agree within AuditReport.tol at every probe.
+    For the EM Lagrangian (lagrangian.em set) each root is also compared
+    with the closed-form control, and probes whose root lands on the
+    square-root branch point (sum w^mu w_mu ~ 0) are flagged singular, "no
+    interior stationary point", and excluded from the pass criterion. A
+    probe where either Newton solve fails is not singular: it fails the
+    audit with an infinite disagreement.
     """
-    scan = analyticity_scan(value_field, probes, h=h, tol=scan_tol)
+    scan = analyticity_scan(value_field, probes, h=h, tol=_SCAN_TOL)
     if not scan.passed:
         worst = scan.worst
         raise AnalyticityError(
             f"value field failed analyticity scan at tau={worst.tau}, z={worst.z}: "
-            f"scaled residual {worst.scaled_residual:.3e} >= {scan_tol:.3e}")
+            f"scaled residual {worst.scaled_residual:.3e} >= {_SCAN_TOL:.3e}")
 
-    cfg = lagrangian.params.get("config")   # only the EM Lagrangian sets it, and only it has a branch point
-    closed_form = lagrangian.params.get("closed_form_control")
+    em = lagrangian.em
 
     out: list[AuditProbe] = []
     all_ok = True
@@ -208,8 +206,8 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
             return np.concatenate([g.imag + dx_i, g.real + dy_i], axis=-1)
 
         try:
-            theta_r, _, _ = _newton8(real_set, np.zeros(8), solver_tol, 100)
-            theta_i, _, _ = _newton8(imag_set, np.zeros(8), solver_tol, 100)
+            theta_r, _, _ = _newton8(real_set, _SOLVER_TOL)
+            theta_i, _, _ = _newton8(imag_set, _SOLVER_TOL)
         except NonConvergenceError as exc:
             all_ok = False
             out.append(AuditProbe(tau=tau, z=z, w_real_set=None, w_imag_set=None,
@@ -220,9 +218,10 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
             continue
         w_r, w_i = _theta_to_w(theta_r), _theta_to_w(theta_i)
 
-        if cfg is not None:
-            ww = complex(np.sum(cfg.metric.eta * w_r * w_r))
-            if abs(ww) < branch_tol * (cfg.c * cfg.c):
+        cf_dis = 0.0
+        if em is not None:
+            ww = complex(np.sum(em.metric.eta * w_r * w_r))
+            if abs(ww) < _BRANCH_TOL * (em.c * em.c):
                 out.append(AuditProbe(tau=tau, z=z, w_real_set=w_r, w_imag_set=w_i,
                                       disagreement=float("nan"),
                                       closed_form_disagreement=float("nan"),
@@ -230,15 +229,12 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
                                       note="no interior stationary point "
                                            "(root at the square-root branch point)"))
                 continue
-
-        disagreement = float(np.abs(w_r - w_i).max())
-        cf_dis = 0.0
-        if closed_form is not None:
-            w_cf = np.asarray(closed_form(tau, z, rep.d_z), dtype=np.complex128)
+            w_cf = em.stationary_control(tau, z, rep.d_z)
             cf_dis = float(max(np.abs(w_r - w_cf).max(), np.abs(w_i - w_cf).max()))
-        ok = disagreement < tol
+        disagreement = float(np.abs(w_r - w_i).max())
+        ok = disagreement < _AUDIT_TOL
         all_ok = all_ok and ok
         out.append(AuditProbe(tau=tau, z=z, w_real_set=w_r, w_imag_set=w_i,
                               disagreement=disagreement,
                               closed_form_disagreement=cf_dis, singular=False))
-    return AuditReport(probes=tuple(out), tol=float(tol), passed=all_ok)
+    return AuditReport(probes=tuple(out), tol=_AUDIT_TOL, passed=all_ok)

@@ -33,6 +33,7 @@ from .ccalc import _UNIT, _scale, _Stencil, _step
 
 SpinorFieldFn = Callable[[float, np.ndarray], np.ndarray]
 PotentialFn = Callable[[float, np.ndarray], np.ndarray]
+_H_COARSE, _H_FINE = 0.02, 0.01   # the two steps of hopf_cole_order
 
 # signs eps_s of the per-component log map J = -i eps hbar log phi
 COMPONENT_SIGNS = (1.0, 1.0, -1.0, -1.0)
@@ -321,14 +322,13 @@ def hopf_cole_check(j_field, tau: float, z, metric: Metric = MOSTLY_PLUS,
     return HopfColeReport(lhs=lhs, rhs=rhs, h=h)
 
 
-def hopf_cole_order(j_field, tau: float, z, metric: Metric = MOSTLY_PLUS,
-                    h_coarse: float = 0.02, h_fine: float = 0.01) -> float:
+def hopf_cole_order(j_field, tau: float, z, metric: Metric = MOSTLY_PLUS) -> float:
     """Observed convergence order of the identity residual between two steps."""
-    r_c = hopf_cole_check(j_field, tau, z, metric, h=h_coarse).residual
-    r_f = hopf_cole_check(j_field, tau, z, metric, h=h_fine).residual
+    r_c = hopf_cole_check(j_field, tau, z, metric, h=_H_COARSE).residual
+    r_f = hopf_cole_check(j_field, tau, z, metric, h=_H_FINE).residual
     if r_f == 0.0:
         raise DomainError("fine-step residual vanished; order is undefined")
-    return float(np.log(r_c / r_f) / np.log(h_coarse / h_fine))
+    return float(np.log(r_c / r_f) / np.log(_H_COARSE / _H_FINE))
 
 
 @dataclass(frozen=True)

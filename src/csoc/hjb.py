@@ -32,12 +32,13 @@ import numpy as np
 from .errors import DomainError
 from .spacetime import Metric
 from .wiener import DiffusionSpec, complex_sigma_squared
-from .ccalc import (_UNIT, DomainBox, _as_point, _first_step, _probe_stencil,
-                    _second_step, _Stencil, _step, _tau_difference)
+from .ccalc import (_UNIT, DomainBox, _as_point, _box_step, _probe_stencil, _Stencil,
+                    _step, _tau_difference)
 from .lagrangian import Lagrangian
 from .control import solve_optimal_control
 
 PairFieldFn = Callable[[float, np.ndarray, np.ndarray], float]
+_DEGENERATE_TOL = 1e-8   # |dJ + qA| / (m c) below which the control is shell-degenerate
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ class HJBProblem:
     tau_f: float
 
     def __post_init__(self):
-        cfg = self.lagrangian.params.get("config")
-        if cfg is not None and cfg.metric != self.diffusion.metric:
+        em = self.lagrangian.em
+        if em is not None and em.metric != self.diffusion.metric:
             raise DomainError("lagrangian and diffusion disagree on the metric")
         if not np.isfinite(self.tau_f):
             raise DomainError("tau_f must be finite")
@@ -67,22 +68,21 @@ def rest_shell_velocity(c: float) -> np.ndarray:
     return w
 
 
-def optimal_control_at(problem: HJBProblem, dJ: np.ndarray, tau: float, z,
-                       degenerate_tol: float = 1e-8) -> tuple[np.ndarray, str]:
-    """Stationary control for the residual, upper index.
+def optimal_control_at(problem: HJBProblem, dJ: np.ndarray, tau: float, z) -> tuple[np.ndarray, str]:
+    """Stationary control for the residual, upper index, and how it was found.
 
-    Uses the Lagrangian's closed form when it has one; a vanishing
-    dJ + qA triggers the degenerate shell fallback. Generic Lagrangians go
-    through the Newton solver.
+    For the EM Lagrangian (lagrangian.em set) the control is the closed form
+    em.stationary_control, labelled "closed-form"; when dJ + qA vanishes it
+    is the rest shell velocity, labelled "shell-degenerate". Every other
+    Lagrangian goes through the Newton solver, labelled "newton".
     """
     z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
-    cfg = problem.lagrangian.params.get("config")
-    closed_form = problem.lagrangian.params.get("closed_form_control")
-    if closed_form is not None and cfg is not None:
-        p = dJ + cfg.q * cfg.potential(tau, z)
-        if float(np.abs(p).max()) < degenerate_tol * cfg.m * cfg.c:
-            return rest_shell_velocity(cfg.c), "shell-degenerate"
-        return np.asarray(closed_form(tau, z, dJ), dtype=np.complex128), "closed-form"
+    em = problem.lagrangian.em
+    if em is not None:
+        p = dJ + em.q * em.potential(tau, z)
+        if float(np.abs(p).max()) < _DEGENERATE_TOL * em.m * em.c:
+            return rest_shell_velocity(em.c), "shell-degenerate"
+        return em.stationary_control(tau, z, dJ), "closed-form"
     result = solve_optimal_control(problem.lagrangian, dJ, tau=tau, z=z)
     return result.w_star.components, "newton"
 
@@ -117,7 +117,7 @@ def hjb_residual_probe(problem: HJBProblem, value_field, tau: float, z,
     """Complex-route residual with its ingredients at one interior probe."""
     st = _probe_stencil(value_field, tau, z)   # one stencil, so routes share points
     z = st.z
-    h1, h2 = _first_step(st, h), _second_step(st, h)
+    h1, h2 = _box_step(st, 1, h), _box_step(st, 2, h)
     dj = st.diff1(h1 * _UNIT, h1)     # the x-route, as complex_derivative's d_z
     d2j = st.diff2(h2 * _UNIT, h2)    # the xx-route, as second_complex_derivative's d2_z
     w_star, method = optimal_control_at(problem, dj, tau, z)
@@ -189,7 +189,7 @@ def dalembertian(value_field, tau: float, z, metric: Metric,
                  h: Optional[float] = None) -> complex:
     """sum eta^{mumu} d2J/dz^mu dz^mu via the xx-route stencils."""
     st = _probe_stencil(value_field, tau, z)
-    h = _second_step(st, h)
+    h = _box_step(st, 2, h)
     return complex(np.sum(metric.eta * st.diff2(h * _UNIT, h)))
 
 

@@ -12,6 +12,9 @@ the on-shell simplification
     dL/dw^mu = m w_mu + q A_mu
 
 which is what gradient_w returns and what the control solver drives to zero.
+Its root w*_mu = -(dJ_mu + q A_mu)/m is EMFieldConfig.stationary_control, on
+the square root's branch point when dJ + qA vanishes; em_lagrangian keeps its
+config as Lagrangian.em, where hjb, control and cli find both.
 
 Vector potentials are callables A(tau, z) -> (..., 4) lower-index components,
 analytic in z and broadcasting over leading axes of z.
@@ -20,7 +23,7 @@ analytic in z and broadcasting over leading axes of z.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,13 +41,19 @@ class Lagrangian:
 
     value(tau, z, w) maps (..., 4) complex z, w to (...) complex;
     gradient_w(tau, z, w), when present, returns the lower-index gradient
-    dL/dw^mu with the same leading shape. The EM Lagrangian's params carry
-    its "config" and its "closed_form_control"; others leave params empty.
+    dL/dw^mu with the same leading shape. em is the EM Lagrangian's config,
+    with its closed-form control and branch point; every other Lagrangian
+    leaves em None and has its stationary control solved by Newton.
     """
 
     value: Callable
     gradient_w: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
+    em: Optional[EMFieldConfig] = None
+
+    @property
+    def params(self) -> dict:
+        """Read-only view kept for perfbench/workloads.py until its next change."""
+        return {} if self.em is None else {"closed_form_control": self.em.stationary_control}
 
     def grad(self, tau: float, z: np.ndarray, w: np.ndarray,
              h: Optional[float] = None) -> np.ndarray:
@@ -89,6 +98,12 @@ class EMFieldConfig:
             raise DomainError(f"potential returned shape {a.shape}, expected {z.shape}")
         return a
 
+    def stationary_control(self, tau: float, z, dJ) -> np.ndarray:
+        """Upper-index stationary velocity -(dJ_mu + q A_mu)/m raised, for z
+        and lower-index dJ of shape (..., 4)."""
+        p = np.asarray(dJ, dtype=np.complex128) + self.q * self.potential(tau, np.asarray(z, dtype=np.complex128))
+        return self.metric.eta * (-p / self.m)
+
 
 def _sum_ww(metric: Metric, w: np.ndarray) -> np.ndarray:
     return np.sum(metric.eta * w * w, axis=-1)
@@ -114,13 +129,7 @@ def em_lagrangian(cfg: EMFieldConfig) -> Lagrangian:
             g = g + cfg.q * cfg.potential(tau, np.asarray(z, dtype=np.complex128))
         return g
 
-    def closed_form_control(tau, z, dJ):
-        """Upper-index stationary velocity -(dJ_mu + q A_mu)/m raised."""
-        p = np.asarray(dJ, dtype=np.complex128) + cfg.q * cfg.potential(tau, np.asarray(z, dtype=np.complex128))
-        return eta * (-p / cfg.m)
-
-    params = {"config": cfg, "closed_form_control": closed_form_control}
-    return Lagrangian(value=value, gradient_w=gradient_w, params=params)
+    return Lagrangian(value=value, gradient_w=gradient_w, em=cfg)
 
 
 def free_particle_lagrangian(m: float = 1.0, c: float = 1.0,

@@ -84,10 +84,10 @@ class ComplexFourVector:
             raise DomainError(f"index must be 'upper' or 'lower', got {self.index!r}")
 
     @classmethod
-    def from_parts(cls, x: Iterable[float], y: Iterable[float], index: str = UPPER) -> "ComplexFourVector":
+    def from_parts(cls, x: Iterable[float], y: Iterable[float]) -> "ComplexFourVector":
         x = np.asarray(list(x), dtype=float)
         y = np.asarray(list(y), dtype=float)
-        return cls(x + 1j * y, index)
+        return cls(x + 1j * y, UPPER)
 
     @property
     def x(self) -> np.ndarray:

@@ -14,8 +14,13 @@ from csoc.ccalc import (
     second_complex_derivative,
     tau_derivative,
 )
+from csoc.dirac import (build_gammas, hopf_cole_check, linearized_residual,
+                        plane_wave, route_consistency)
 from csoc.errors import DomainError
+from csoc.hjb import HJBProblem, hjb_residual_pair, hjb_residual_probe
+from csoc.lagrangian import Lagrangian, free_particle_lagrangian
 from csoc.spacetime import MOSTLY_PLUS
+from csoc.wiener import DiffusionSpec
 
 ETA = MOSTLY_PLUS.eta
 
@@ -172,3 +177,33 @@ def test_box_membership_with_margin():
     assert box.contains(0.5, z)
     assert not box.contains(0.5, z, margin=0.1)
     assert not box.contains(-0.1, z)
+
+
+def _explicit_step_entry_points():
+    z = np.array([0.11 + 0.07j, -0.23 + 0.13j, 0.17 - 0.19j, 0.05 + 0.02j])
+    lag = free_particle_lagrangian()
+    problem = HJBProblem(lagrangian=lag, diffusion=DiffusionSpec.natural(), tau_f=1.0)
+    gammas = build_gammas(MOSTLY_PLUS)
+    wave = plane_wave(gammas, [0.3, 0.2, -0.1, 0.4])
+    real = lambda tau, x, y: float(np.sum(x * x - y * y))
+    return {
+        "analyticity_scan": lambda h: analyticity_scan(quad_form, [(0.3, z)], h=h),
+        "hjb_residual_probe": lambda h: hjb_residual_probe(problem, quad_form, 0.3, z, h=h),
+        "hjb_residual_pair": lambda h: hjb_residual_pair(problem, real, real, 0.3,
+                                                         z.real, z.imag, h=h),
+        "hopf_cole_check": lambda h: hopf_cole_check(quad_form, 0.3, z, h=h),
+        "route_consistency": lambda h: route_consistency(gammas, wave.phi, 0.3, z, h=h),
+        "linearized_residual": lambda h: linearized_residual(gammas, wave.phi, 0.3, z,
+                                                             lam=wave.lam, h=h),
+        "Lagrangian.grad": lambda h: Lagrangian(value=lag.value).grad(
+            0.3, z, np.array([1.0, 0.2, 0, 0], dtype=np.complex128), h=h),
+    }
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan")])
+@pytest.mark.parametrize("entry", sorted(_explicit_step_entry_points()))
+def test_an_explicit_step_must_be_positive(entry, h):
+    call = _explicit_step_entry_points()[entry]
+    call(1e-3)   # a positive step goes through
+    with pytest.raises(DomainError, match="h must be positive"):
+        call(h)

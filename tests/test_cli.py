@@ -52,11 +52,18 @@ def test_reports_are_stable_json(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
+    # two interpreters with different hash seeds, so set and dict order cannot leak
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", "hjb-residual", "--out-dir", str(a), "--seed", "7"]) == 0
-    assert main(["run", "hjb-residual", "--out-dir", str(b), "--seed", "7"]) == 0
-    assert read_bytes(a / "hjb-residual.json") == read_bytes(b / "hjb-residual.json")
-    assert read_bytes(a / "hjb-probes.json") == read_bytes(b / "hjb-probes.json")
+    run_a = run_fresh("run", "all", "--out-dir", str(a), "--seed", "7", PYTHONHASHSEED="1")
+    run_b = run_fresh("run", "all", "--out-dir", str(b), "--seed", "7", PYTHONHASHSEED="2")
+    assert run_a.returncode == run_b.returncode == 0, run_a.stderr
+    assert run_a.stdout == run_b.stdout
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert {"hjb-residual.json", "hjb-probes.json", "summary.json"} <= set(names)
+    for name in names:
+        if name != "manifest.json":
+            assert read_bytes(a / name) == read_bytes(b / name), name
 
 
 def test_probe_records_have_the_documented_shape(tmp_path):
@@ -142,11 +149,12 @@ def test_domain_error_in_run_all_still_runs_the_rest(tmp_path, capsys):
     assert (out / "clifford.json").exists()
 
 
-def run_fresh(*args):
-    """`python -m csoc.cli` in a fresh interpreter, so numpy's warnings stay warnings."""
+def run_fresh(*args, **env_vars):
+    """`python -m csoc.cli` in a fresh interpreter, so numpy's warnings stay
+    warnings; keyword arguments are set in its environment."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env_vars)
     return subprocess.run([sys.executable, "-m", "csoc.cli", *args],
                           capture_output=True, text=True, env=env, timeout=300)
 

@@ -58,7 +58,7 @@ def test_solve_agrees_with_closed_form():
     lag = em_lagrangian(EMFieldConfig(q=0.7, A=A))
     dJ = np.array([0.3, -0.2, 0.1, 0.05]) + 0.02j
     res = solve_optimal_control(lag, dJ, tol=1e-12)
-    want = lag.params["closed_form_control"](0.0, np.zeros(4, np.complex128), dJ)
+    want = lag.em.stationary_control(0.0, np.zeros(4, np.complex128), dJ)
     assert np.allclose(res.w_star.components, want, atol=1e-10)
 
 
@@ -174,7 +174,7 @@ def test_newton_jacobian_is_one_batched_gradient_call():
     A, _ = vector_potential_preset("constant(0.2,-0.1,0,0.05)")
     lag = em_lagrangian(EMFieldConfig(q=0.7, A=A))
     grad = counted(lag.gradient_w)
-    lag = Lagrangian(value=lag.value, gradient_w=grad, params=lag.params)
+    lag = Lagrangian(value=lag.value, gradient_w=grad, em=lag.em)
     res = solve_optimal_control(lag, np.array([0.3, -0.2, 0.1, 0.05]) + 0.02j)
     assert res.converged
     assert grad.calls <= 6

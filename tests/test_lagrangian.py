@@ -1,5 +1,7 @@
 """Square-root Lagrangian values, weak-equation gradients, potential presets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,34 @@ def test_finite_difference_gradient_of_a_batch_equals_its_rows():
         batch = opaque.grad(0.0, Z0, w, h=h)
         for row, w_row in zip(batch, w):
             assert np.array_equal(row, opaque.grad(0.0, Z0, w_row, h=h))
+
+
+def test_only_the_em_lagrangian_carries_its_config():
+    cfg = EMFieldConfig(q=0.7, m=2.0, A=vector_potential_preset("linear-electric(0.5)")[0])
+    assert em_lagrangian(cfg).em is cfg
+    assert quadratic_lagrangian().em is None
+    assert zero_lagrangian().em is None
+    assert [f.name for f in dataclasses.fields(Lagrangian)] == ["value", "gradient_w", "em"]
+
+
+def test_stationary_control_broadcasts_and_zeroes_the_gradient():
+    cfg = EMFieldConfig(q=0.7, m=2.0, A=vector_potential_preset("linear-electric(0.5)")[0])
+    lag = em_lagrangian(cfg)
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    dj = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    w = cfg.stationary_control(0.2, z, dj)
+    assert w.shape == (5, 4)
+    for w_row, z_row, dj_row in zip(w, z, dj):
+        assert np.array_equal(w_row, cfg.stationary_control(0.2, z_row, dj_row))
+    assert np.allclose(lag.grad(0.2, z, w) + dj, 0.0, atol=1e-14)
+
+
+def test_params_view_serves_the_stationary_control():
+    # perfbench/workloads.py reads params["closed_form_control"]
+    cfg = EMFieldConfig(q=0.7, A=vector_potential_preset("constant(0.2,-0.1,0,0.05)")[0])
+    lag = em_lagrangian(cfg)
+    dj = np.array([0.3, -0.2, 0.1, 0.05]) + 0.02j
+    assert np.array_equal(lag.params["closed_form_control"](0.4, Z0, dj),
+                          lag.em.stationary_control(0.4, Z0, dj))
+    assert quadratic_lagrangian().params == {}
