@@ -28,6 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .spacetime import UPPER, ComplexFourVector
 
 FieldFn = Callable[[float, np.ndarray], complex]
 
@@ -51,10 +52,10 @@ def _scale(v) -> float:
 def _step(scale, order: int = 1, h=None):
     """h when given, else the step balancing truncation against roundoff for
     differences of the given order; scale may be an array of scales. A given
-    h must be positive."""
+    h must be positive and finite."""
     if h is not None:
-        if not h > 0:
-            raise DomainError(f"h must be positive, got {h}")
+        if not 0 < h < np.inf:
+            raise DomainError(f"h must be positive and finite, got {h}")
         return h
     return (_EPS_CBRT if order == 1 else _EPS_QRT) * scale
 
@@ -157,9 +158,15 @@ def _as_field(f):
 
 
 def _as_point(z) -> np.ndarray:
-    z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
+    """A coordinate point: 4 complex components, upper index."""
+    if isinstance(z, ComplexFourVector):
+        if z.index != UPPER:
+            raise DomainError("a coordinate point must carry an upper index")
+        z = z.components
+    z = np.asarray(z, dtype=np.complex128)
     if z.shape != (4,):
-        raise DomainError(f"probe point must have 4 components, got shape {z.shape}")
+        raise DomainError(f"a coordinate point must have 4 components, "
+                          f"got shape {z.shape}")
     return z
 
 

@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Optional, get_type_hints
+from typing import Any, Callable, Optional, get_type_hints
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .spacetime import MOSTLY_MINUS, MOSTLY_PLUS, Metric
 from .wiener import RNG_ALGORITHM, DiffusionSpec, moment_check
 from .sde import constant_policy, integrate
 from .ccalc import DomainBox, analyticity_scan
-from .lagrangian import EMFieldConfig, em_lagrangian, vector_potential_preset
+from .lagrangian import (EMFieldConfig, em_lagrangian, free_particle_lagrangian,
+                         vector_potential_preset)
 from .control import equivalence_audit, solve_optimal_control
 from .hjb import (HJBProblem, boundary_residual, covariance_check,
                   dalembertian, hjb_residual_probe, probe_points)
@@ -56,57 +57,59 @@ _METRICS = {"mostly-plus": MOSTLY_PLUS, "mostly-minus": MOSTLY_MINUS}
 _NATURAL = "natural"
 
 
+def _key(default, help: str, choices: tuple = ()) -> Any:
+    """A config key: its default, the help of its flag and any allowed values."""
+    return dataclasses.field(default=default,
+                             metadata={"help": help, "choices": choices})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Flat, fully serializable run configuration.
 
-    sigma_x / sigma_y of None mean the natural amplitude sqrt(hbar/m).
+    Each field is one INI key and one `csoc run` flag. sigma_x / sigma_y of
+    None mean the natural amplitude sqrt(hbar/m).
     """
 
-    hbar: float = 1.0
-    m: float = 1.0
-    c: float = 1.0
-    q: float = 0.0
-    metric: str = "mostly-plus"
-    epsilon: int = 1
-    sigma_x: Optional[float] = None
-    sigma_y: Optional[float] = None
-    potential: str = "zero"
-    d_tau: float = 0.001
-    n_paths: int = 100000
-    n_steps: int = 200
-    demo_paths: int = 16
-    probes: int = 64
-    box_half_width: float = 1.0
-    tau_lo: float = 0.0
-    tau_hi: float = 1.0
-    tau_f: float = 1.0
-    rapidity: float = 0.3
-    boost_axis: int = 1
-    branch: str = "+"
-    signing: str = "exact"
-    seed: int = 0
-    out_dir: str = "csoc-out"
+    hbar: float = _key(1.0, "action scale")
+    m: float = _key(1.0, "mass")
+    c: float = _key(1.0, "speed scale")
+    q: float = _key(0.0, "charge coupling")
+    metric: str = _key("mostly-plus", "metric convention", tuple(sorted(_METRICS)))
+    epsilon: int = _key(1, "sheet correlation sign", (1, -1))
+    sigma_x: Optional[float] = _key(None, "real-sheet amplitude, or 'natural'")
+    sigma_y: Optional[float] = _key(None, "imaginary-sheet amplitude, or 'natural'")
+    potential: str = _key("zero", "vector potential preset: zero | "
+                                  "constant(a0,a1,a2,a3) | linear-electric(E)")
+    d_tau: float = _key(0.001, "proper-time step")
+    n_paths: int = _key(100000, "Monte Carlo sample count")
+    n_steps: int = _key(200, "integration steps per path")
+    demo_paths: int = _key(16, "paths written by sde-demo")
+    probes: int = _key(64, "probe count for stencil scenarios")
+    box_half_width: float = _key(1.0, "domain box half width")
+    tau_lo: float = _key(0.0, "domain lower proper time")
+    tau_hi: float = _key(1.0, "domain upper proper time")
+    tau_f: float = _key(1.0, "terminal proper time")
+    rapidity: float = _key(0.3, "boost rapidity for covariance")
+    boost_axis: int = _key(1, "boost axis", (1, 2, 3))
+    branch: str = _key("+", "plane-wave eigenvalue branch", ("+", "-"))
+    signing: str = _key("exact", "route-consistency sign bookkeeping",
+                        ("exact", "unsigned"))
+    seed: int = _key(0, "RNG seed")
+    out_dir: str = _key("csoc-out", f"output directory (env {ENV_OUT_DIR} overrides)")
 
     def __post_init__(self):
-        if self.metric not in _METRICS:
-            raise ConfigError(f"metric must be one of {sorted(_METRICS)}, "
-                              f"got {self.metric!r}")
-        if self.epsilon not in (1, -1):
-            raise ConfigError(f"epsilon must be 1 or -1, got {self.epsilon}")
-        if self.branch not in ("+", "-"):
-            raise ConfigError(f"branch must be '+' or '-', got {self.branch!r}")
-        if self.signing not in ("exact", "unsigned"):
-            raise ConfigError(f"signing must be 'exact' or 'unsigned', "
-                              f"got {self.signing!r}")
+        for f in dataclasses.fields(self):
+            choices, value = f.metadata["choices"], getattr(self, f.name)
+            if choices and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {list(choices)}, "
+                                  f"got {value!r}")
         for name in ("hbar", "m", "c", "d_tau", "box_half_width"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("n_paths", "n_steps", "demo_paths", "probes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        if self.boost_axis not in (1, 2, 3):
-            raise ConfigError(f"boost_axis must be 1, 2 or 3, got {self.boost_axis}")
         for name in ("sigma_x", "sigma_y"):
             v = getattr(self, name)
             if v is not None and v < 0:
@@ -121,13 +124,10 @@ class ScenarioConfig:
         return _METRICS[self.metric]
 
     def diffusion(self) -> DiffusionSpec:
-        if self.sigma_x is None and self.sigma_y is None:
-            return DiffusionSpec.natural(self.hbar, self.m, self.epsilon,
-                                         self.metric_object)
-        sx = self.sigma_x if self.sigma_x is not None else float(np.sqrt(self.hbar / self.m))
-        sy = self.sigma_y if self.sigma_y is not None else float(np.sqrt(self.hbar / self.m))
-        return DiffusionSpec(sigma_x=sx, sigma_y=sy, epsilon=self.epsilon,
-                             metric=self.metric_object)
+        natural = float(np.sqrt(self.hbar / self.m))
+        return DiffusionSpec(sigma_x=natural if self.sigma_x is None else self.sigma_x,
+                             sigma_y=natural if self.sigma_y is None else self.sigma_y,
+                             epsilon=self.epsilon, metric=self.metric_object)
 
     def box(self) -> DomainBox:
         return DomainBox.cube(self.box_half_width, self.tau_lo, self.tau_hi)
@@ -154,13 +154,16 @@ class ScenarioConfig:
 
 # each key's type, read from the annotations of ScenarioConfig
 _FIELD_TYPES = get_type_hints(ScenarioConfig)
-_ALL_FIELDS = tuple(_FIELD_TYPES)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
 
 # argparse reads a separate value such as "-inf", "-nan" or "-1e-3" as an
 # option, since its negative-number pattern covers plain decimals only; main
-# glues such a value to the float flag before it, as "--flag=value"
-_FLOAT_FLAGS = frozenset("--" + k.replace("_", "-") for k, kind in _FIELD_TYPES.items()
-                         if kind in (float, Optional[float]))
+# glues such a value to the number flag before it, as "--flag=value"
+_NUMBER_FLAGS = frozenset(_flag(k) for k, kind in _FIELD_TYPES.items() if kind is not str)
 
 
 def _is_float(token: str) -> bool:
@@ -174,16 +177,15 @@ def _is_float(token: str) -> bool:
 def _glue_float_values(argv: list[str]) -> list[str]:
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _FLOAT_FLAGS and token.startswith("-") and _is_float(token):
+        if out and out[-1] in _NUMBER_FLAGS and token.startswith("-") and _is_float(token):
             out[-1] += "=" + token
         else:
             out.append(token)
     return out
 
 
-def _coerce(key: str, raw) -> object:
-    if not isinstance(raw, str):
-        return raw
+def _coerce(key: str, raw: str) -> object:
+    """The one parser of a raw value, from a flag or the INI file."""
     kind = _FIELD_TYPES[key]
     try:
         if kind == Optional[float]:
@@ -196,14 +198,13 @@ def _coerce(key: str, raw) -> object:
 
 
 def config_from_layers(*layers: dict) -> ScenarioConfig:
-    """Later layers win; string values are coerced to the field types."""
+    """Layers map keys to raw strings; later layers win, and each value is
+    coerced to its field's type."""
     merged: dict = {}
     for layer in layers:
         for key, raw in layer.items():
-            if key not in _ALL_FIELDS:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key: {key}")
-            if raw is None:
-                continue
             merged[key] = _coerce(key, raw)
     try:
         return ScenarioConfig(**merged)
@@ -285,7 +286,6 @@ def run_moments(cfg: ScenarioConfig) -> dict:
                      % (ln.name, ln.estimate, ln.target, ln.stderr,
                         ln.zscore, ln.flagged))
     return {
-        "scenario": "moments",
         "verifies": ["increment-mean-drift", "increment-sheet-variances",
                      "cross-sheet-correlation-sign"],
         "params": {"n_paths": cfg.n_paths, "d_tau": cfg.d_tau,
@@ -313,7 +313,6 @@ def run_sde_demo(cfg: ScenarioConfig) -> dict:
     se = float(spec.sigma_x[0] * np.sqrt(tau_total / cfg.demo_paths))
     limit = max(5.0 * se, 1e-12)
     return {
-        "scenario": "sde-demo",
         "verifies": ["paired-euler-integration", "trajectory-dump-format"],
         "params": {"demo_paths": cfg.demo_paths, "n_steps": cfg.n_steps,
                    "d_tau": cfg.d_tau, "seed": cfg.seed},
@@ -344,7 +343,6 @@ def run_cr_scan(cfg: ScenarioConfig) -> dict:
     worst_good = good.results[good.worst_index].scaled_residual
     worst_bad = bad.results[bad.worst_index].scaled_residual
     return {
-        "scenario": "cr-scan",
         "verifies": ["cauchy-riemann-consistency", "analyticity-refusal"],
         "params": {"probes": cfg.probes, "tol": good.tol},
         "analytic_worst_residual": worst_good,
@@ -362,7 +360,6 @@ def run_optimal_control(cfg: ScenarioConfig) -> dict:
     diff = float(np.abs(result.w_star.components - closed).max())
     res = float(np.abs(result.residual_complex).max())
     return {
-        "scenario": "optimal-control",
         "verifies": ["stationarity-newton-root", "closed-form-control-match"],
         "params": {"q": cfg.q, "m": cfg.m, "c": cfg.c,
                    "potential": cfg.potential},
@@ -390,7 +387,6 @@ def run_equivalence_audit(cfg: ScenarioConfig) -> dict:
     # a maximum over no compared roots is no evidence that the roots agree
     disagreement = report.max_disagreement if n_singular < len(pts) else float("inf")
     return {
-        "scenario": "equivalence-audit",
         "verifies": ["real-pair-imag-pair-equivalence",
                      "closed-form-control-match"],
         "params": {"probes": cfg.probes, "tol": report.tol},
@@ -402,8 +398,10 @@ def run_equivalence_audit(cfg: ScenarioConfig) -> dict:
 
 
 def run_hjb_residual(cfg: ScenarioConfig) -> dict:
+    # the free value field below solves the HJB equation of the free particle
+    # only, so the check ignores q and potential
     metric = cfg.metric_object
-    lag = em_lagrangian(cfg.em_config())
+    lag = free_particle_lagrangian(cfg.m, cfg.c, metric)
     problem = HJBProblem(lagrangian=lag, diffusion=cfg.diffusion(), tau_f=cfg.tau_f)
     sigma_tilde = metric.sigma_tilde
     scale = sigma_tilde * cfg.m * cfg.c * cfg.c
@@ -418,7 +416,6 @@ def run_hjb_residual(cfg: ScenarioConfig) -> dict:
     json_path = os.path.join(cfg.out_dir, "hjb-probes.json")
     write_json(json_path, {"probes": records})
     return {
-        "scenario": "hjb-residual",
         "verifies": ["value-residual-after-substitution",
                      "terminal-boundary-zero"],
         "params": {"probes": cfg.probes, "tau_f": cfg.tau_f,
@@ -444,7 +441,6 @@ def run_covariance(cfg: ScenarioConfig) -> dict:
                                            tau, z) for tau, z in pts]))
     d_val = dalembertian(value, pts[0][0], pts[0][1], metric)
     return {
-        "scenario": "covariance",
         "verifies": ["dalembertian-boost-invariance"],
         "params": {"rapidity": cfg.rapidity, "axis": cfg.boost_axis,
                    "metric": cfg.metric},
@@ -470,7 +466,6 @@ def run_hopf_cole(cfg: ScenarioConfig) -> dict:
     r_quad = hopf_cole_check(quadratic, 0.2, z0, metric, h=1e-3).residual
     order = hopf_cole_order(quadratic, 0.2, z0, metric)
     return {
-        "scenario": "hopf-cole",
         "verifies": ["exponential-substitution-identity",
                      "second-order-stencil-convergence"],
         "params": {"h": 1e-3, "metric": cfg.metric},
@@ -489,7 +484,6 @@ def run_clifford(cfg: ScenarioConfig) -> dict:
     json_path = os.path.join(cfg.out_dir, "gammas.json")
     write_json(json_path, gammas.to_payload())
     return {
-        "scenario": "clifford",
         "verifies": ["anticommutator-table", "slash-square-scalar"],
         "params": {"metric": cfg.metric, "seed": cfg.seed,
                    "representation": gammas.representation},
@@ -522,7 +516,6 @@ def run_dirac_planewave(cfg: ScenarioConfig) -> dict:
                               A=lambda tau, z: a_const,
                               components=(0, 2), signing=cfg.signing, **common)
     return {
-        "scenario": "dirac-planewave",
         "verifies": ["plane-wave-dispersion",
                      "linear-nonlinear-route-agreement"],
         "params": {"metric": cfg.metric, "branch": cfg.branch,
@@ -594,6 +587,7 @@ def run(scenario: str, cfg: ScenarioConfig, configs: dict) -> int:
             summary[name] = False
             print(f"domain error: {name}: {exc}", file=sys.stderr)
         else:
+            report["scenario"] = name
             # one verdict rule: a report passes when it has checks and all pass
             checks = report.get("checks", [])
             report["passed"] = bool(checks) and all(c["passed"] for c in checks)
@@ -609,47 +603,6 @@ def run(scenario: str, cfg: ScenarioConfig, configs: dict) -> int:
     return 3 if errors else 0 if all_passed else 1
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = ScenarioConfig()
-
-    def flag(name, **kwargs):
-        kwargs.setdefault("default", None)
-        field = name.replace("-", "_")
-        base = getattr(defaults, field)
-        shown = _NATURAL if base is None else base
-        kwargs["help"] = kwargs["help"] + f" (default: {shown})"
-        parser.add_argument(f"--{name}", dest=field, **kwargs)
-
-    flag("hbar", type=float, help="action scale")
-    flag("m", type=float, help="mass")
-    flag("c", type=float, help="speed scale")
-    flag("q", type=float, help="charge coupling")
-    flag("metric", choices=sorted(_METRICS), help="metric convention")
-    flag("epsilon", type=int, choices=(1, -1), help="sheet correlation sign")
-    flag("sigma-x", type=str, help="real-sheet amplitude, or 'natural'")
-    flag("sigma-y", type=str, help="imaginary-sheet amplitude, or 'natural'")
-    flag("potential", type=str,
-         help="vector potential preset: zero | constant(a0,a1,a2,a3) "
-              "| linear-electric(E)")
-    flag("d-tau", type=float, help="proper-time step")
-    flag("n-paths", type=int, help="Monte Carlo sample count")
-    flag("n-steps", type=int, help="integration steps per path")
-    flag("demo-paths", type=int, help="paths written by sde-demo")
-    flag("probes", type=int, help="probe count for stencil scenarios")
-    flag("box-half-width", type=float, help="domain box half width")
-    flag("tau-lo", type=float, help="domain lower proper time")
-    flag("tau-hi", type=float, help="domain upper proper time")
-    flag("tau-f", type=float, help="terminal proper time")
-    flag("rapidity", type=float, help="boost rapidity for covariance")
-    flag("boost-axis", type=int, choices=(1, 2, 3), help="boost axis")
-    flag("branch", choices=("+", "-"), help="plane-wave eigenvalue branch")
-    flag("signing", choices=("exact", "unsigned"),
-         help="route-consistency sign bookkeeping")
-    flag("seed", type=int, help="RNG seed")
-    flag("out-dir", type=str,
-         help=f"output directory (env {ENV_OUT_DIR} overrides)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csoc",
@@ -660,17 +613,19 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("scenario", choices=SCENARIOS + ("all",))
     runp.add_argument("--config", default=None,
                       help="INI config file ([common] plus per-scenario sections)")
-    _add_override_flags(runp)
+    # each flag keeps its value as the raw string; _coerce parses it as it
+    # parses the same key from the INI file
+    for f in dataclasses.fields(ScenarioConfig):
+        choices = f.metadata["choices"]
+        shown = _NATURAL if f.default is None else f.default
+        runp.add_argument(_flag(f.name), default=None,
+                          metavar="{%s}" % ",".join(map(str, choices)) if choices else None,
+                          help=f"{f.metadata['help']} (default: {shown})")
     return parser
 
 
 def _flag_layer(args: argparse.Namespace) -> dict:
-    layer = {}
-    for name in _ALL_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            layer[name] = value if isinstance(value, str) else repr(value)
-    return layer
+    return {k: v for k, v in vars(args).items() if k in _FIELD_TYPES and v is not None}
 
 
 def main(argv=None) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AnalyticityError, DomainError, NonConvergenceError
 from .spacetime import ComplexFourVector, LOWER, UPPER
-from .ccalc import _step, analyticity_scan
+from .ccalc import _as_point, _step, analyticity_scan
 from .lagrangian import Lagrangian
 
 
@@ -110,9 +110,7 @@ def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0, z=None,
                           tol: float = 1e-10) -> StationarityResult:
     """Newton solve of dL/dw + dJ = 0 from w = 0 over the 8 real velocity components."""
     dj = _dj_lower(dJ)
-    if z is None:
-        z = np.zeros(4, dtype=np.complex128)
-    z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
+    z = _as_point(np.zeros(4) if z is None else z)
 
     def residual(theta: np.ndarray) -> np.ndarray:
         g_c = lagrangian.grad(tau, z, _theta_to_w(theta)) + dj
@@ -190,9 +188,8 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
 
     out: list[AuditProbe] = []
     all_ok = True
-    for (tau, z), scanned in zip(probes, scan.results):
-        tau = float(tau)
-        z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
+    for scanned in scan.results:
+        tau, z = scanned.tau, scanned.z   # the probe as the scan checked it
         rep = scanned.derivatives
         dx_r, dx_i = rep.d_x.real, rep.d_x.imag
         dy_r, dy_i = rep.d_y.real, rep.d_y.imag

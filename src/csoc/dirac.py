@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spacetime import LOWER, ComplexFourVector, Metric, MOSTLY_PLUS, contract
-from .ccalc import _UNIT, _scale, _Stencil, _step
+from .ccalc import _UNIT, _as_point, _scale, _Stencil, _step
 
 SpinorFieldFn = Callable[[float, np.ndarray], np.ndarray]
 PotentialFn = Callable[[float, np.ndarray], np.ndarray]
@@ -246,8 +246,8 @@ def linearized_residual(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
 
 
 def _spinor_stencil(phi: SpinorFieldFn, tau: float, z) -> _Stencil:
-    z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
-    st = _Stencil(lambda t, p: np.asarray(phi(t, p), dtype=np.complex128), tau, z)
+    st = _Stencil(lambda t, p: np.asarray(phi(t, p), dtype=np.complex128), tau,
+                  _as_point(z))
     if st().shape != (4,):
         raise DomainError(f"phi must return 4 components, got {st().shape}")
     return st
@@ -306,7 +306,7 @@ def hopf_cole_check(j_field, tau: float, z, metric: Metric = MOSTLY_PLUS,
     Both sides are evaluated with the same step so the residual measures the
     stencil error of pushing the exponential through the derivatives.
     """
-    z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
+    z = _as_point(z)
     eta = metric.eta
     h = float(_step(_scale(z), 2, h))
     st = _Stencil(lambda t, p: complex(j_field(t, p)), tau, z)

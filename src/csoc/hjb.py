@@ -76,7 +76,7 @@ def optimal_control_at(problem: HJBProblem, dJ: np.ndarray, tau: float, z) -> tu
     is the rest shell velocity, labelled "shell-degenerate". Every other
     Lagrangian goes through the Newton solver, labelled "newton".
     """
-    z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
+    z = _as_point(z)
     em = problem.lagrangian.em
     if em is not None:
         p = dJ + em.q * em.potential(tau, z)
@@ -198,7 +198,7 @@ def covariance_check(value_field, metric: Metric, rapidity: float, axis: int,
     """|d'Alembertian at z - d'Alembertian of the boosted field at the boosted point|."""
     from .spacetime import boost_matrix
 
-    z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
+    z = _as_point(z)
     lam = boost_matrix(rapidity, axis)
     lam_inv = boost_matrix(-rapidity, axis)
 

@@ -40,6 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
+from .ccalc import _as_point
 from .wiener import DiffusionSpec, _path_generators, path_generator
 
 PolicyFn = Callable[[float, np.ndarray], np.ndarray]
@@ -185,10 +186,7 @@ def _check_grid(d_tau: float, n_steps: int, n_paths: int):
 
 def _initial_state(z0, n_paths: int) -> np.ndarray:
     """Every path at z0: a writable (n_paths, 4) complex array."""
-    z = np.asarray(getattr(z0, "components", z0), dtype=np.complex128)
-    if z.shape != (4,):
-        raise DomainError(f"z0 must have 4 components, got shape {z.shape}")
-    return np.broadcast_to(z, (n_paths, 4)).copy()
+    return np.broadcast_to(_as_point(z0), (n_paths, 4)).copy()
 
 
 def _euler(policy: PolicyFn, spec: DiffusionSpec, z: np.ndarray, d_tau: float,

@@ -14,12 +14,15 @@ from csoc.ccalc import (
     second_complex_derivative,
     tau_derivative,
 )
+from csoc.control import equivalence_audit, solve_optimal_control
 from csoc.dirac import (build_gammas, hopf_cole_check, linearized_residual,
                         plane_wave, route_consistency)
 from csoc.errors import DomainError
-from csoc.hjb import HJBProblem, hjb_residual_pair, hjb_residual_probe
-from csoc.lagrangian import Lagrangian, free_particle_lagrangian
-from csoc.spacetime import MOSTLY_PLUS
+from csoc.hjb import (HJBProblem, covariance_check, hjb_residual_pair,
+                      hjb_residual_probe, optimal_control_at)
+from csoc.lagrangian import Lagrangian, free_particle_lagrangian, quadratic_lagrangian
+from csoc.sde import constant_policy, integrate
+from csoc.spacetime import LOWER, MOSTLY_PLUS, UPPER, ComplexFourVector
 from csoc.wiener import DiffusionSpec
 
 ETA = MOSTLY_PLUS.eta
@@ -200,10 +203,46 @@ def _explicit_step_entry_points():
     }
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan")])
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
 @pytest.mark.parametrize("entry", sorted(_explicit_step_entry_points()))
 def test_an_explicit_step_must_be_positive(entry, h):
     call = _explicit_step_entry_points()[entry]
     call(1e-3)   # a positive step goes through
     with pytest.raises(DomainError, match="h must be positive"):
         call(h)
+
+
+def _point_entry_points():
+    lag = free_particle_lagrangian()
+    problem = HJBProblem(lagrangian=lag, diffusion=DiffusionSpec.natural(), tau_f=1.0)
+    gammas = build_gammas(MOSTLY_PLUS)
+    wave = plane_wave(gammas, [0.3, 0.2, -0.1, 0.4])
+    dj = np.array([0.3, -0.2, 0.1, 0.05], dtype=np.complex128)
+    return {
+        "optimal_control_at": lambda z: optimal_control_at(problem, dj, 0.3, z),
+        "hjb_residual_probe": lambda z: hjb_residual_probe(problem, quad_form, 0.3, z),
+        "covariance_check": lambda z: covariance_check(quad_form, MOSTLY_PLUS, 0.3, 1,
+                                                       0.3, z),
+        "solve_optimal_control": lambda z: solve_optimal_control(quadratic_lagrangian(),
+                                                                 dj, z=z),
+        "equivalence_audit": lambda z: equivalence_audit(
+            lag, lambda tau, p: 0.1 * quad_form(tau, p) + 0.3 * complex(p[0]), [(0.3, z)]),
+        "linearized_residual": lambda z: linearized_residual(gammas, wave.phi, 0.3, z,
+                                                             lam=wave.lam),
+        "route_consistency": lambda z: route_consistency(gammas, wave.phi, 0.3, z),
+        "hopf_cole_check": lambda z: hopf_cole_check(quad_form, 0.3, z),
+        "integrate": lambda z: integrate(constant_policy(dj), DiffusionSpec.natural(),
+                                         z, 1e-3, 2, 2, seed=0),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_point_entry_points()))
+def test_a_point_must_be_four_upper_components(entry):
+    call = _point_entry_points()[entry]
+    z = np.array([0.11 + 0.07j, -0.23 + 0.13j, 0.17 - 0.19j, 0.05 + 0.02j])
+    call(z)   # a plain array and an upper-index vector go through
+    call(ComplexFourVector(z, UPPER))
+    with pytest.raises(DomainError, match="4 components"):
+        call(z[:3])
+    with pytest.raises(DomainError, match="upper index"):
+        call(ComplexFourVector(z, LOWER))

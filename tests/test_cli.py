@@ -1,7 +1,10 @@
 """Config layering, artifact determinism, exit codes of the batch runner."""
 
+import argparse
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -89,10 +92,9 @@ def test_failing_check_exits_one(tmp_path, monkeypatch, capsys):
         assert json.loads(read_bytes(out / "clifford.json"))["passed"] is False
 
 
-def test_bad_flag_value_exits_two(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "clifford", "--metric", "bogus"])
-    assert exc.value.code == 2
+def test_bad_flag_value_exits_two(tmp_path, capsys):
+    assert main(["run", "clifford", "--metric", "bogus"]) == 2
+    assert "config error: metric must be one of" in capsys.readouterr().err
 
 
 def test_invalid_config_value_exits_two(tmp_path, capsys):
@@ -180,15 +182,15 @@ def test_negative_infinity_as_a_separate_value_acts_like_the_equals_form(tmp_pat
 
 
 @pytest.mark.parametrize("value", ["-inf", "-INFINITY", "-nan", "-1e-3", "-0.5"])
-def test_float_flags_take_a_negative_value_apart(value):
+def test_float_flags_take_a_negative_value_apart(value, capsys):
     parser = cli.build_parser()
     for flag in ("--q", "--tau-lo", "--tau-hi", "--tau-f", "--rapidity", "--sigma-x"):
         apart = parser.parse_args(cli._glue_float_values(["run", "all", flag, value]))
         joined = parser.parse_args(["run", "all", f"{flag}={value}"])
         assert cli._flag_layer(apart) == cli._flag_layer(joined) != {}
-    with pytest.raises(SystemExit) as exc:   # an int flag still refuses it
-        main(["run", "all", "--seed", value])
-    assert exc.value.code == 2
+    # an int flag takes it too, and refuses it as a config error
+    assert main(["run", "all", "--seed", value]) == 2
+    assert f"config error: bad value for seed: '{value}'" in capsys.readouterr().err
 
 
 def test_nan_rapidity_fails_the_covariance_check(tmp_path):
@@ -262,6 +264,55 @@ def test_parser_rejects_unknown_scenario():
     with pytest.raises(SystemExit) as exc:
         main(["run", "everything"])
     assert exc.value.code == 2
+
+
+CONFIG_FIELDS = dataclasses.fields(ScenarioConfig)
+
+
+def _flag(field):
+    return "--" + field.name.replace("_", "-")
+
+
+def _sample_value(field):
+    """A valid raw value for the key, other than its default."""
+    choices = field.metadata["choices"]
+    if choices:
+        return str(next(c for c in choices if c != field.default))
+    special = {"potential": "constant(0.1,0,0,0)", "out_dir": "elsewhere"}
+    return special.get(field.name, "3" if cli._FIELD_TYPES[field.name] is int else "0.25")
+
+
+@pytest.mark.parametrize("field", CONFIG_FIELDS, ids=lambda f: f.name)
+def test_each_config_key_has_one_flag(field):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in sub.choices["run"]._actions if a.dest == field.name]
+    assert [a.option_strings for a in actions] == [[_flag(field)]]
+
+
+@pytest.mark.parametrize("field", CONFIG_FIELDS, ids=lambda f: f.name)
+def test_help_shows_each_key_default_and_allowed_values(field, capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    entries = re.split(r"\n  (?=-)", capsys.readouterr().out)
+    entry = " ".join(next(e for e in entries if e.startswith(_flag(field) + " ")).split())
+    shown = "natural" if field.default is None else field.default
+    assert f"(default: {shown})" in entry
+    choices = field.metadata["choices"]
+    if choices:
+        assert entry.startswith(f"{_flag(field)} {{{','.join(map(str, choices))}}}")
+
+
+@pytest.mark.parametrize("field", CONFIG_FIELDS, ids=lambda f: f.name)
+def test_flag_and_ini_key_give_the_same_config(field, tmp_path):
+    value = _sample_value(field)
+    args = cli.build_parser().parse_args(
+        cli._glue_float_values(["run", "all", _flag(field), value]))
+    from_flag = config_from_layers(cli._flag_layer(args))
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[common]\n{field.name} = {value}\n")
+    from_ini = config_from_layers(read_config_file(str(ini))["common"])
+    assert from_flag == from_ini != ScenarioConfig()
 
 
 def test_help_documents_defaults(capsys):
