@@ -13,15 +13,20 @@ Second derivatives come in three routes, d2/dx2, -d2/dy2 and -i * d/dx d/dy.
 
 Every central difference in csoc runs on one engine, _Stencil, which
 evaluates each distinct point once; the one exception is the Newton Jacobian
-in control, which takes all its points in one batched call. _Stencil.map
-gives the stencil of g(f) about the same probe from the values already taken,
-so differences of g(f) evaluate no new point of f. Steps follow one rule,
-_step: eps**(1/3) * scale for first differences and eps**(1/4) * scale for
-second differences.
+in control, which takes all its points in one batched call. The stencil owns
+its steps: it sets them once, when it is built about a probe, so its
+differences take no step argument. An explicit h is every step, the tau step
+included; otherwise _step gives eps**(1/3) * scale for first differences and
+eps**(1/4) * scale for second differences, scale being max(1, max |z^mu|)
+(max(1, |tau|) in tau). _Stencil.map gives the stencil of g(f) about the same
+probe from the values already taken, so differences of g(f) evaluate no new
+point of f. A ScalarField checks its box at every evaluation, so every point
+a stencil or any other caller evaluates is checked, not a margin around it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -44,18 +49,13 @@ def default_step(scale: float = 1.0) -> float:
     return _step(scale)
 
 
-def _scale(v) -> float:
-    """Coordinate scale max(1, max |v|) of a stencil centred on v."""
-    return max(1.0, float(np.abs(v).max()))
-
-
 def _step(scale, order: int = 1, h=None):
     """h when given, else the step balancing truncation against roundoff for
     differences of the given order; scale may be an array of scales. A given
-    h must be positive and finite."""
+    h must be positive with a finite, nonzero square."""
     if h is not None:
-        if not 0 < h < np.inf:
-            raise DomainError(f"h must be positive and finite, got {h}")
+        if not (h > 0 and 0 < h * h < np.inf):
+            raise DomainError(f"h must be positive with a finite, nonzero square, got {h}")
         return h
     return (_EPS_CBRT if order == 1 else _EPS_QRT) * scale
 
@@ -67,10 +67,17 @@ class _Stencil:
     a tau shift dt, and built as z + dz and tau + dt: the negated offset -v
     gives exactly z - v, and every route asking for the same offset shares
     one evaluation. Fields are assumed deterministic.
+
+    The steps h1 (first differences), h2 (second differences) and h_tau are
+    set here, from h when it is given and else by _step at the probe's scale.
+    z may carry leading axes, each row a probe with steps of its own scale.
     """
 
-    def __init__(self, f, tau, z):
+    def __init__(self, f, tau, z, h=None):
         self.f, self.tau, self.z = f, tau, z
+        scale = np.abs(z).max(axis=-1, initial=1.0)   # max(1, max |z^mu|) per row
+        self.h1, self.h2 = _step(scale, 1, h), _step(scale, 2, h)
+        self.h_tau = _step(max(1.0, abs(tau)), 1, h)
         self._values: dict = {}
 
     def __call__(self, dz=None, dt=None):
@@ -84,32 +91,47 @@ class _Stencil:
                       self.z if dz is None else self.z + dz)
 
     def map(self, g) -> "_Stencil":
-        """The stencil of g(f) about the same probe. It reads this stencil's
-        values by offset, so it evaluates no new point of f."""
-        mapped = _Stencil(self.f, self.tau, self.z)
+        """The stencil of g(f) about the same probe, with the same steps. It
+        reads this stencil's values by offset, so it evaluates no new point of f."""
+        mapped = copy.copy(self)
+        mapped._values = {}
         mapped._eval = lambda dz, dt: g(self(dz, dt))
         return mapped
 
-    def diff1(self, steps: np.ndarray, h) -> np.ndarray:
-        """(f(z + v) - f(z - v)) / 2h for each row v of steps."""
+    def _axes(self, h, unit) -> np.ndarray:
+        """Row mu is the offset unit * h e_mu; with leading axes on z it holds
+        one such offset per row of z, each with that row's step."""
+        if self.z.ndim == 1:   # one probe: the plain product, ~10x cheaper than moveaxis
+            return unit * h * _UNIT
+        return np.moveaxis(unit * np.multiply.outer(h, _UNIT), -2, 0)
+
+    def diff1(self, unit=1, order: int = 1) -> np.ndarray:
+        """(f(z + v) - f(z - v)) / 2h along every axis, v = unit * h e_mu: the
+        x-route for unit 1, the y-partial for unit 1j; h is the step of the
+        given difference order."""
+        h = self.h1 if order == 1 else self.h2
+        steps = self._axes(h, unit)
         return np.array([(self(v) - self(w)) / (2 * h) for v, w in zip(steps, -steps)],
                         dtype=np.complex128)
 
-    def diff2(self, steps: np.ndarray, h) -> np.ndarray:
-        """(f(z + v) - 2 f(z) + f(z - v)) / h^2 for each row v of steps."""
-        f0 = self()
+    def diff2(self, unit=1) -> np.ndarray:
+        """(f(z + v) - 2 f(z) + f(z - v)) / h^2 along every axis, v = unit * h e_mu."""
+        h, f0 = self.h2, self()
+        steps = self._axes(h, unit)
         return np.array([(self(v) - 2 * f0 + self(w)) / (h * h)
                          for v, w in zip(steps, -steps)], dtype=np.complex128)
 
-    def mixed(self, h) -> np.ndarray:
-        """d2/dx^mu dy^mu along every axis from the four diagonal points."""
+    def mixed(self) -> np.ndarray:
+        """d2/dx^mu dy^mu along every axis from the four diagonal points, one probe."""
+        h = self.h2
         e, ie = h * _UNIT, 1j * h * _UNIT
         corners = zip(e + ie, e - ie, -e + ie, -e - ie)
         return np.array([(self(pp) - self(pm) - self(mp) + self(mm)) / (4 * h * h)
                          for pp, pm, mp, mm in corners], dtype=np.complex128)
 
-    def diff_tau(self, h):
+    def diff_tau(self):
         """(f(tau + h) - f(tau - h)) / 2h at the probe's z."""
+        h = self.h_tau
         return (self(dt=h) - self(dt=-h)) / (2 * h)
 
 
@@ -130,31 +152,24 @@ class DomainBox:
         lo, hi = (-w,) * 4, (w,) * 4
         return cls(tau_lo, tau_hi, lo, hi, lo, hi)
 
-    def contains(self, tau: float, z: np.ndarray, margin: float = 0.0) -> bool:
+    def contains(self, tau: float, z: np.ndarray) -> bool:
         x, y = np.real(z), np.imag(z)
-        if not (self.tau_lo <= tau <= self.tau_hi):
-            return False
-        return bool(
-            np.all(x - margin >= np.array(self.x_lo))
-            and np.all(x + margin <= np.array(self.x_hi))
-            and np.all(y - margin >= np.array(self.y_lo))
-            and np.all(y + margin <= np.array(self.y_hi))
-        )
+        return bool(self.tau_lo <= tau <= self.tau_hi
+                    and np.all(x >= self.x_lo) and np.all(x <= self.x_hi)
+                    and np.all(y >= self.y_lo) and np.all(y <= self.y_hi))
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A field callable plus its optional evaluation box."""
+    """A field callable plus its optional box, checked at every evaluation."""
 
     f: FieldFn
     box: Optional[DomainBox] = None
 
     def __call__(self, tau: float, z: np.ndarray) -> complex:
+        if self.box is not None and not self.box.contains(tau, z):
+            raise DomainError(f"field evaluated outside its domain box at tau={tau}, z={z}")
         return self.f(tau, z)
-
-
-def _as_field(f):
-    return f if isinstance(f, ScalarField) else ScalarField(f=f)
 
 
 def _as_point(z) -> np.ndarray:
@@ -170,19 +185,9 @@ def _as_point(z) -> np.ndarray:
     return z
 
 
-def _probe_stencil(f, tau: float, z) -> _Stencil:
-    """The stencil of a field (ScalarField or callable) at a probe point."""
-    return _Stencil(_as_field(f), tau, _as_point(z))
-
-
-def _check_stencil_box(field: ScalarField, tau: float, z: np.ndarray,
-                       margin: float, tau_margin: float = 0.0):
-    if field.box is None:
-        return
-    if not (field.box.tau_lo + tau_margin <= tau <= field.box.tau_hi - tau_margin):
-        raise DomainError(f"tau stencil leaves the domain box at tau={tau}")
-    if not field.box.contains(tau, z, margin=margin):
-        raise DomainError(f"stencil of half-width {margin} leaves the domain box at z={z}")
+def _probe_stencil(f, tau: float, z, h: Optional[float] = None) -> _Stencil:
+    """The stencil of a field at a probe point."""
+    return _Stencil(f, tau, _as_point(z), h)
 
 
 @dataclass(frozen=True)
@@ -208,24 +213,15 @@ class DerivativeReport:
         return float(max(self.cr_residuals.max(), self.consistency_residuals.max()))
 
 
-def _box_step(st: _Stencil, order: int, h: Optional[float]) -> float:
-    """The step for differences of the given order at a stencil's probe,
-    box-checked with a margin of 2 steps (first order) or 3 (second)."""
-    h = _step(_scale(st.z), order, h)
-    _check_stencil_box(st.f, st.tau, st.z, margin=(order + 1) * h)
-    return h
-
-
 def complex_derivative(f, tau: float, z, h: Optional[float] = None) -> DerivativeReport:
     """Central-difference first derivatives along every axis, both routes."""
-    st = _probe_stencil(f, tau, z)
-    h = _box_step(st, 1, h)
-    d_x, d_y = st.diff1(h * _UNIT, h), st.diff1(1j * h * _UNIT, h)
+    st = _probe_stencil(f, tau, z, h)
+    d_x, d_y = st.diff1(), st.diff1(1j)
     y_route = -1j * d_y
     cr = np.abs(d_x.real - d_y.imag) + np.abs(d_x.imag + d_y.real)
     cons = np.abs(d_x - y_route)
     return DerivativeReport(d_x=d_x, d_y=d_y, d_z=d_x.copy(),
-                            cr_residuals=cr, consistency_residuals=cons, h=float(h))
+                            cr_residuals=cr, consistency_residuals=cons, h=float(st.h1))
 
 
 @dataclass(frozen=True)
@@ -250,26 +246,16 @@ class SecondDerivativeReport:
 
 def second_complex_derivative(f, tau: float, z, h: Optional[float] = None) -> SecondDerivativeReport:
     """Three-route second derivatives along every axis."""
-    st = _probe_stencil(f, tau, z)
-    h = _box_step(st, 2, h)
-    xx = st.diff2(h * _UNIT, h)
-    yy = -st.diff2(1j * h * _UNIT, h)
-    xy = -1j * st.mixed(h)
+    st = _probe_stencil(f, tau, z, h)
+    xx, yy, xy = st.diff2(), -st.diff2(1j), -1j * st.mixed()
     disc = np.maximum(np.abs(xx - yy), np.maximum(np.abs(xx - xy), np.abs(yy - xy)))
     return SecondDerivativeReport(route_xx=xx, route_yy=yy, route_xy=xy,
-                                  d2_z=xx.copy(), route_discrepancies=disc, h=float(h))
+                                  d2_z=xx.copy(), route_discrepancies=disc, h=float(st.h2))
 
 
 def tau_derivative(f, tau: float, z, h: Optional[float] = None) -> complex:
     """Central difference in tau at fixed z."""
-    return _tau_difference(_probe_stencil(f, tau, z), h)
-
-
-def _tau_difference(st: _Stencil, h: Optional[float]) -> complex:
-    """tau_derivative on a stencil, sharing its points."""
-    h = _step(max(1.0, abs(st.tau)), 1, h)
-    _check_stencil_box(st.f, st.tau, st.z, margin=0.0, tau_margin=h)
-    return st.diff_tau(h)
+    return _probe_stencil(f, tau, z, h).diff_tau()
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spacetime import LOWER, ComplexFourVector, Metric, MOSTLY_PLUS, contract
-from .ccalc import _UNIT, _as_point, _scale, _Stencil, _step
+from .ccalc import _probe_stencil, _Stencil
 
 SpinorFieldFn = Callable[[float, np.ndarray], np.ndarray]
 PotentialFn = Callable[[float, np.ndarray], np.ndarray]
@@ -241,30 +241,24 @@ def linearized_residual(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     For a separable field exp(-i lam tau) chi(z) pass lam and the tau
     derivative is taken analytically instead of by stencil.
     """
-    return _linearized(gammas, _spinor_stencil(phi, tau, z), lam=lam, q=q, A=A,
-                       hbar=hbar, m=m, c=c, h=h)
+    return _linearized(gammas, _spinor_stencil(phi, tau, z, h), lam=lam, q=q, A=A,
+                       hbar=hbar, m=m, c=c)
 
 
-def _spinor_stencil(phi: SpinorFieldFn, tau: float, z) -> _Stencil:
-    st = _Stencil(lambda t, p: np.asarray(phi(t, p), dtype=np.complex128), tau,
-                  _as_point(z))
+def _spinor_stencil(phi: SpinorFieldFn, tau: float, z, h: Optional[float]) -> _Stencil:
+    st = _probe_stencil(lambda t, p: np.asarray(phi(t, p), dtype=np.complex128), tau, z, h)
     if st().shape != (4,):
         raise DomainError(f"phi must return 4 components, got {st().shape}")
     return st
 
 
-def _linearized(gammas: GammaSet, st: _Stencil, *, lam, q, A, hbar, m, c,
-                h) -> np.ndarray:
+def _linearized(gammas: GammaSet, st: _Stencil, *, lam, q, A, hbar, m, c) -> np.ndarray:
     """linearized_residual on a spinor stencil that route_consistency shares."""
     tau, z, phi0 = st.tau, st.z, st()
     eta = gammas.metric.eta
-    h1, h2 = _step(_scale(z), 1, h), _step(_scale(z), 2, h)
-    dphi = st.diff1(h1 * _UNIT, h1)     # [mu, component]
-    d2phi = st.diff2(h2 * _UNIT, h2)
-    if lam is not None:
-        dtau_phi = -1j * lam * phi0
-    else:
-        dtau_phi = st.diff_tau(_step(max(1.0, abs(tau))))
+    dphi = st.diff1()     # [mu, component]
+    d2phi = st.diff2()
+    dtau_phi = -1j * lam * phi0 if lam is not None else st.diff_tau()
 
     a_val = np.zeros(4, dtype=np.complex128)
     if A is not None:
@@ -306,20 +300,17 @@ def hopf_cole_check(j_field, tau: float, z, metric: Metric = MOSTLY_PLUS,
     Both sides are evaluated with the same step so the residual measures the
     stencil error of pushing the exponential through the derivatives.
     """
-    z = _as_point(z)
     eta = metric.eta
-    h = float(_step(_scale(z), 2, h))
-    st = _Stencil(lambda t, p: complex(j_field(t, p)), tau, z)
+    st = _probe_stencil(lambda t, p: complex(j_field(t, p)), tau, z, h)
     e0 = np.exp(st())
     if abs(e0) < 1e-12:
         raise DomainError("exp(J) is numerically zero at the probe")
-    steps = h * _UNIT
-    dj, d2j = st.diff1(steps, h), st.diff2(steps, h)
-    d2phi = st.map(np.exp).diff2(steps, h)   # reads J's points, evaluates none
+    dj, d2j = st.diff1(order=2), st.diff2()   # dJ at the second-difference step too
+    d2phi = st.map(np.exp).diff2()   # reads J's points, evaluates none
     # the builtin sum adds in axis order; np.sum would round the residual differently
     lhs = sum(eta[mu] * (dj[mu] * dj[mu] + d2j[mu]) for mu in range(4))
     rhs = sum(eta[mu] * d2phi[mu] / e0 for mu in range(4))
-    return HopfColeReport(lhs=lhs, rhs=rhs, h=h)
+    return HopfColeReport(lhs=lhs, rhs=rhs, h=float(st.h2))
 
 
 def hopf_cole_order(j_field, tau: float, z, metric: Metric = MOSTLY_PLUS) -> float:
@@ -376,12 +367,10 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
         raise DomainError(f"components must be a nonempty choice of 0..3, got {components!r}")
     # one stencil for both routes: every component's log map reads the same
     # spinor values, and the linear operator reuses them
-    st = _spinor_stencil(phi, tau, z)
+    st = _spinor_stencil(phi, tau, z, h)
     z, phi0 = st.z, st()
     eta = gammas.metric.eta
     eps = np.asarray(COMPONENT_SIGNS)
-    h1, h2 = _step(_scale(z), 1, h), _step(_scale(z), 2, h)
-    ht = _step(max(1.0, abs(tau)))
     # components this small are treated as structural zeros: their rho factor
     # kills the coupling term and their own value field is rejected
     live = np.abs(phi0) > 1e-12 * float(np.abs(phi0).max())
@@ -392,15 +381,15 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     jst = st.map(lambda v: np.array([
         -1j * eps[s] * hbar * np.log(complex(v[s]) / complex(phi0[s])) if live[s] else 0j
         for s in range(4)]))
-    dj = jst.diff1(h1 * _UNIT, h1).T       # [component, mu]
-    d2j = jst.diff2(h2 * _UNIT, h2)        # [mu, component]
-    dtau_j = jst.diff_tau(ht)
+    dj = jst.diff1().T       # [component, mu]
+    d2j = jst.diff2()        # [mu, component]
+    dtau_j = jst.diff_tau()
 
     a_val = np.zeros(4, dtype=np.complex128)
     if A is not None:
         a_val = np.asarray(A(tau, z), dtype=np.complex128)
 
-    lin = _linearized(gammas, st, lam=None, q=q, A=A, hbar=hbar, m=m, c=c, h=h)
+    lin = _linearized(gammas, st, lam=None, q=q, A=A, hbar=hbar, m=m, c=c)
 
     route_a = np.zeros(len(comps), dtype=np.complex128)
     route_b = np.zeros(len(comps), dtype=np.complex128)

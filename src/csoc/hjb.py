@@ -32,8 +32,7 @@ import numpy as np
 from .errors import DomainError
 from .spacetime import Metric
 from .wiener import DiffusionSpec, complex_sigma_squared
-from .ccalc import (_UNIT, DomainBox, _as_point, _box_step, _probe_stencil, _Stencil,
-                    _step, _tau_difference)
+from .ccalc import DomainBox, _as_point, _probe_stencil, _Stencil
 from .lagrangian import Lagrangian
 from .control import solve_optimal_control
 
@@ -115,15 +114,14 @@ class ResidualProbe:
 def hjb_residual_probe(problem: HJBProblem, value_field, tau: float, z,
                        h: Optional[float] = None) -> ResidualProbe:
     """Complex-route residual with its ingredients at one interior probe."""
-    st = _probe_stencil(value_field, tau, z)   # one stencil, so routes share points
+    st = _probe_stencil(value_field, tau, z, h)   # one stencil, so routes share points
     z = st.z
-    h1, h2 = _box_step(st, 1, h), _box_step(st, 2, h)
-    dj = st.diff1(h1 * _UNIT, h1)     # the x-route, as complex_derivative's d_z
-    d2j = st.diff2(h2 * _UNIT, h2)    # the xx-route, as second_complex_derivative's d2_z
+    dj = st.diff1()     # the x-route, as complex_derivative's d_z
+    d2j = st.diff2()    # the xx-route, as second_complex_derivative's d2_z
     w_star, method = optimal_control_at(problem, dj, tau, z)
     lval = complex(np.asarray(problem.lagrangian.value(tau, z, w_star)))
     bracket = lval + complex(np.sum(w_star * dj))
-    dtau_j = _tau_difference(st, h)
+    dtau_j = st.diff_tau()
     sigsq = complex_sigma_squared(problem.diffusion)
     second = 0.5 * complex(np.sum(sigsq * d2j))
     residual = -dtau_j - bracket - second
@@ -137,14 +135,13 @@ def hjb_residual_complex(problem: HJBProblem, value_field, tau: float, z,
     return hjb_residual_probe(problem, value_field, tau, z, h=h).residual
 
 
-def _pair_partials(field: PairFieldFn, tau: float, z: np.ndarray, h: float,
-                   ht: float) -> tuple[np.ndarray, ...]:
+def _pair_partials(field: PairFieldFn, tau: float, z: np.ndarray,
+                   h: Optional[float]) -> tuple[np.ndarray, ...]:
     """d/dx, d/dy, d2/dx2, d2/dy2, d2/dx dy (per axis) and d/dtau of a real
     pair field from one stencil, so first and second routes share points."""
-    st = _Stencil(lambda t, p: field(t, p.real, p.imag), tau, z)
-    ex, ey = h * _UNIT, 1j * h * _UNIT
-    parts = (st.diff1(ex, h), st.diff1(ey, h), st.diff2(ex, h), st.diff2(ey, h), st.mixed(h))
-    return tuple(part.real for part in parts) + (st.diff_tau(ht),)
+    st = _Stencil(lambda t, p: field(t, p.real, p.imag), tau, z, h)
+    parts = (st.diff1(), st.diff1(1j), st.diff2(), st.diff2(1j), st.mixed())
+    return tuple(part.real for part in parts) + (st.diff_tau(),)
 
 
 def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFieldFn,
@@ -159,11 +156,9 @@ def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFi
     y = np.asarray(y, dtype=float)
     if x.shape != (4,) or y.shape != (4,):
         raise DomainError("x and y must each have 4 components")
-    h = _step(max(1.0, float(np.abs(x).max()), float(np.abs(y).max())), 1, h)
-    ht = _step(max(1.0, abs(tau)))
     z = x + 1j * y
-    dxr, dyr, dxxr, dyyr, dxyr, dtau_r = _pair_partials(field_r, tau, z, h, ht)
-    dxi, dyi, dxxi, dyyi, dxyi, dtau_i = _pair_partials(field_i, tau, z, h, ht)
+    dxr, dyr, dxxr, dyyr, dxyr, dtau_r = _pair_partials(field_r, tau, z, h)
+    dxi, dyi, dxxi, dyyi, dxyi, dtau_i = _pair_partials(field_i, tau, z, h)
 
     dj = dxr + 1j * dxi
     w_star, _ = optimal_control_at(problem, dj, tau, z)
@@ -188,9 +183,7 @@ def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFi
 def dalembertian(value_field, tau: float, z, metric: Metric,
                  h: Optional[float] = None) -> complex:
     """sum eta^{mumu} d2J/dz^mu dz^mu via the xx-route stencils."""
-    st = _probe_stencil(value_field, tau, z)
-    h = _box_step(st, 2, h)
-    return complex(np.sum(metric.eta * st.diff2(h * _UNIT, h)))
+    return complex(np.sum(metric.eta * _probe_stencil(value_field, tau, z, h).diff2()))
 
 
 def covariance_check(value_field, metric: Metric, rapidity: float, axis: int,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spacetime import Metric, MOSTLY_PLUS
-from .ccalc import _UNIT, _Stencil, _step
+from .ccalc import _Stencil
 
 AFn = Callable[[float, np.ndarray], np.ndarray]
 
@@ -64,12 +64,9 @@ class Lagrangian:
         """
         if self.gradient_w is not None:
             return np.asarray(self.gradient_w(tau, z, w), dtype=np.complex128)
-        w = np.asarray(w, dtype=np.complex128)
-        h = np.asarray(_step(np.maximum(1.0, np.abs(w).max(axis=-1)), h=h))
-        st = _Stencil(lambda t, v: self.value(t, z, v), tau, w)
-        # row mu holds each w-row's own step along axis mu
-        g = st.diff1(np.moveaxis(h[..., None, None] * _UNIT, -2, 0), h)
-        return np.moveaxis(g, 0, -1)
+        st = _Stencil(lambda t, v: self.value(t, z, v), tau,
+                      np.asarray(w, dtype=np.complex128), h)
+        return np.moveaxis(st.diff1(), 0, -1)
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,7 @@ _NAN = complex(np.nan, np.nan)   # the state of a failed path
 
 def constant_policy(w) -> PolicyFn:
     """Policy returning the same complex four-velocity for every path."""
-    w = np.asarray(getattr(w, "components", w), dtype=np.complex128)
-    if w.shape != (4,):
-        raise DomainError(f"constant policy needs 4 components, got {w.shape}")
+    w = _as_point(w)
 
     def policy(tau: float, z: np.ndarray) -> np.ndarray:
         return np.broadcast_to(w, z.shape)
@@ -257,11 +255,19 @@ def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
                       n_steps, n_paths, tau0, seed)
 
 
-def _sample_stats(samples: np.ndarray) -> tuple[complex, float, float]:
-    """Sample mean and the standard errors of its real and imaginary parts."""
-    n = samples.size
-    se = [float(p.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0 for p in (samples.real, samples.imag)]
-    return complex(samples.mean()), se[0], se[1]
+def _survivor_stats(samples: np.ndarray, good: np.ndarray, what: str) -> tuple[complex, dict]:
+    """The mean of the samples of the paths marked good, and the fields an
+    ensemble result reports with it: the standard errors of its real and
+    imaginary parts, n_paths, n_failed, and valid, false when more than 0.1%
+    of the paths failed. Raises DomainError when every path failed."""
+    if not good.any():
+        raise DomainError(f"all paths failed, no {what} available")
+    n_paths, kept = good.size, samples[good]
+    n_failed = n_paths - kept.size
+    se_re, se_im = (float(p.std(ddof=1) / np.sqrt(kept.size)) if kept.size > 1 else 0.0
+                    for p in (kept.real, kept.imag))
+    return complex(kept.mean()), dict(stderr_re=se_re, stderr_im=se_im, n_paths=n_paths,
+                                      n_failed=n_failed, valid=n_failed <= 0.001 * n_paths)
 
 
 @dataclass(frozen=True)
@@ -294,13 +300,8 @@ def estimate_action(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0,
     for _, tau, w in _euler(policy, spec, z, d_tau, _signed_steps(spec, dW), tau0):
         action += np.asarray(lagrangian.value(tau, z, w), dtype=np.complex128) * d_tau
     good = np.isfinite(z).all(axis=1) & np.isfinite(action)
-    if not good.any():
-        raise DomainError("all paths failed, no action estimate available")
-    n_failed = n_paths - int(good.sum())
-    mean, se_re, se_im = _sample_stats(action[good])
-    return ActionEstimate(mean=mean, stderr_re=se_re, stderr_im=se_im,
-                          n_paths=n_paths, n_failed=n_failed,
-                          valid=n_failed <= 0.001 * n_paths)
+    mean, rest = _survivor_stats(action, good, "action estimate")
+    return ActionEstimate(mean=mean, **rest)
 
 
 @dataclass(frozen=True)
@@ -338,11 +339,5 @@ def bellman_consistency(value_field, lagrangian, policy: PolicyFn,
     moved = np.isfinite(z).all(axis=1)
     j1[moved] = [value_field(tau + d_tau, zp) for zp in z[moved]]
     samples = np.broadcast_to(lval, (n_paths,)) * d_tau + j1
-    good = np.isfinite(samples)
-    if not good.any():
-        raise DomainError("all paths failed, no Bellman residual available")
-    n_failed = n_paths - int(good.sum())
-    mean, se_re, se_im = _sample_stats(samples[good])
-    return BellmanResidual(residual=j0 - mean, stderr_re=se_re, stderr_im=se_im,
-                           n_paths=n_paths, n_failed=n_failed,
-                           valid=n_failed <= 0.001 * n_paths)
+    mean, rest = _survivor_stats(samples, np.isfinite(samples), "Bellman residual")
+    return BellmanResidual(residual=j0 - mean, **rest)

@@ -18,10 +18,10 @@ from csoc.control import equivalence_audit, solve_optimal_control
 from csoc.dirac import (build_gammas, hopf_cole_check, linearized_residual,
                         plane_wave, route_consistency)
 from csoc.errors import DomainError
-from csoc.hjb import (HJBProblem, covariance_check, hjb_residual_pair,
+from csoc.hjb import (HJBProblem, boundary_residual, covariance_check, hjb_residual_pair,
                       hjb_residual_probe, optimal_control_at)
 from csoc.lagrangian import Lagrangian, free_particle_lagrangian, quadratic_lagrangian
-from csoc.sde import constant_policy, integrate
+from csoc.sde import bellman_consistency, constant_policy, integrate, zero_policy
 from csoc.spacetime import LOWER, MOSTLY_PLUS, UPPER, ComplexFourVector
 from csoc.wiener import DiffusionSpec
 
@@ -174,12 +174,73 @@ def test_box_restricts_stencils():
         complex_derivative(field, 2.0, inside, h=1e-2)
 
 
-def test_box_membership_with_margin():
+def test_box_membership_checks_tau_x_and_y():
+    # the box is closed; a point is in it when tau and every x and y are
     box = DomainBox.cube(1.0)
     z = np.array([0.95, 0, 0, 0], dtype=np.complex128)
     assert box.contains(0.5, z)
-    assert not box.contains(0.5, z, margin=0.1)
+    assert box.contains(1.0, z + 0.05 - 1j)
+    assert not box.contains(0.5, z + 0.1)
+    assert not box.contains(0.5, z - 1.01j)
     assert not box.contains(-0.1, z)
+
+
+@pytest.mark.parametrize("entry", ["hopf_cole_check", "boundary_residual",
+                                   "bellman_consistency"])
+def test_a_boxed_field_checks_every_evaluation(entry):
+    # these evaluate the field themselves, not through a ccalc derivative;
+    # the field's own box still refuses a point outside it
+    field = ScalarField(f=quad_form, box=DomainBox.cube(0.5))
+    problem = HJBProblem(lagrangian=free_particle_lagrangian(),
+                         diffusion=DiffusionSpec.natural(), tau_f=1.0)
+    call = {
+        "hopf_cole_check": lambda tau, z: hopf_cole_check(field, tau, z, h=1e-2),
+        "boundary_residual": lambda tau, z: boundary_residual(
+            HJBProblem(problem.lagrangian, problem.diffusion, tau_f=tau), field, [z]),
+        "bellman_consistency": lambda tau, z: bellman_consistency(
+            field, problem.lagrangian, zero_policy(), problem.diffusion, tau, z,
+            d_tau=0.01, n_paths=4, seed=0),
+    }[entry]
+    call(0.5, np.zeros(4))
+    with pytest.raises(DomainError, match="outside its domain box"):
+        call(2.0, np.zeros(4))
+    with pytest.raises(DomainError, match="outside its domain box"):
+        call(0.5, np.array([0.9, 0, 0, 0], dtype=np.complex128))
+
+
+def test_an_explicit_step_is_the_tau_step_too():
+    # every stencil steps tau by an explicit h, as it steps each coordinate
+    z = np.array([0.11 + 0.07j, -0.23 + 0.13j, 0.17 - 0.19j, 0.05 + 0.02j])
+    problem = HJBProblem(lagrangian=free_particle_lagrangian(),
+                         diffusion=DiffusionSpec.natural(), tau_f=1.0)
+    gammas = build_gammas(MOSTLY_PLUS)
+    wave = plane_wave(gammas, [0.3, 0.2, -0.1, 0.4])
+    taus = []
+
+    def spinor(tau, p):
+        taus.append(tau)
+        return wave.phi(tau, p)
+
+    def real(tau, x, y):
+        taus.append(tau)
+        return float(np.sum(x * x - y * y)) + tau
+
+    def field(tau, p):
+        taus.append(tau)
+        return quad_form(tau, p)
+
+    calls = {
+        "tau_derivative": lambda: tau_derivative(field, 0.3, z, h=1e-3),
+        "hjb_residual_probe": lambda: hjb_residual_probe(problem, field, 0.3, z, h=1e-3),
+        "hjb_residual_pair": lambda: hjb_residual_pair(problem, real, real, 0.3,
+                                                       z.real, z.imag, h=1e-3),
+        "linearized_residual": lambda: linearized_residual(gammas, spinor, 0.3, z, h=1e-3),
+        "route_consistency": lambda: route_consistency(gammas, spinor, 0.3, z, h=1e-3),
+    }
+    for name, call in calls.items():
+        taus.clear()
+        call()
+        assert set(taus) - {0.3} == {0.3 + 1e-3, 0.3 - 1e-3}, name
 
 
 def _explicit_step_entry_points():
@@ -203,7 +264,7 @@ def _explicit_step_entry_points():
     }
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf")])
+@pytest.mark.parametrize("h", [0.0, -1e-3, float("nan"), float("inf"), 1e300, 1e-200])
 @pytest.mark.parametrize("entry", sorted(_explicit_step_entry_points()))
 def test_an_explicit_step_must_be_positive(entry, h):
     call = _explicit_step_entry_points()[entry]
@@ -233,6 +294,7 @@ def _point_entry_points():
         "hopf_cole_check": lambda z: hopf_cole_check(quad_form, 0.3, z),
         "integrate": lambda z: integrate(constant_policy(dj), DiffusionSpec.natural(),
                                          z, 1e-3, 2, 2, seed=0),
+        "constant_policy": constant_policy,
     }
 
 
