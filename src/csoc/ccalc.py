@@ -11,12 +11,20 @@ which agree exactly when f is analytic in z^mu. Their disagreement, and the
 Cauchy-Riemann residuals of the component fields, quantify analyticity.
 Second derivatives come in three routes, d2/dx2, -d2/dy2 and -i * d/dx d/dy.
 
-Every central difference in csoc runs on one engine, _Stencil, which
-evaluates each distinct point once; the one exception is the Newton Jacobian
-in control, which takes all its points in one batched call. The stencil owns
-its steps: it sets them once, when it is built about a probe, so its
-differences take no step argument. An explicit h is every step, the tau step
-included; otherwise _step gives eps**(1/3) * scale for first differences and
+Every central difference in csoc runs on one engine, _Stencil; the one
+exception is the Newton Jacobian in control, which takes all its points in
+one batched call. The stencil evaluates blocks, not points: a difference
+asks for all its offsets at once, as one array z + offsets, the field is
+called on each point of that block in one comprehension, and the difference
+is array arithmetic on the block's values. Each block is evaluated once, and
+blocks that coincide (first and second differences at one explicit h, the
+probe itself) share one evaluation. Python complex values are divided as
+Python divides them, so the results are bit for bit those of scalar
+arithmetic at each point. With leading axes on z a stencil covers many
+probes at once: analyticity_scan differences all its probes as one block.
+The stencil owns its steps: it sets them once, when it is built about a
+probe, so its differences take no step argument. An explicit h is every
+step, the tau step included; otherwise _step gives eps**(1/3) * scale for first differences and
 eps**(1/4) * scale for second differences, scale being max(1, max |z^mu|)
 (max(1, |tau|) in tau). _Stencil.map gives the stencil of g(f) about the same
 probe from the values already taken, so differences of g(f) evaluate no new
@@ -27,6 +35,7 @@ a stencil or any other caller evaluates is checked, not a margin around it.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -40,6 +49,13 @@ FieldFn = Callable[[float, np.ndarray], complex]
 _EPS_CBRT = float(np.finfo(float).eps ** (1.0 / 3.0))
 _EPS_QRT = float(np.finfo(float).eps ** 0.25)
 _UNIT = np.eye(4, dtype=np.complex128)   # row mu is the unit vector e_mu
+# the offsets of each block at a unit step, as reals: h times them is the
+# block's offsets at step h, each zero signed as in h * e_mu, -(h * e_mu), ...
+_PATTERNS = {key: np.concatenate(rows).view(np.float64) for key, rows in (
+    (1, (_UNIT, -_UNIT)),
+    (1j, (1j * _UNIT, -(1j * _UNIT))),
+    ("mixed", (_UNIT + 1j * _UNIT, _UNIT - 1j * _UNIT, -_UNIT + 1j * _UNIT, -_UNIT - 1j * _UNIT)),
+)}
 
 
 def default_step(scale: float = 1.0) -> float:
@@ -60,79 +76,181 @@ def _step(scale, order: int = 1, h=None):
     return (_EPS_CBRT if order == 1 else _EPS_QRT) * scale
 
 
-class _Stencil:
-    """A field around one probe (tau, z), each distinct point evaluated once.
+def _quot(num, d, pydiv: bool):
+    """num / d for a positive real d, rounded as scalar arithmetic at each
+    point rounds it.
 
-    A point is named by its offset from the probe, a coordinate shift dz and
-    a tau shift dt, and built as z + dz and tau + dt: the negated offset -v
-    gives exactly z - v, and every route asking for the same offset shares
-    one evaluation. Fields are assumed deterministic.
+    Python complex values divide as CPython divides them: the values of one
+    probe Python divides itself, those of many probes go through the parts
+    as below. numpy's division of a complex array multiplies by a reciprocal
+    and can differ in the last bit, so it serves real and numpy values only,
+    whose scalars numpy divides the same way.
+    """
+    if not pydiv:
+        return num / d
+    if not isinstance(d, np.ndarray) and num.ndim <= 1:   # one probe
+        return num.item() / d if num.ndim == 0 else np.array([x / d for x in num.tolist()])
+    out = np.empty(np.shape(num), dtype=np.complex128)
+    out.real = (num.real + num.imag * 0.0) / d
+    out.imag = (num.imag - num.real * 0.0) / d
+    return out
+
+
+class _Stencil:
+    """A field around a probe (tau, z), each block of points evaluated once.
+
+    Each difference asks for all its points at once, as one block z + offsets
+    of shape (k, *lead, 4): diff1 and diff2 the +/- offsets on all four axes,
+    mixed the 16 diagonal corners, diff_tau the two tau-shifted points and
+    diff2 the probe itself. The field is called on each point of a block in
+    one comprehension, and the differences are array operations on the
+    block's values. Blocks are cached by what they hold, so first and second
+    differences at one explicit h share one block. Fields are assumed
+    deterministic.
 
     The steps h1 (first differences), h2 (second differences) and h_tau are
     set here, from h when it is given and else by _step at the probe's scale.
-    z may carry leading axes, each row a probe with steps of its own scale.
+    z may carry leading axes, each row a probe with steps of its own scale
+    and a scalar value per point; tau is a float or an array that broadcasts
+    against those axes. call says how f takes a point: "point" f(tau, z)
+    once per point, each probe at its own tau; "pair" likewise, with f a
+    tuple of real fields g(tau, x, y) whose values stack on a last axis;
+    "slab" f(tau, z) once per offset, with z carrying the leading axes.
+    dtype, when given, is the dtype of the values.
     """
 
-    def __init__(self, f, tau, z, h=None):
-        self.f, self.tau, self.z = f, tau, z
+    def __init__(self, f, tau, z, h=None, call: str = "point", dtype=None):
+        self.f, self.tau, self.z, self.call, self.dtype = f, tau, z, call, dtype
         scale = np.abs(z).max(axis=-1, initial=1.0)   # max(1, max |z^mu|) per row
         self.h1, self.h2 = _step(scale, 1, h), _step(scale, 2, h)
-        self.h_tau = _step(max(1.0, abs(tau)), 1, h)
-        self._values: dict = {}
+        tau_scale = (np.maximum(1.0, np.abs(tau)) if isinstance(tau, np.ndarray)
+                     else max(1.0, abs(tau)))
+        self.h_tau = _step(tau_scale, 1, h)
+        self._second = 1 if h is not None else 2   # one explicit step: one block
+        self._blocks: dict = {}
+        self._source = None   # (stencil, g) of a mapped stencil
 
-    def __call__(self, dz=None, dt=None):
-        key = (dt, None if dz is None else dz.tobytes())
-        if key not in self._values:
-            self._values[key] = self._eval(dz, dt)
-        return self._values[key]
-
-    def _eval(self, dz, dt):
-        return self.f(self.tau if dt is None else self.tau + dt,
-                      self.z if dz is None else self.z + dz)
+    def __call__(self):
+        """The field at the probe (one value per row of z)."""
+        return self._block("center")[0][0]
 
     def map(self, g) -> "_Stencil":
-        """The stencil of g(f) about the same probe, with the same steps. It
-        reads this stencil's values by offset, so it evaluates no new point of f."""
+        """The stencil of g(f) about the same probe, with the same steps.
+
+        g maps values of f row by row; it is applied once to every block
+        this stencil has evaluated when the mapped stencil first needs one,
+        so no new point of f is evaluated.
+        """
         mapped = copy.copy(self)
-        mapped._values = {}
-        mapped._eval = lambda dz, dt: g(self(dz, dt))
+        mapped._blocks, mapped._source = {}, (self, g)
         return mapped
 
-    def _axes(self, h, unit) -> np.ndarray:
-        """Row mu is the offset unit * h e_mu; with leading axes on z it holds
-        one such offset per row of z, each with that row's step."""
-        if self.z.ndim == 1:   # one probe: the plain product, ~10x cheaper than moveaxis
-            return unit * h * _UNIT
-        return np.moveaxis(unit * np.multiply.outer(h, _UNIT), -2, 0)
+    def _block(self, key) -> tuple[np.ndarray, bool]:
+        """(values, pydiv) of one block, evaluated on first use: values has a
+        row per point of the block, pydiv says they are Python complex."""
+        hit = self._blocks.get(key)
+        if hit is None:
+            if self._source is not None:
+                self._map_blocks(key)
+                return self._blocks[key]
+            hit = self._blocks[key] = self._evaluate(*self._points(key))
+        return hit
+
+    def _map_blocks(self, key) -> None:
+        parent, g = self._source
+        parent._block(key)
+        keys = [k for k in parent._blocks if k not in self._blocks]
+        values = [parent._blocks[k][0] for k in keys]
+        mapped = np.asarray(g(np.concatenate(values)))
+        start = 0
+        for k, v in zip(keys, values):
+            self._blocks[k] = (mapped[start:start + len(v)], False)
+            start += len(v)
+
+    def _points(self, key):
+        """(taus, points) of a block: a tau per row, or None for the probe's;
+        points None for the probe's z at every row."""
+        z = self.z
+        if key == "center":
+            return None, z[None]
+        if key == "tau":
+            return (self.tau + self.h_tau, self.tau - self.h_tau), None
+        if key == "mixed":
+            return None, z + self._offsets(self.h2, "mixed")
+        unit, order = key
+        return None, z + self._offsets(self.h1 if order == 1 else self.h2, unit)
+
+    def _evaluate(self, taus, points) -> tuple[np.ndarray, bool]:
+        f, call, z = self.f, self.call, self.z
+        if points is None:   # the tau block: the probe's z at each tau
+            if call == "pair":
+                points = np.array([z] * len(taus))
+            elif call == "slab" or z.ndim == 1:
+                vals = [f(t, z) for t in taus]
+                return np.array(vals, dtype=self.dtype), type(vals[0]) is complex
+            else:
+                points = np.broadcast_to(z, (len(taus),) + z.shape)
+        if call == "slab" or z.ndim == 1:
+            pts = points
+            if taus is None and call != "pair":   # the common case, kept lean
+                tau = self.tau
+                vals = [f(tau, p) for p in pts]
+                return np.array(vals, dtype=self.dtype), type(vals[0]) is complex
+            if taus is None:
+                taus = itertools.repeat(self.tau)
+        else:   # one call per point, each probe at its own tau
+            lead = self.z.shape[:-1]
+            taus = [float(t) for tk in ([self.tau] * len(points) if taus is None else taus)
+                    for t in np.broadcast_to(tk, lead).flat]
+            pts = points.reshape(-1, 4)
+        if call == "pair":   # a value of each field at each point, fields last
+            xs, ys = pts.real, pts.imag
+            columns = [[g(t, x, y) for t, x, y in zip(taus, xs, ys)] for g in f]
+            first, values = columns[0][0], np.array(columns, dtype=self.dtype).T
+        else:
+            vals = [f(t, p) for t, p in zip(taus, pts)]
+            first, values = vals[0], np.array(vals, dtype=self.dtype)
+        if pts is not points:
+            values = values.reshape(points.shape[:-1] + values.shape[1:])
+        return values, type(first) is complex
+
+    def _offsets(self, h, key) -> np.ndarray:
+        """The offsets of a block at step h, (k, *lead, 4): with leading axes
+        on z, each row of z is offset by its own step."""
+        pattern = _PATTERNS[key]
+        if self.z.ndim == 1:
+            return (h * pattern).view(np.complex128)
+        h = np.broadcast_to(h, self.z.shape[:-1])
+        pattern = pattern.reshape((len(pattern),) + (1,) * h.ndim + (8,))
+        return (h[None, ..., None] * pattern).view(np.complex128)
 
     def diff1(self, unit=1, order: int = 1) -> np.ndarray:
         """(f(z + v) - f(z - v)) / 2h along every axis, v = unit * h e_mu: the
         x-route for unit 1, the y-partial for unit 1j; h is the step of the
         given difference order."""
         h = self.h1 if order == 1 else self.h2
-        steps = self._axes(h, unit)
-        return np.array([(self(v) - self(w)) / (2 * h) for v, w in zip(steps, -steps)],
-                        dtype=np.complex128)
+        v, pydiv = self._block((unit, 1 if order == 1 else self._second))
+        return _quot(v[:4] - v[4:], 2 * h, pydiv).astype(np.complex128, copy=False)
 
     def diff2(self, unit=1) -> np.ndarray:
         """(f(z + v) - 2 f(z) + f(z - v)) / h^2 along every axis, v = unit * h e_mu."""
-        h, f0 = self.h2, self()
-        steps = self._axes(h, unit)
-        return np.array([(self(v) - 2 * f0 + self(w)) / (h * h)
-                         for v, w in zip(steps, -steps)], dtype=np.complex128)
+        v, pydiv = self._block((unit, self._second))
+        f0, pydiv0 = self._block("center")
+        h = self.h2
+        return _quot(v[:4] - 2 * f0 + v[4:], h * h,
+                     pydiv and pydiv0).astype(np.complex128, copy=False)
 
     def mixed(self) -> np.ndarray:
-        """d2/dx^mu dy^mu along every axis from the four diagonal points, one probe."""
+        """d2/dx^mu dy^mu along every axis from the four diagonal points."""
+        v, pydiv = self._block("mixed")
         h = self.h2
-        e, ie = h * _UNIT, 1j * h * _UNIT
-        corners = zip(e + ie, e - ie, -e + ie, -e - ie)
-        return np.array([(self(pp) - self(pm) - self(mp) + self(mm)) / (4 * h * h)
-                         for pp, pm, mp, mm in corners], dtype=np.complex128)
+        return _quot(v[0:4] - v[4:8] - v[8:12] + v[12:16], 4 * h * h,
+                     pydiv).astype(np.complex128, copy=False)
 
     def diff_tau(self):
         """(f(tau + h) - f(tau - h)) / 2h at the probe's z."""
-        h = self.h_tau
-        return (self(dt=h) - self(dt=-h)) / (2 * h)
+        v, pydiv = self._block("tau")
+        return _quot(v[0] - v[1], 2 * self.h_tau, pydiv)
 
 
 @dataclass(frozen=True)
@@ -213,13 +331,18 @@ class DerivativeReport:
         return float(max(self.cr_residuals.max(), self.consistency_residuals.max()))
 
 
+def _first_routes(st: _Stencil) -> tuple[np.ndarray, ...]:
+    """The x-route d_x and the y-partial d_y of a stencil's field, with their
+    Cauchy-Riemann and route-consistency residuals, each axes last."""
+    d_x, d_y = (np.ascontiguousarray(np.moveaxis(st.diff1(unit), 0, -1)) for unit in (1, 1j))
+    cr = np.abs(d_x.real - d_y.imag) + np.abs(d_x.imag + d_y.real)
+    return d_x, d_y, cr, np.abs(d_x - -1j * d_y)
+
+
 def complex_derivative(f, tau: float, z, h: Optional[float] = None) -> DerivativeReport:
     """Central-difference first derivatives along every axis, both routes."""
     st = _probe_stencil(f, tau, z, h)
-    d_x, d_y = st.diff1(), st.diff1(1j)
-    y_route = -1j * d_y
-    cr = np.abs(d_x.real - d_y.imag) + np.abs(d_x.imag + d_y.real)
-    cons = np.abs(d_x - y_route)
+    d_x, d_y, cr, cons = _first_routes(st)
     return DerivativeReport(d_x=d_x, d_y=d_y, d_z=d_x.copy(),
                             cr_residuals=cr, consistency_residuals=cons, h=float(st.h1))
 
@@ -292,18 +415,30 @@ class ScanReport:
 
 def analyticity_scan(f, probes: Sequence[tuple[float, np.ndarray]],
                      h: Optional[float] = None, tol: float = 1e-6) -> ScanReport:
-    """Check Cauchy-Riemann and route consistency at every probe."""
+    """Check Cauchy-Riemann and route consistency at every probe.
+
+    All probes' points are one block per route, and the residuals of every
+    probe come from (N, 4) arrays, equal bit for bit to complex_derivative
+    at each probe.
+    """
     if not probes:
         raise DomainError("probe list is empty")
-    results = []
-    for tau, z in probes:
-        rep = complex_derivative(f, float(tau), z, h=h)
-        scale = np.maximum(1.0, np.abs(rep.d_z))
-        scaled = np.maximum(rep.cr_residuals / scale, rep.consistency_residuals / scale)
-        raw = rep.max_residual
-        results.append(ProbeResult(tau=float(tau), z=_as_point(z), residual=raw,
-                                   scaled_residual=float(scaled.max()),
-                                   passed=bool(scaled.max() < tol), derivatives=rep))
+    taus = [float(tau) for tau, _ in probes]
+    zs = np.array([_as_point(z) for _, z in probes])
+    st = _Stencil(f, np.array(taus), zs, h)
+    d_x, d_y, cr, cons = _first_routes(st)     # (N, 4) each
+    scale = np.maximum(1.0, np.abs(d_x))
+    scaled = np.maximum(cr / scale, cons / scale).max(axis=1)
+    cr_max, cons_max = cr.max(axis=1), cons.max(axis=1)
+    raw = np.where(cons_max > cr_max, cons_max, cr_max)   # the builtin max of the two
+    steps = np.broadcast_to(st.h1, len(taus))
+    results = tuple(
+        ProbeResult(tau=taus[i], z=zs[i], residual=float(raw[i]),
+                    scaled_residual=float(scaled[i]), passed=bool(scaled[i] < tol),
+                    derivatives=DerivativeReport(
+                        d_x=d_x[i], d_y=d_y[i], d_z=d_x[i].copy(), cr_residuals=cr[i],
+                        consistency_residuals=cons[i], h=float(steps[i])))
+        for i in range(len(taus)))
     worst = max(range(len(results)), key=lambda i: results[i].scaled_residual)
-    return ScanReport(results=tuple(results), tol=float(tol),
+    return ScanReport(results=results, tol=float(tol),
                       passed=all(r.passed for r in results), worst_index=worst)

@@ -63,6 +63,12 @@ def _key(default, help: str, choices: tuple = ()) -> Any:
                              metadata={"help": help, "choices": choices})
 
 
+# keys whose value must be a finite number; a non-finite tau_lo, tau_hi,
+# tau_f or q is left to the scenarios, which report it as a domain error
+_FINITE_KEYS = ("hbar", "m", "c", "d_tau", "box_half_width", "sigma_x", "sigma_y",
+                "rapidity")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Flat, fully serializable run configuration.
@@ -104,6 +110,10 @@ class ScenarioConfig:
             if choices and value not in choices:
                 raise ConfigError(f"{f.name} must be one of {list(choices)}, "
                                   f"got {value!r}")
+        for name in _FINITE_KEYS:
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v!r}")
         for name in ("hbar", "m", "c", "d_tau", "box_half_width"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")

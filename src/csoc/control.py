@@ -15,6 +15,13 @@ real-part condition set and the imaginary-part condition set independently,
 with the field partials taken from separate x- and y-stencils of J_R and J_I
 (no Cauchy-Riemann substitution), and asserts that the two roots coincide.
 Non-analytic value fields are refused up front.
+
+There is one Newton, _newton8, over R independent 8-real systems at once:
+one residual call on (R, 16, 8) for the Jacobians, one batched solve of
+(R, 8, 8), and step halving row by row. A row that converges stops moving,
+and a row that fails fails alone. solve_optimal_control is its one-row
+call; the audit solves the two condition sets of all N probes as 2N rows,
+which needs the Lagrangian to take one tau per row (see lagrangian).
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ class StationarityResult:
     converged: bool
 
 
-_K = np.arange(8)
+_SHIFTS = np.concatenate([np.eye(8), -np.eye(8)])   # the Jacobian's 16 unit steps
 _MAX_ITER = 100       # Newton iterations per solve
 _AUDIT_TOL = 1e-8     # the audit's largest passing root disagreement
 _SCAN_TOL = 1e-6      # the audit's analyticity-scan tolerance
@@ -47,48 +54,113 @@ _SOLVER_TOL = 1e-12   # the audit's Newton tolerance per condition set
 _BRANCH_TOL = 1e-10   # |sum w w| / c^2 below which a root is on the branch point
 
 
-def _newton8(residual_fn: Callable[[np.ndarray], np.ndarray],
-             tol: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Damped Newton from zero, finite-difference Jacobian, on an 8-real system.
+def _newton8(residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: float,
+             n_rows: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Damped Newton from zero, finite-difference Jacobian, on n_rows
+    independent 8-real systems at once.
 
-    residual_fn maps thetas (..., 8) to residuals of the same shape, or to
-    one (8,) row if it ignores theta; the Jacobian is one (16, 8) call.
+    residual_fn(rows, thetas) maps thetas (len(rows), ..., 8) of the given
+    rows to residuals of the same shape, or to rows that broadcast to it if
+    it ignores theta. Each iteration makes one (A, 16, 8) call for the
+    Jacobians of the A rows still iterating and solves them as one
+    (A, 8, 8) batch; every row damps on its own and stops once converged.
+    Returns the roots, the residuals there, the iterations per row, and a
+    NonConvergenceError for each row that failed, by row.
     """
-    theta = np.zeros(8)
-    r = residual_fn(theta)
-    norm = float(np.abs(r).max())
+    rows = np.arange(n_rows)
+    roots, residuals = np.zeros((n_rows, 8)), np.zeros((n_rows, 8))
+    iterations = np.zeros(n_rows, dtype=int)
+    failures: dict[int, NonConvergenceError] = {}
+
+    def residual(ids, thetas):
+        out = residual_fn(ids, thetas)
+        return out if out.shape == thetas.shape else np.broadcast_to(out, thetas.shape)
+
+    def accepted(n_trial, n_now):
+        return np.isfinite(n_trial) & ((n_trial <= n_now) | (n_trial < tol))
+
+    def fail(i, message, it):
+        failures[int(rows[i])] = NonConvergenceError(
+            message.format(float(norm[i])), residual=float(norm[i]), iterations=it)
+
+    theta = roots.copy()
+    r = residual(rows, theta)
+    norm = np.abs(r).max(axis=1)
     for it in range(1, _MAX_ITER + 1):
-        if norm < tol:
-            return theta, r, it - 1
+        done = norm < tol
+        if done.all():
+            roots[rows], residuals[rows], iterations[rows] = theta, r, it - 1
+            break
+        if done.any():
+            finished = rows[done]
+            roots[finished], residuals[finished], iterations[finished] = theta[done], r[done], it - 1
+            keep = ~done
+            rows, theta, r, norm = rows[keep], theta[keep], r[keep], norm[keep]
         step = _step(np.maximum(1.0, np.abs(theta)))
-        shifted = np.tile(theta, (16, 1))
-        shifted[_K, _K] += step            # rows 0-7: theta + step_k e_k
-        shifted[_K + 8, _K] -= step        # rows 8-15: theta - step_k e_k
-        rs = np.broadcast_to(residual_fn(shifted), (16, 8))
-        jac = ((rs[:8] - rs[8:]) / (2 * step)[:, None]).T
-        try:
-            delta = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"singular Jacobian after {it - 1} iterations",
-                                      residual=norm, iterations=it - 1) from exc
-        scale = 1.0
-        accepted = False
-        for _ in range(12):  # step halving on residual increase
-            cand = theta + scale * delta
-            rc = residual_fn(cand)
-            nc = float(np.abs(rc).max())
-            if np.isfinite(nc) and (nc <= norm or nc < tol):
-                accepted = True
+        # rows 0-7 theta + step_k e_k, rows 8-15 theta - step_k e_k; adding
+        # the signed zeros elsewhere leaves theta, which is never -0.0
+        shifted = theta[:, None, :] + _SHIFTS * step[:, None, :]
+        rs = residual(rows, shifted)
+        jac = ((rs[:, :8] - rs[:, 8:]) / (2 * step)[:, :, None]).transpose(0, 2, 1)
+        delta, singular = _solve(jac, -r)
+        if singular is not None:
+            for i in np.flatnonzero(singular):
+                fail(i, f"singular Jacobian after {it - 1} iterations", it - 1)
+            keep = ~singular
+            rows, theta, r, norm, delta = rows[keep], theta[keep], r[keep], norm[keep], delta[keep]
+            if not rows.size:
                 break
+
+        # step halving on residual increase: a row keeps the first of theta +
+        # delta, theta + delta/2, ... that does not raise its residual
+        cand = theta + delta
+        rc = residual(rows, cand)
+        nc = np.abs(rc).max(axis=1)
+        ok = accepted(nc, norm)
+        if ok.all():
+            theta, r, norm = cand, rc, nc
+            continue
+        search, scale = np.flatnonzero(~ok), 1.0
+        rc = rc.copy()   # a residual that ignores theta comes back read-only
+        for _ in range(11):
             scale *= 0.5
-        if not accepted:
-            raise NonConvergenceError(f"damping stalled at residual {norm}",
-                                      residual=norm, iterations=it)
-        theta, r, norm = cand, rc, nc
-    if norm < tol:
-        return theta, r, _MAX_ITER
-    raise NonConvergenceError(f"no convergence in {_MAX_ITER} iterations, residual {norm}",
-                              residual=norm, iterations=_MAX_ITER)
+            trial = theta[search] + scale * delta[search]
+            r_trial = residual(rows[search], trial)
+            n_trial = np.abs(r_trial).max(axis=1)
+            hit = accepted(n_trial, norm[search])
+            kept = search[hit]
+            cand[kept], rc[kept], nc[kept], ok[kept] = trial[hit], r_trial[hit], n_trial[hit], True
+            search = search[~hit]
+            if not search.size:
+                break
+        for i in search:
+            fail(i, "damping stalled at residual {}", it)
+        rows, theta, r, norm = rows[ok], cand[ok], rc[ok], nc[ok]
+        if not rows.size:
+            break
+    else:
+        done = norm < tol
+        finished = rows[done]
+        roots[finished], residuals[finished], iterations[finished] = theta[done], r[done], _MAX_ITER
+        for i in np.flatnonzero(~done):
+            fail(i, f"no convergence in {_MAX_ITER} iterations, residual {{}}", _MAX_ITER)
+    return roots, residuals, iterations, failures
+
+
+def _solve(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Solutions of the (A, 8, 8) systems, and which of them are singular
+    (None when none is). np.linalg.solve refuses a whole batch for one
+    singular matrix, so then each system is solved on its own."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        delta, singular = np.zeros_like(rhs), np.zeros(len(rhs), dtype=bool)
+        for i in range(len(rhs)):
+            try:
+                delta[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return delta, singular
 
 
 def _theta_to_w(theta: np.ndarray) -> np.ndarray:
@@ -112,19 +184,22 @@ def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0, z=None,
     dj = _dj_lower(dJ)
     z = _as_point(np.zeros(4) if z is None else z)
 
-    def residual(theta: np.ndarray) -> np.ndarray:
+    def residual(rows, theta: np.ndarray) -> np.ndarray:
         g_c = lagrangian.grad(tau, z, _theta_to_w(theta)) + dj
         return np.concatenate([g_c.real, g_c.imag], axis=-1)
 
-    theta, _, iterations = _newton8(residual, tol)
-    w = _theta_to_w(theta)
-    g_c = lagrangian.grad(tau, z, w) + dj
+    roots, residuals, iterations, failures = _newton8(residual, tol)
+    if failures:
+        raise failures[0]
+    w = _theta_to_w(roots[0])
+    g_c = np.empty(4, dtype=np.complex128)   # dL/dw + dJ at the root, as the solve left it
+    g_c.real, g_c.imag = residuals[0, :4], residuals[0, 4:]
     real_pair = np.concatenate([g_c.real, -g_c.imag])
     return StationarityResult(
         w_star=ComplexFourVector(w, UPPER),
         residual_complex=g_c,
         residual_real_pair=real_pair,
-        iterations=iterations,
+        iterations=int(iterations[0]),
         converged=bool(np.abs(g_c).max() < tol),
     )
 
@@ -185,27 +260,36 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
             f"scaled residual {worst.scaled_residual:.3e} >= {_SCAN_TOL:.3e}")
 
     em = lagrangian.em
+    n = len(scan.results)
+    taus = np.array([p.tau for p in scan.results])   # the probes as the scan checked them
+    zs = np.array([p.z for p in scan.results])
+    d_x = np.array([p.derivatives.d_x for p in scan.results])
+    d_y = np.array([p.derivatives.d_y for p in scan.results])
+    # rows 0..n-1 solve the real-part set, rows n..2n-1 the imaginary-part set
+    real_rows = np.arange(2 * n) < n
+    shift_v = np.concatenate([d_x.real, d_x.imag])   # added to Re g, resp. Im g
+    shift_u = np.concatenate([d_y.real, d_y.imag])   # added to -Im g, resp. Re g
+    row_tau, row_z = np.concatenate([taus, taus]), np.concatenate([zs, zs])
+
+    def condition_sets(rows, theta):
+        lead = (slice(None),) + (None,) * (theta.ndim - 2)   # rows, then theta's extra axes
+        g = lagrangian.grad(row_tau[rows][lead], row_z[rows][lead], _theta_to_w(theta))
+        g = np.broadcast_to(g, theta.shape[:-1] + (4,))
+        real_set = real_rows[rows][lead + (None,)]
+        return np.concatenate([np.where(real_set, g.real, g.imag) + shift_v[rows][lead],
+                               np.where(real_set, -g.imag, g.real) + shift_u[rows][lead]],
+                              axis=-1)
+
+    roots, _, _, failures = _newton8(condition_sets, _SOLVER_TOL, 2 * n)
+    w_all = _theta_to_w(roots)
+    w_cf = None if em is None else em.stationary_control(taus, zs, d_x)
 
     out: list[AuditProbe] = []
     all_ok = True
-    for scanned in scan.results:
-        tau, z = scanned.tau, scanned.z   # the probe as the scan checked it
-        rep = scanned.derivatives
-        dx_r, dx_i = rep.d_x.real, rep.d_x.imag
-        dy_r, dy_i = rep.d_y.real, rep.d_y.imag
-
-        def real_set(theta: np.ndarray) -> np.ndarray:
-            g = lagrangian.grad(tau, z, _theta_to_w(theta))
-            return np.concatenate([g.real + dx_r, -g.imag + dy_r], axis=-1)
-
-        def imag_set(theta: np.ndarray) -> np.ndarray:
-            g = lagrangian.grad(tau, z, _theta_to_w(theta))
-            return np.concatenate([g.imag + dx_i, g.real + dy_i], axis=-1)
-
-        try:
-            theta_r, _, _ = _newton8(real_set, _SOLVER_TOL)
-            theta_i, _, _ = _newton8(imag_set, _SOLVER_TOL)
-        except NonConvergenceError as exc:
+    for i, scanned in enumerate(scan.results):
+        tau, z = scanned.tau, scanned.z
+        exc = failures.get(i, failures.get(n + i))
+        if exc is not None:
             all_ok = False
             out.append(AuditProbe(tau=tau, z=z, w_real_set=None, w_imag_set=None,
                                   disagreement=float("inf"),
@@ -213,11 +297,11 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
                                   singular=False,
                                   note=f"stationarity solve failed: {exc}"))
             continue
-        w_r, w_i = _theta_to_w(theta_r), _theta_to_w(theta_i)
+        w_r, w_i = w_all[i], w_all[n + i]
 
         cf_dis = 0.0
         if em is not None:
-            ww = complex(np.sum(em.metric.eta * w_r * w_r))
+            ww = complex((em.metric.eta * w_r * w_r).sum())
             if abs(ww) < _BRANCH_TOL * (em.c * em.c):
                 out.append(AuditProbe(tau=tau, z=z, w_real_set=w_r, w_imag_set=w_i,
                                       disagreement=float("nan"),
@@ -226,8 +310,7 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
                                       note="no interior stationary point "
                                            "(root at the square-root branch point)"))
                 continue
-            w_cf = em.stationary_control(tau, z, rep.d_z)
-            cf_dis = float(max(np.abs(w_r - w_cf).max(), np.abs(w_i - w_cf).max()))
+            cf_dis = float(max(np.abs(w_r - w_cf[i]).max(), np.abs(w_i - w_cf[i]).max()))
         disagreement = float(np.abs(w_r - w_i).max())
         ok = disagreement < _AUDIT_TOL
         all_ok = all_ok and ok

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spacetime import LOWER, ComplexFourVector, Metric, MOSTLY_PLUS, contract
-from .ccalc import _probe_stencil, _Stencil
+from .ccalc import _as_point, _probe_stencil, _quot, _Stencil
 
 SpinorFieldFn = Callable[[float, np.ndarray], np.ndarray]
 PotentialFn = Callable[[float, np.ndarray], np.ndarray]
@@ -37,6 +37,7 @@ _H_COARSE, _H_FINE = 0.02, 0.01   # the two steps of hopf_cole_order
 
 # signs eps_s of the per-component log map J = -i eps hbar log phi
 COMPONENT_SIGNS = (1.0, 1.0, -1.0, -1.0)
+_SIGNS = np.array(COMPONENT_SIGNS)
 
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
@@ -168,7 +169,7 @@ class PlaneWave:
 
     def phi(self, tau: float, z: np.ndarray) -> np.ndarray:
         z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
-        phase = 1j * complex(np.sum(self.p * z)) / self.hbar - 1j * self.lam * tau
+        phase = 1j * complex((self.p * z).sum()) / self.hbar - 1j * self.lam * tau
         return np.exp(phase) * self.chi
 
     def potential(self) -> Optional[PotentialFn]:
@@ -246,7 +247,7 @@ def linearized_residual(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
 
 
 def _spinor_stencil(phi: SpinorFieldFn, tau: float, z, h: Optional[float]) -> _Stencil:
-    st = _probe_stencil(lambda t, p: np.asarray(phi(t, p), dtype=np.complex128), tau, z, h)
+    st = _Stencil(phi, tau, _as_point(z), h, dtype=np.complex128)
     if st().shape != (4,):
         raise DomainError(f"phi must return 4 components, got {st().shape}")
     return st
@@ -270,7 +271,7 @@ def _linearized(gammas: GammaSet, st: _Stencil, *, lam, q, A, hbar, m, c) -> np.
     gamma_a = gammas.slash(a_val) @ phi0
     box = np.einsum("m,mj->j", eta, d2phi)
     a_dot_d = np.einsum("m,m,mj->j", eta, a_val, dphi)
-    a_sq = complex(np.sum(eta * a_val * a_val))
+    a_sq = complex((eta * a_val * a_val).sum())
 
     return (1j * hbar * m * dtau_phi
             - 1j * hbar * m * c * gamma_d
@@ -322,6 +323,21 @@ def hopf_cole_order(j_field, tau: float, z, metric: Metric = MOSTLY_PLUS) -> flo
     return float(np.log(r_c / r_f) / np.log(_H_COARSE / _H_FINE))
 
 
+def _py_cdiv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise, rounded as CPython divides complex numbers (Smith's
+    method, dividing by the larger part of b first); numpy's complex division
+    differs in the last bit for about half of all operands. b must not be 0."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    real_first = np.abs(br) >= np.abs(bi)
+    num, den = np.where(real_first, bi, br), np.where(real_first, br, bi)
+    ratio = num / den
+    denom = den + num * ratio
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = np.where(real_first, ar + ai * ratio, ar * ratio + ai) / denom
+    out.imag = np.where(real_first, ai - ar * ratio, ai * ratio - ar) / denom
+    return out
+
+
 @dataclass(frozen=True)
 class RouteReport:
     """Route A (value fields) against route B (linear operator) per component."""
@@ -370,17 +386,32 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     st = _spinor_stencil(phi, tau, z, h)
     z, phi0 = st.z, st()
     eta = gammas.metric.eta
-    eps = np.asarray(COMPONENT_SIGNS)
+    eps = _SIGNS
     # components this small are treated as structural zeros: their rho factor
     # kills the coupling term and their own value field is rejected
     live = np.abs(phi0) > 1e-12 * float(np.abs(phi0).max())
+    for r in comps:
+        if not live[r]:
+            raise DomainError(f"phi component {r} vanishes at the probe; "
+                              "its value field is undefined there")
+    cols = np.flatnonzero(live)
+    anchor = phi0[cols].tolist()
 
     # value fields of the live components (zero elsewhere), the log anchored at
-    # the probe so no point straddles the cut; Python complex division per
-    # component fixes the rounding, which dominates the reported discrepancy
-    jst = st.map(lambda v: np.array([
-        -1j * eps[s] * hbar * np.log(complex(v[s]) / complex(phi0[s])) if live[s] else 0j
-        for s in range(4)]))
+    # the probe so no point straddles the cut; the ratios round as Python's
+    # complex division rounds them, which dominates the reported discrepancy
+    coef = np.array([-1j * eps[s] * hbar for s in cols])
+
+    def log_map(values):
+        if len(cols) == 4:
+            return coef * np.log(_py_cdiv(values, phi0))
+        out = np.zeros(values.shape, dtype=np.complex128)
+        out[:, cols] = coef * np.log(_py_cdiv(values[:, cols], phi0[cols]))
+        return out
+
+    # the linear operator evaluates every block the log map then reads
+    lin = _linearized(gammas, st, lam=None, q=q, A=A, hbar=hbar, m=m, c=c)
+    jst = st.map(log_map)
     dj = jst.diff1().T       # [component, mu]
     d2j = jst.diff2()        # [mu, component]
     dtau_j = jst.diff_tau()
@@ -389,41 +420,37 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     if A is not None:
         a_val = np.asarray(A(tau, z), dtype=np.complex128)
 
-    lin = _linearized(gammas, st, lam=None, q=q, A=A, hbar=hbar, m=m, c=c)
+    # every requested component r at once, each term in the order and with
+    # the rounding of the scalar expression it stands for
+    rs = list(comps)
+    d2 = eta[:, None] * d2j[:, rs]
+    box_j = (((0 + d2[0]) + d2[1]) + d2[2]) + d2[3]   # the builtin sum, in axis order
+    grad = eps[cols, None] * dj[cols] if signing == "exact" else dj[cols]   # [s, mu]
+    gam = gammas.matrices.transpose(1, 2, 0)[rs][:, cols]                   # [r, s, mu]
+    terms = (gam * (grad + q * a_val)).sum(axis=-1).tolist()              # [r][s]
+    # the coupling of component r sums gamma-term times rho = phi_s / phi_r
+    # over the live s, in Python, so each product and sum rounds as scalars do
+    coupling = np.array([sum((t * (p / complex(phi0[r])) for t, p in zip(row, anchor)),
+                             0.0 + 0.0j) for r, row in zip(rs, terms)])
+    dj_r = np.ascontiguousarray(dj[rs])
+    grad_sq = (eta * dj_r * dj_r).sum(axis=-1)
+    a_grad = (eta * a_val * dj_r).sum(axis=-1)
+    a_sq = complex((eta * a_val * a_val).sum())
 
-    route_a = np.zeros(len(comps), dtype=np.complex128)
-    route_b = np.zeros(len(comps), dtype=np.complex128)
-    for out, r in enumerate(comps):
-        if not live[r]:
-            raise DomainError(f"phi component {r} vanishes at the probe; "
-                              "its value field is undefined there")
-        box_j = sum(eta[mu] * d2j[mu, r] for mu in range(4))   # in axis order
-
-        coupling = 0.0 + 0.0j
-        for s in range(4):
-            rho = complex(phi0[s]) / complex(phi0[r])
-            if not live[s]:
-                continue  # rho vanishes with phi_s, the product drops out
-            grad = eps[s] * dj[s] if signing == "exact" else dj[s]
-            coupling += complex(np.sum(gammas.matrices[:, r, s] * (grad + q * a_val))) * rho
-
-        grad_sq = complex(np.sum(eta * dj[r] * dj[r]))
-        a_grad = complex(np.sum(eta * a_val * dj[r]))
-        a_sq = complex(np.sum(eta * a_val * a_val))
-
-        if signing == "exact":
-            route_a[out] = (-dtau_j[r]
-                            + eps[r] * c * coupling
-                            - 1j * hbar / m * box_j
-                            + eps[r] / m * grad_sq
-                            + 2.0 * q / m * a_grad
-                            + eps[r] * q * q / m * a_sq)
-        else:
-            route_a[out] = (-dtau_j[r]
-                            + eps[r] * c * coupling
-                            - 1j * eps[r] * hbar / m * box_j
-                            + (grad_sq + 2.0 * q * a_grad + q * q * a_sq) / m)
-        route_b[out] = eps[r] * complex(lin[r]) / (m * complex(phi0[r]))
+    eps_r = eps[rs]
+    if signing == "exact":
+        route_a = (-dtau_j[rs]
+                   + eps_r * c * coupling
+                   - 1j * hbar / m * box_j
+                   + eps_r / m * grad_sq
+                   + 2.0 * q / m * a_grad
+                   + eps_r * q * q / m * a_sq)
+    else:
+        route_a = (-dtau_j[rs]
+                   + eps_r * c * coupling
+                   - np.array([1j * eps[r] * hbar / m for r in rs]) * box_j
+                   + _quot(grad_sq + 2.0 * q * a_grad + q * q * a_sq, m, True))
+    route_b = eps_r * lin[rs] / (m * phi0[rs])
 
     return RouteReport(components=comps, route_a=route_a, route_b=route_b,
                        signing=signing)

@@ -25,6 +25,7 @@ their numerical difference is pure stencil error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,6 +60,18 @@ class HJBProblem:
     def metric(self) -> Metric:
         return self.diffusion.metric
 
+    @cached_property
+    def _sigma_squared(self) -> np.ndarray:
+        return complex_sigma_squared(self.diffusion)
+
+    @cached_property
+    def _pair_weights(self) -> tuple:
+        """The weights of d2/dx2, d2/dx dy and d2/dy2 in the paired second-order term."""
+        spec = self.diffusion
+        return (spec.sigma_x * spec.sigma_x,
+                2.0 * spec.epsilon * self.metric.eta * spec.sigma_x * spec.sigma_y,
+                spec.sigma_y * spec.sigma_y)
+
 
 def rest_shell_velocity(c: float) -> np.ndarray:
     """The representative shell point (c, 0, 0, 0), on shell either convention."""
@@ -78,10 +91,10 @@ def optimal_control_at(problem: HJBProblem, dJ: np.ndarray, tau: float, z) -> tu
     z = _as_point(z)
     em = problem.lagrangian.em
     if em is not None:
-        p = dJ + em.q * em.potential(tau, z)
+        p = em._momentum(tau, z, dJ)
         if float(np.abs(p).max()) < _DEGENERATE_TOL * em.m * em.c:
             return rest_shell_velocity(em.c), "shell-degenerate"
-        return em.stationary_control(tau, z, dJ), "closed-form"
+        return em._control(p), "closed-form"
     result = solve_optimal_control(problem.lagrangian, dJ, tau=tau, z=z)
     return result.w_star.components, "newton"
 
@@ -120,10 +133,9 @@ def hjb_residual_probe(problem: HJBProblem, value_field, tau: float, z,
     d2j = st.diff2()    # the xx-route, as second_complex_derivative's d2_z
     w_star, method = optimal_control_at(problem, dj, tau, z)
     lval = complex(np.asarray(problem.lagrangian.value(tau, z, w_star)))
-    bracket = lval + complex(np.sum(w_star * dj))
+    bracket = lval + complex((w_star * dj).sum())
     dtau_j = st.diff_tau()
-    sigsq = complex_sigma_squared(problem.diffusion)
-    second = 0.5 * complex(np.sum(sigsq * d2j))
+    second = 0.5 * complex((problem._sigma_squared * d2j).sum())
     residual = -dtau_j - bracket - second
     return ResidualProbe(tau=float(tau), z=z, residual=residual, w_star=w_star,
                          control_method=method, dJ=dj, d2J=d2j)
@@ -135,49 +147,34 @@ def hjb_residual_complex(problem: HJBProblem, value_field, tau: float, z,
     return hjb_residual_probe(problem, value_field, tau, z, h=h).residual
 
 
-def _pair_partials(field: PairFieldFn, tau: float, z: np.ndarray,
-                   h: Optional[float]) -> tuple[np.ndarray, ...]:
-    """d/dx, d/dy, d2/dx2, d2/dy2, d2/dx dy (per axis) and d/dtau of a real
-    pair field from one stencil, so first and second routes share points."""
-    st = _Stencil(lambda t, p: field(t, p.real, p.imag), tau, z, h)
-    parts = (st.diff1(), st.diff1(1j), st.diff2(), st.diff2(1j), st.mixed())
-    return tuple(part.real for part in parts) + (st.diff_tau(),)
-
-
 def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFieldFn,
                       tau: float, x, y, h: Optional[float] = None) -> tuple[float, float]:
     """Residuals of the paired real equations at one probe.
 
     field_r and field_i are real fields of (tau, x, y). All their partials
-    come from real stencils; the stationary control is built from the pair
-    gradient dJ = dJ_R/dx + i dJ_I/dx.
+    come from real stencils, one for both fields, so first and second routes
+    share points; the stationary control is built from the pair gradient
+    dJ = dJ_R/dx + i dJ_I/dx.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (4,) or y.shape != (4,):
         raise DomainError("x and y must each have 4 components")
     z = x + 1j * y
-    dxr, dyr, dxxr, dyyr, dxyr, dtau_r = _pair_partials(field_r, tau, z, h)
-    dxi, dyi, dxxi, dyyi, dxyi, dtau_i = _pair_partials(field_i, tau, z, h)
+    st = _Stencil((field_r, field_i), tau, z, h, call="pair")
+    # rows J_R and J_I, columns the axes
+    dx, dy, dxx, dyy, dxy = (part.real.T.copy() for part in (
+        st.diff1(), st.diff1(1j), st.diff2(), st.diff2(1j), st.mixed()))
+    dtau = st.diff_tau()
 
-    dj = dxr + 1j * dxi
-    w_star, _ = optimal_control_at(problem, dj, tau, z)
-    v, u = w_star.real, w_star.imag
+    w_star, _ = optimal_control_at(problem, dx[0] + 1j * dx[1], tau, z)
     lval = complex(np.asarray(problem.lagrangian.value(tau, z, w_star)))
-
-    spec = problem.diffusion
-    sx2 = spec.sigma_x * spec.sigma_x
-    sy2 = spec.sigma_y * spec.sigma_y
-    mix = 2.0 * spec.epsilon * problem.metric.eta * spec.sigma_x * spec.sigma_y
-
-    bracket_r = lval.real + float(np.sum(v * dxr)) + float(np.sum(u * dyr))
-    second_r = 0.5 * float(np.sum(sx2 * dxxr + mix * dxyr + sy2 * dyyr))
-    residual_r = -dtau_r - bracket_r - second_r
-
-    bracket_i = lval.imag + float(np.sum(v * dxi)) + float(np.sum(u * dyi))
-    second_i = 0.5 * float(np.sum(sx2 * dxxi + mix * dxyi + sy2 * dyyi))
-    residual_i = -dtau_i - bracket_i - second_i
-    return float(residual_r), float(residual_i)
+    sx2, mix, sy2 = problem._pair_weights
+    bracket = (np.array([lval.real, lval.imag]) + (w_star.real * dx).sum(axis=-1)
+               + (w_star.imag * dy).sum(axis=-1))
+    second = 0.5 * (sx2 * dxx + mix * dxy + sy2 * dyy).sum(axis=-1)
+    residual = -dtau - bracket - second
+    return float(residual[0]), float(residual[1])
 
 
 def dalembertian(value_field, tau: float, z, metric: Metric,

@@ -18,6 +18,11 @@ config as Lagrangian.em, where hjb, control and cli find both.
 
 Vector potentials are callables A(tau, z) -> (..., 4) lower-index components,
 analytic in z and broadcasting over leading axes of z.
+
+tau is a float, or an array that broadcasts against the leading axes of z.
+A Lagrangian's value and gradient_w and a vector potential must accept
+both: the equivalence audit evaluates every probe's conditions at once,
+with one tau per probe. Every preset here complies.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ class Lagrangian:
         if self.gradient_w is not None:
             return np.asarray(self.gradient_w(tau, z, w), dtype=np.complex128)
         st = _Stencil(lambda t, v: self.value(t, z, v), tau,
-                      np.asarray(w, dtype=np.complex128), h)
+                      np.asarray(w, dtype=np.complex128), h, call="slab")
         return np.moveaxis(st.diff1(), 0, -1)
 
 
@@ -98,12 +103,18 @@ class EMFieldConfig:
     def stationary_control(self, tau: float, z, dJ) -> np.ndarray:
         """Upper-index stationary velocity -(dJ_mu + q A_mu)/m raised, for z
         and lower-index dJ of shape (..., 4)."""
-        p = np.asarray(dJ, dtype=np.complex128) + self.q * self.potential(tau, np.asarray(z, dtype=np.complex128))
+        return self._control(self._momentum(tau, z, dJ))
+
+    def _momentum(self, tau: float, z, dJ) -> np.ndarray:
+        """dJ_mu + q A_mu, the lower-index momentum the control balances."""
+        return np.asarray(dJ, dtype=np.complex128) + self.q * self.potential(tau, np.asarray(z, dtype=np.complex128))
+
+    def _control(self, p: np.ndarray) -> np.ndarray:
         return self.metric.eta * (-p / self.m)
 
 
 def _sum_ww(metric: Metric, w: np.ndarray) -> np.ndarray:
-    return np.sum(metric.eta * w * w, axis=-1)
+    return (metric.eta * w * w).sum(axis=-1)
 
 
 def em_lagrangian(cfg: EMFieldConfig) -> Lagrangian:
@@ -117,7 +128,7 @@ def em_lagrangian(cfg: EMFieldConfig) -> Lagrangian:
         if cfg.q == 0.0 and cfg.A is None:
             return core
         a = cfg.potential(tau, np.asarray(z, dtype=np.complex128))
-        return core + cfg.q * np.sum(a * w, axis=-1)
+        return core + cfg.q * (a * w).sum(axis=-1)
 
     def gradient_w(tau, z, w):
         w = np.asarray(w, dtype=np.complex128)
@@ -189,8 +200,9 @@ def vector_potential_preset(text: str) -> tuple[Optional[AFn], dict]:
         a = np.array(args, dtype=np.complex128)
 
         def const_potential(tau, z):
-            z = np.asarray(z, dtype=np.complex128)
-            return np.broadcast_to(a, z.shape).copy()
+            out = np.empty(np.shape(z), dtype=np.complex128)
+            out[...] = a
+            return out
 
         return const_potential, {"potential": "constant", "components": args}
     if name == "linear-electric":

@@ -19,6 +19,8 @@ from csoc.cli import (
     main,
     read_config_file,
 )
+from csoc.hjb import covariance_check
+from csoc.spacetime import MOSTLY_PLUS
 from csoc.wiener import RNG_ALGORITHM
 
 
@@ -161,7 +163,7 @@ def run_fresh(*args, **env_vars):
                           capture_output=True, text=True, env=env, timeout=300)
 
 
-@pytest.mark.parametrize("flag", ["--m", "--box-half-width"])
+@pytest.mark.parametrize("flag", ["--tau-hi", "--tau-f"])
 def test_infinite_flag_is_a_domain_error_not_a_traceback(tmp_path, flag):
     out = tmp_path / "run"
     proc = run_fresh("run", "all", "--out-dir", str(out), flag, "inf")
@@ -194,16 +196,33 @@ def test_float_flags_take_a_negative_value_apart(value, capsys):
 
 
 def test_nan_rapidity_fails_the_covariance_check(tmp_path):
+    # the check itself propagates the NaN; the CLI refuses the value up front
+    value = lambda tau, z: complex(np.sum(MOSTLY_PLUS.eta * z * z))
+    z = np.array([0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.1j, 0.05 + 0.3j])
+    assert np.isnan(covariance_check(value, MOSTLY_PLUS, float("nan"), 1, 0.2, z))
     out = tmp_path / "run"
-    assert main(["run", "covariance", "--out-dir", str(out), "--rapidity", "nan"]) == 1
-    report = json.loads(read_bytes(out / "covariance.json"))
-    assert report["max_discrepancy"] == "NaN"
+    assert main(["run", "covariance", "--out-dir", str(out), "--rapidity", "nan"]) == 2
+    assert not out.exists()
 
 
 def test_nan_step_is_a_domain_error_for_moments(tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(["run", "moments", "--out-dir", str(out), "--d-tau", "nan"]) == 3
-    assert "d_tau must be finite and positive" in capsys.readouterr().err
+    assert main(["run", "moments", "--out-dir", str(out), "--d-tau", "nan"]) == 2
+    assert "config error: d_tau must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["hbar", "m", "c", "d_tau", "box_half_width", "sigma_x",
+                                 "sigma_y", "rapidity"])
+def test_non_finite_value_is_one_config_error(tmp_path, capsys, key, value):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[common]\n{key} = {value}\n")
+    for args in (["--" + key.replace("_", "-"), value], ["--config", str(ini)]):
+        out = tmp_path / "run"
+        assert main(["run", "all", "--out-dir", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {key} must be finite")
+        assert not out.exists()
 
 
 def test_config_file_sections_layer_under_flags(tmp_path):

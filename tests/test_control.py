@@ -178,3 +178,64 @@ def test_newton_jacobian_is_one_batched_gradient_call():
     res = solve_optimal_control(lag, np.array([0.3, -0.2, 0.1, 0.05]) + 0.02j)
     assert res.converged
     assert grad.calls <= 6
+
+
+def rows_of(report):
+    return [(p.w_real_set, p.w_imag_set, p.disagreement, p.closed_form_disagreement,
+             p.singular, p.note) for p in report.probes]
+
+
+def same_probe(a, b):
+    (wr_a, wi_a, *rest_a), (wr_b, wi_b, *rest_b) = a, b
+    same_roots = all(x is None and y is None or x.tobytes() == y.tobytes()
+                     for x, y in ((wr_a, wr_b), (wi_a, wi_b)))
+    return same_roots and rest_a == rest_b
+
+
+def test_a_failing_row_fails_its_probe_alone():
+    # x^0 > 0: a kink the Newton step climbs, so damping stalls; x^1 > 0.2: a
+    # gradient flat in w, so the Jacobian is singular; elsewhere a root.
+    # np.linalg.solve refuses a batch with one singular matrix, so the batch
+    # falls back to solving each system on its own
+    def gradient_w(tau, z, w):
+        w = np.asarray(w, dtype=np.complex128)
+        kink = np.where(z[..., :1].real > 0, 10.0, 0.0)
+        slope = np.where(z[..., 1:2].real > 0.2, 0.0, 1.0)
+        return 1 + slope * w + kink * (np.abs(w.real) + 1j * np.abs(w.imag))
+
+    lag = Lagrangian(value=lambda tau, z, w: np.zeros(np.shape(w)[:-1], complex),
+                     gradient_w=gradient_w)
+    probes = random_probes(12, seed=11)
+    report = equivalence_audit(lag, quadratic_value_field, probes, h=1e-4)
+    notes = {p.note.split(" at")[0].split(" after")[0] for p in report.probes}
+    assert notes == {"", "stationarity solve failed: damping stalled",
+                     "stationarity solve failed: singular Jacobian"}
+    assert not report.passed
+    for probe, row in zip(probes, rows_of(report)):
+        alone = rows_of(equivalence_audit(lag, quadratic_value_field, [probe], h=1e-4))[0]
+        assert same_probe(row, alone)
+
+
+def test_tau_dependent_potential_gives_the_same_roots_batched():
+    def potential(tau, z):   # A_0 = tau z^1, tau one per row of z or a float
+        z = np.asarray(z, dtype=np.complex128)
+        a = np.zeros(z.shape, dtype=np.complex128)
+        a[..., 0] = tau * z[..., 1]
+        return a
+
+    lag = em_lagrangian(EMFieldConfig(q=0.5, A=potential))
+    probes = random_probes(8, seed=12)
+    report = equivalence_audit(lag, quadratic_value_field, probes)
+    assert report.passed and report.max_closed_form_disagreement < 1e-8
+    for probe, row in zip(probes, rows_of(report)):
+        assert same_probe(row, rows_of(equivalence_audit(lag, quadratic_value_field, [probe]))[0])
+
+
+def test_a_gradient_that_ignores_w_still_broadcasts_over_rows():
+    stuck = Lagrangian(value=lambda tau, z, w: 0j,
+                       gradient_w=lambda tau, z, w: np.full(4, 1.0 + 0j))
+    with pytest.raises(NonConvergenceError, match="singular Jacobian after 0 iterations"):
+        solve_optimal_control(stuck, np.zeros(4))
+    report = equivalence_audit(stuck, quadratic_value_field, random_probes(5, seed=13), h=1e-4)
+    assert [p.note for p in report.probes] == [
+        "stationarity solve failed: singular Jacobian after 0 iterations"] * 5
