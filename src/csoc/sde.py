@@ -23,18 +23,21 @@ Each path draws its increments from an independent substream keyed by
 regenerated in isolation (path_increments). An ensemble computes all its keys
 at once and re-keys one generator per path (see wiener).
 
-Arrays are time-major: increments are drawn into one (n_steps, n_paths, 4)
-buffer and trajectories stored in one (n_steps+1, n_paths, 8) buffer, so each
-step reads and writes contiguous slabs. TrajectoryEnsemble.states and the
-arrays of ensemble_increments expose them as (n_paths, ...) views, which are
-not C-contiguous. dWy is never stored for a run: each step forms its slice
-as the signed copy of dWx's.
+Arrays are time-major: trajectories are stored in one (n_steps+1, n_paths, 8)
+buffer, so each step reads and writes contiguous slabs. TrajectoryEnsemble.states
+and the arrays of ensemble_increments expose (n_paths, ...) views, which are
+not C-contiguous. integrate holds no increment array: each path's dWx is
+drawn into the x-slots of the states it drives, states[t+1, :, 0:4], where
+step t reads it before storing x_{t+1} over it, so a run peaks at about its
+states buffer. estimate_action and bellman_consistency, which store no states,
+still hold dWx in one (n_steps, n_paths, 4) buffer. dWy is never stored for a
+run: each step forms its slice as the signed copy of dWx's.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,6 +50,7 @@ PolicyFn = Callable[[float, np.ndarray], np.ndarray]
 
 _CSV_FIELDS = ["path", "step", "tau",
                "x0", "x1", "x2", "x3", "y0", "y1", "y2", "y3"]
+_CSV_ROW = "%d,%d" + ",%.17g" * 9 + "\r\n"
 
 _NAN = complex(np.nan, np.nan)   # the state of a failed path
 
@@ -100,14 +104,22 @@ def path_increments(spec: DiffusionSpec, d_tau: float, n_steps: int,
     return dWx, dWx * spec.sign_copy
 
 
-def _increments(d_tau: float, n_steps: int, n_paths: int, seed: int) -> np.ndarray:
-    """dWx of the whole ensemble in a time-major (n_steps, n_paths, 4) buffer;
-    path p's column holds exactly the numbers of path_increments(..., path=p)."""
-    dW = np.empty((n_steps, n_paths, 4))
+_DRAW_CHUNK = 64   # paths drawn contiguous before one time-major copy
+
+
+def _draw_increments(out: np.ndarray, d_tau: float, seed: int) -> np.ndarray:
+    """Fill a time-major (n_steps, n_paths, 4) view with the ensemble's dWx and
+    return it; path p's column holds exactly the numbers of
+    path_increments(..., path=p). Paths are drawn _DRAW_CHUNK at a time into a
+    contiguous block, which is copied into out in one assignment."""
+    n_steps, n_paths, _ = out.shape
     scale = np.sqrt(d_tau)
-    for p, rng in enumerate(_path_generators(seed, n_paths)):
-        dW[:, p] = rng.normal(0.0, scale, size=(n_steps, 4))
-    return dW
+    rngs = _path_generators(seed, n_paths)
+    for p0 in range(0, n_paths, _DRAW_CHUNK):
+        paths = islice(rngs, _DRAW_CHUNK)
+        chunk = np.stack([rng.normal(0.0, scale, size=(n_steps, 4)) for rng in paths])
+        out[:, p0:p0 + len(chunk)] = chunk.swapaxes(0, 1)
+    return out
 
 
 def _signed_steps(spec: DiffusionSpec, dW: np.ndarray):
@@ -120,7 +132,7 @@ def ensemble_increments(spec: DiffusionSpec, d_tau: float, n_steps: int,
                         n_paths: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Increments for the whole ensemble, shape (n_paths, n_steps, 4) each:
     views of time-major buffers, not C-contiguous."""
-    dW = _increments(d_tau, n_steps, n_paths, seed)
+    dW = _draw_increments(np.empty((n_steps, n_paths, 4)), d_tau, seed)
     return dW.swapaxes(0, 1), (dW * spec.sign_copy).swapaxes(0, 1)
 
 
@@ -162,17 +174,16 @@ class TrajectoryEnsemble:
     def to_csv(self, path) -> None:
         """One row per (path, step): path, step, tau, x0..x3, y0..y3.
 
-        Floats are written with 17 significant digits (round-trip exact).
+        Floats are written with 17 significant digits (round-trip exact), and
+        rows end in CRLF, as the csv module writes them.
         """
-        taus = self.taus()
+        taus = self.taus().tolist()
+        lines = [",".join(_CSV_FIELDS) + "\r\n"]
+        for p, path_states in enumerate(self.states):
+            lines += [_CSV_ROW % (p, t, tau, *row)
+                      for t, (tau, row) in enumerate(zip(taus, path_states.tolist()))]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_FIELDS)
-            for p in range(self.n_paths):
-                for t in range(self.n_steps + 1):
-                    row = [str(p), str(t), "%.17g" % taus[t]]
-                    row += ["%.17g" % v for v in self.states[p, t]]
-                    writer.writerow(row)
+            fh.write("".join(lines))
 
 
 def _check_grid(d_tau: float, n_steps: int, n_paths: int):
@@ -213,10 +224,12 @@ def _euler(policy: PolicyFn, spec: DiffusionSpec, z: np.ndarray, d_tau: float,
 
 
 def _integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float, steps,
-               n_steps: int, n_paths: int, tau0: float, seed: int) -> TrajectoryEnsemble:
-    """Run _euler over n_steps (dWx, dWy) pairs, storing every state time-major."""
+               states: np.ndarray, tau0: float, seed: int) -> TrajectoryEnsemble:
+    """Run _euler over (dWx, dWy) pairs, storing every state time-major in the
+    (n_steps+1, n_paths, 8) buffer states. Step t stores z_t before it moves
+    the paths, so its increments may sit in states[t+1] until then."""
+    n_steps, n_paths = states.shape[0] - 1, states.shape[1]
     z = _initial_state(z0, n_paths)
-    states = np.empty((n_steps + 1, n_paths, 8))
     for t, _, _ in _euler(policy, spec, z, d_tau, steps, tau0):
         states[t, :, 0:4], states[t, :, 4:8] = z.real, z.imag
     states[n_steps, :, 0:4], states[n_steps, :, 4:8] = z.real, z.imag
@@ -242,7 +255,8 @@ def integrate_with_increments(policy: PolicyFn, spec: DiffusionSpec, z0,
     n_paths, n_steps = dWx.shape[0], dWx.shape[1]
     _check_grid(d_tau, n_steps, n_paths)
     steps = zip(dWx.swapaxes(0, 1), dWy.swapaxes(0, 1))
-    return _integrate(policy, spec, z0, d_tau, steps, n_steps, n_paths, tau0, seed)
+    states = np.empty((n_steps + 1, n_paths, 8))
+    return _integrate(policy, spec, z0, d_tau, steps, states, tau0, seed)
 
 
 def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
@@ -250,9 +264,10 @@ def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
               tau0: float = 0.0) -> TrajectoryEnsemble:
     """Integrate the ensemble forward from a shared initial point."""
     _check_grid(d_tau, n_steps, n_paths)
-    dW = _increments(d_tau, n_steps, n_paths, seed)
+    states = np.empty((n_steps + 1, n_paths, 8))
+    dW = _draw_increments(states[1:, :, 0:4], d_tau, seed)
     return _integrate(policy, spec, z0, d_tau, _signed_steps(spec, dW),
-                      n_steps, n_paths, tau0, seed)
+                      states, tau0, seed)
 
 
 def _survivor_stats(samples: np.ndarray, good: np.ndarray, what: str) -> tuple[complex, dict]:
@@ -294,7 +309,7 @@ def estimate_action(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0,
     exceed 0.1% of the ensemble.
     """
     _check_grid(d_tau, n_steps, n_paths)
-    dW = _increments(d_tau, n_steps, n_paths, seed)
+    dW = _draw_increments(np.empty((n_steps, n_paths, 4)), d_tau, seed)
     z = _initial_state(z0, n_paths)
     action = np.zeros(n_paths, dtype=np.complex128)
     for _, tau, w in _euler(policy, spec, z, d_tau, _signed_steps(spec, dW), tau0):
@@ -330,7 +345,7 @@ def bellman_consistency(value_field, lagrangian, policy: PolicyFn,
     the surviving paths are then a biased sample.
     """
     _check_grid(d_tau, 1, n_paths)
-    dW = _increments(d_tau, 1, n_paths, seed)
+    dW = _draw_increments(np.empty((1, n_paths, 4)), d_tau, seed)
     z = _initial_state(z0, n_paths)
     j0 = complex(value_field(tau, z[0]))
     for _, _, w in _euler(policy, spec, z, d_tau, _signed_steps(spec, dW), tau):

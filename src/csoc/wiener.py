@@ -245,8 +245,13 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
     if n < 10_000:
         raise DomainError(f"n must be at least 10000 for stable moments, got {n}")
     dWx, dWy = sample_increments(spec, d_tau, n, seed)
-    dx = v * d_tau + spec.sigma_x * dWx
-    dy = u * d_tau + spec.sigma_y * dWy
+    # per-axis rows, each contiguous: dx[mu] is sigma_x^mu dWx^mu + v^mu d_tau
+    dx = np.ascontiguousarray(dWx.T)
+    dx *= spec.sigma_x[:, None]
+    dx += (v * d_tau)[:, None]
+    dy = np.ascontiguousarray(dWy.T)
+    dy *= spec.sigma_y[:, None]
+    dy += (u * d_tau)[:, None]
 
     lines: list[MomentLine] = []
 
@@ -257,22 +262,22 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
         lines.append(MomentLine(name, est, float(target), se, z, not abs(z) <= z_max))
 
     for mu in range(4):
-        add(f"dx{mu}", dx[:, mu], v[mu] * d_tau)
+        add(f"dx{mu}", dx[mu], v[mu] * d_tau)
     for mu in range(4):
-        add(f"dy{mu}", dy[:, mu], u[mu] * d_tau)
+        add(f"dy{mu}", dy[mu], u[mu] * d_tau)
     sx, sy = spec.sigma_x, spec.sigma_y
     eta = spec.metric.eta
     for mu in range(4):
         for nu in range(mu, 4):
             target = sx[mu] * sx[mu] * d_tau if mu == nu else 0.0
-            add(f"dx{mu}dx{nu}", dx[:, mu] * dx[:, nu], target)
+            add(f"dx{mu}dx{nu}", dx[mu] * dx[nu], target)
     for mu in range(4):
         for nu in range(mu, 4):
             target = sy[mu] * sy[mu] * d_tau if mu == nu else 0.0
-            add(f"dy{mu}dy{nu}", dy[:, mu] * dy[:, nu], target)
+            add(f"dy{mu}dy{nu}", dy[mu] * dy[nu], target)
     for mu in range(4):
         for nu in range(4):
             target = spec.epsilon * eta[mu] * sx[mu] * sy[mu] * d_tau if mu == nu else 0.0
-            add(f"dx{mu}dy{nu}", dx[:, mu] * dy[:, nu], target)
+            add(f"dx{mu}dy{nu}", dx[mu] * dy[nu], target)
 
     return MomentReport(lines=tuple(lines), n=n, d_tau=float(d_tau), z_max=float(z_max))
