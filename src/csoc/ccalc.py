@@ -13,18 +13,18 @@ Second derivatives come in three routes, d2/dx2, -d2/dy2 and -i * d/dx d/dy.
 
 Every central difference in csoc runs on one engine, _Stencil; the one
 exception is the Newton Jacobian in control, which takes all its points in
-one batched call. The stencil evaluates blocks, not points: a difference
-asks for all its offsets at once, as one array z + offsets, the field is
-called on each point of that block in one comprehension, and the difference
-is array arithmetic on the block's values. Each block is evaluated once, and
-blocks that coincide (first and second differences at one explicit h, the
-probe itself) share one evaluation. Python complex values are divided as
-Python divides them, so the results are bit for bit those of scalar
-arithmetic at each point. With leading axes on z a stencil covers many
-probes at once: analyticity_scan differences all its probes as one block.
-The stencil owns its steps: it sets them once, when it is built about a
-probe, so its differences take no step argument. An explicit h is every
-step, the tau step included; otherwise _step gives eps**(1/3) * scale for first differences and
+one batched call. The stencil evaluates blocks, not points: it calls its
+field one way, f(tau, z + offsets[k]) once per offset of a block, with the
+probe's tau and the shape of z, and a difference is array arithmetic on the
+block's values. With leading axes on z a stencil covers many probes at
+once; _rows adapts a per-point field to such (N, 4) rows, which is how
+analyticity_scan differences all its probes as one block. Each block is
+evaluated once, and blocks that coincide (first and second differences at
+one explicit h, the probe itself) share one evaluation. Python complex
+values are divided as Python divides them, so the results are bit for bit
+those of scalar arithmetic at each point. The stencil sets its steps once,
+when it is built about a probe. An explicit h is every step, the tau step
+included; otherwise _step gives eps**(1/3) * scale for first differences and
 eps**(1/4) * scale for second differences, scale being max(1, max |z^mu|)
 (max(1, |tau|) in tau). _Stencil.map gives the stencil of g(f) about the same
 probe from the values already taken, so differences of g(f) evaluate no new
@@ -35,14 +35,13 @@ a stencil or any other caller evaluates is checked, not a margin around it.
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .spacetime import UPPER, ComplexFourVector
+from .spacetime import _vector
 
 FieldFn = Callable[[float, np.ndarray], complex]
 
@@ -81,19 +80,42 @@ def _quot(num, d, pydiv: bool):
     point rounds it.
 
     Python complex values divide as CPython divides them: the values of one
-    probe Python divides itself, those of many probes go through the parts
-    as below. numpy's division of a complex array multiplies by a reciprocal
-    and can differ in the last bit, so it serves real and numpy values only,
-    whose scalars numpy divides the same way.
+    probe Python divides itself, those of many probes go through _py_cdiv.
+    numpy's division of a complex array multiplies by a reciprocal and can
+    differ in the last bit, so it serves real and numpy values only, whose
+    scalars numpy divides the same way.
     """
     if not pydiv:
         return num / d
     if not isinstance(d, np.ndarray) and num.ndim <= 1:   # one probe
         return num.item() / d if num.ndim == 0 else np.array([x / d for x in num.tolist()])
-    out = np.empty(np.shape(num), dtype=np.complex128)
-    out.real = (num.real + num.imag * 0.0) / d
-    out.imag = (num.imag - num.real * 0.0) / d
+    return _py_cdiv(num, d)
+
+
+def _py_cdiv(a: np.ndarray, b) -> np.ndarray:
+    """a / b elementwise, rounded as CPython divides complex numbers (Smith's
+    method, dividing by the larger part of b first); numpy's complex division
+    differs in the last bit for about half of all operands. b, a scalar or
+    an array, must not be 0."""
+    ar, ai, br, bi = a.real, a.imag, np.real(b), np.imag(b)
+    real_first = np.abs(br) >= np.abs(bi)
+    num, den = np.where(real_first, bi, br), np.where(real_first, br, bi)
+    ratio = num / den
+    denom = den + num * ratio
+    out = np.empty(np.broadcast_shapes(a.shape, np.shape(b)), dtype=np.complex128)
+    out.real = np.where(real_first, ar + ai * ratio, ar * ratio + ai) / denom
+    out.imag = np.where(real_first, ai - ar * ratio, ai * ratio - ar) / denom
     return out
+
+
+def _rows(f):
+    """A per-point field f(tau, z) as a field on (N, 4) rows: f is called
+    once per row, at that row's tau as a Python float, and the values come
+    back as a list, so a stencil sees whether they are Python complex."""
+    def rows(tau, z):
+        taus = np.broadcast_to(tau, z.shape[:-1]).tolist()
+        return [f(t, p) for t, p in zip(taus, z)]
+    return rows
 
 
 class _Stencil:
@@ -102,25 +124,24 @@ class _Stencil:
     Each difference asks for all its points at once, as one block z + offsets
     of shape (k, *lead, 4): diff1 and diff2 the +/- offsets on all four axes,
     mixed the 16 diagonal corners, diff_tau the two tau-shifted points and
-    diff2 the probe itself. The field is called on each point of a block in
-    one comprehension, and the differences are array operations on the
-    block's values. Blocks are cached by what they hold, so first and second
-    differences at one explicit h share one block. Fields are assumed
-    deterministic.
+    diff2 the probe itself. The field is called once per offset, f(tau,
+    z + offset), with the probe's tau (tau +/- h_tau in the tau block)
+    passed through unchanged, and the differences are array operations on
+    the block's values. Blocks are cached by what they hold, so first and
+    second differences at one explicit h share one block. Fields are
+    assumed deterministic.
 
     The steps h1 (first differences), h2 (second differences) and h_tau are
     set here, from h when it is given and else by _step at the probe's scale.
-    z may carry leading axes, each row a probe with steps of its own scale
-    and a scalar value per point; tau is a float or an array that broadcasts
-    against those axes. call says how f takes a point: "point" f(tau, z)
-    once per point, each probe at its own tau; "pair" likewise, with f a
-    tuple of real fields g(tau, x, y) whose values stack on a last axis;
-    "slab" f(tau, z) once per offset, with z carrying the leading axes.
-    dtype, when given, is the dtype of the values.
+    z may carry leading axes, each row a probe with steps of its own scale;
+    tau is a float or an array that broadcasts against them, and f maps such
+    a z to a value per row (_rows adapts a per-point field). Python complex
+    values, or lists of them, divide as CPython divides them. dtype, when
+    given, is the dtype of the values.
     """
 
-    def __init__(self, f, tau, z, h=None, call: str = "point", dtype=None):
-        self.f, self.tau, self.z, self.call, self.dtype = f, tau, z, call, dtype
+    def __init__(self, f, tau, z, h=None, dtype=None):
+        self.f, self.tau, self.z, self.dtype = f, tau, z, dtype
         scale = np.abs(z).max(axis=-1, initial=1.0)   # max(1, max |z^mu|) per row
         self.h1, self.h2 = _step(scale, 1, h), _step(scale, 2, h)
         tau_scale = (np.maximum(1.0, np.abs(tau)) if isinstance(tau, np.ndarray)
@@ -153,7 +174,7 @@ class _Stencil:
             if self._source is not None:
                 self._map_blocks(key)
                 return self._blocks[key]
-            hit = self._blocks[key] = self._evaluate(*self._points(key))
+            hit = self._blocks[key] = self._evaluate(key)
         return hit
 
     def _map_blocks(self, key) -> None:
@@ -167,52 +188,22 @@ class _Stencil:
             self._blocks[k] = (mapped[start:start + len(v)], False)
             start += len(v)
 
-    def _points(self, key):
-        """(taus, points) of a block: a tau per row, or None for the probe's;
-        points None for the probe's z at every row."""
-        z = self.z
-        if key == "center":
-            return None, z[None]
+    def _evaluate(self, key) -> tuple[np.ndarray, bool]:
+        """f once per offset of a block, at the probe's tau; the tau block
+        is the probe's z at tau + h_tau and tau - h_tau."""
+        f, tau, z = self.f, self.tau, self.z
         if key == "tau":
-            return (self.tau + self.h_tau, self.tau - self.h_tau), None
-        if key == "mixed":
-            return None, z + self._offsets(self.h2, "mixed")
-        unit, order = key
-        return None, z + self._offsets(self.h1 if order == 1 else self.h2, unit)
-
-    def _evaluate(self, taus, points) -> tuple[np.ndarray, bool]:
-        f, call, z = self.f, self.call, self.z
-        if points is None:   # the tau block: the probe's z at each tau
-            if call == "pair":
-                points = np.array([z] * len(taus))
-            elif call == "slab" or z.ndim == 1:
-                vals = [f(t, z) for t in taus]
-                return np.array(vals, dtype=self.dtype), type(vals[0]) is complex
-            else:
-                points = np.broadcast_to(z, (len(taus),) + z.shape)
-        if call == "slab" or z.ndim == 1:
-            pts = points
-            if taus is None and call != "pair":   # the common case, kept lean
-                tau = self.tau
-                vals = [f(tau, p) for p in pts]
-                return np.array(vals, dtype=self.dtype), type(vals[0]) is complex
-            if taus is None:
-                taus = itertools.repeat(self.tau)
-        else:   # one call per point, each probe at its own tau
-            lead = self.z.shape[:-1]
-            taus = [float(t) for tk in ([self.tau] * len(points) if taus is None else taus)
-                    for t in np.broadcast_to(tk, lead).flat]
-            pts = points.reshape(-1, 4)
-        if call == "pair":   # a value of each field at each point, fields last
-            xs, ys = pts.real, pts.imag
-            columns = [[g(t, x, y) for t, x, y in zip(taus, xs, ys)] for g in f]
-            first, values = columns[0][0], np.array(columns, dtype=self.dtype).T
+            vals = [f(tau + self.h_tau, z), f(tau - self.h_tau, z)]
         else:
-            vals = [f(t, p) for t, p in zip(taus, pts)]
-            first, values = vals[0], np.array(vals, dtype=self.dtype)
-        if pts is not points:
-            values = values.reshape(points.shape[:-1] + values.shape[1:])
-        return values, type(first) is complex
+            if key == "center":
+                points = z[None]
+            elif key == "mixed":
+                points = z + self._offsets(self.h2, "mixed")
+            else:
+                points = z + self._offsets(self.h1 if key[1] == 1 else self.h2, key[0])
+            vals = [f(tau, p) for p in points]
+        first = vals[0][0] if type(vals[0]) is list else vals[0]
+        return np.array(vals, dtype=self.dtype), type(first) is complex
 
     def _offsets(self, h, key) -> np.ndarray:
         """The offsets of a block at step h, (k, *lead, 4): with leading axes
@@ -290,22 +281,9 @@ class ScalarField:
         return self.f(tau, z)
 
 
-def _as_point(z) -> np.ndarray:
-    """A coordinate point: 4 complex components, upper index."""
-    if isinstance(z, ComplexFourVector):
-        if z.index != UPPER:
-            raise DomainError("a coordinate point must carry an upper index")
-        z = z.components
-    z = np.asarray(z, dtype=np.complex128)
-    if z.shape != (4,):
-        raise DomainError(f"a coordinate point must have 4 components, "
-                          f"got shape {z.shape}")
-    return z
-
-
 def _probe_stencil(f, tau: float, z, h: Optional[float] = None) -> _Stencil:
     """The stencil of a field at a probe point."""
-    return _Stencil(f, tau, _as_point(z), h)
+    return _Stencil(f, tau, _vector(z), h)
 
 
 @dataclass(frozen=True)
@@ -424,8 +402,8 @@ def analyticity_scan(f, probes: Sequence[tuple[float, np.ndarray]],
     if not probes:
         raise DomainError("probe list is empty")
     taus = [float(tau) for tau, _ in probes]
-    zs = np.array([_as_point(z) for _, z in probes])
-    st = _Stencil(f, np.array(taus), zs, h)
+    zs = np.array([_vector(z) for _, z in probes])
+    st = _Stencil(_rows(f), np.array(taus), zs, h)
     d_x, d_y, cr, cons = _first_routes(st)     # (N, 4) each
     scale = np.maximum(1.0, np.abs(d_x))
     scaled = np.maximum(cr / scale, cons / scale).max(axis=1)

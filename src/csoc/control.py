@@ -31,9 +31,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AnalyticityError, DomainError, NonConvergenceError
-from .spacetime import ComplexFourVector, LOWER, UPPER
-from .ccalc import _as_point, _step, analyticity_scan
+from .errors import AnalyticityError, NonConvergenceError
+from .spacetime import ComplexFourVector, LOWER, UPPER, _vector
+from .ccalc import _step, analyticity_scan
 from .lagrangian import Lagrangian
 
 
@@ -167,22 +167,11 @@ def _theta_to_w(theta: np.ndarray) -> np.ndarray:
     return theta[..., :4] + 1j * theta[..., 4:]
 
 
-def _dj_lower(dJ) -> np.ndarray:
-    if isinstance(dJ, ComplexFourVector):
-        if dJ.index != LOWER:
-            raise DomainError("dJ must carry a lower index")
-        return dJ.components
-    dJ = np.asarray(dJ, dtype=np.complex128)
-    if dJ.shape != (4,):
-        raise DomainError(f"dJ must have 4 components, got shape {dJ.shape}")
-    return dJ
-
-
 def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0, z=None,
                           tol: float = 1e-10) -> StationarityResult:
     """Newton solve of dL/dw + dJ = 0 from w = 0 over the 8 real velocity components."""
-    dj = _dj_lower(dJ)
-    z = _as_point(np.zeros(4) if z is None else z)
+    dj = _vector(dJ, LOWER)
+    z = _vector(np.zeros(4) if z is None else z)
 
     def residual(rows, theta: np.ndarray) -> np.ndarray:
         g_c = lagrangian.grad(tau, z, _theta_to_w(theta)) + dj
@@ -282,39 +271,31 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
 
     roots, _, _, failures = _newton8(condition_sets, _SOLVER_TOL, 2 * n)
     w_all = _theta_to_w(roots)
-    w_cf = None if em is None else em.stationary_control(taus, zs, d_x)
+    w_r, w_i = w_all[:n], w_all[n:]
+    disagreement = np.abs(w_r - w_i).max(axis=1)
+    cf_dis, singular = np.zeros(n), np.zeros(n, dtype=bool)
+    if em is not None:
+        w_cf = em.stationary_control(taus, zs, d_x)
+        cf_dis = np.maximum(np.abs(w_r - w_cf).max(axis=1), np.abs(w_i - w_cf).max(axis=1))
+        ww = (em.metric.eta * w_r * w_r).sum(axis=1)
+        singular = np.abs(ww) < _BRANCH_TOL * (em.c * em.c)
 
     out: list[AuditProbe] = []
-    all_ok = True
     for i, scanned in enumerate(scan.results):
         tau, z = scanned.tau, scanned.z
         exc = failures.get(i, failures.get(n + i))
         if exc is not None:
-            all_ok = False
-            out.append(AuditProbe(tau=tau, z=z, w_real_set=None, w_imag_set=None,
-                                  disagreement=float("inf"),
-                                  closed_form_disagreement=float("inf"),
-                                  singular=False,
+            out.append(AuditProbe(tau, z, None, None, disagreement=float("inf"),
+                                  closed_form_disagreement=float("inf"), singular=False,
                                   note=f"stationarity solve failed: {exc}"))
-            continue
-        w_r, w_i = w_all[i], w_all[n + i]
-
-        cf_dis = 0.0
-        if em is not None:
-            ww = complex((em.metric.eta * w_r * w_r).sum())
-            if abs(ww) < _BRANCH_TOL * (em.c * em.c):
-                out.append(AuditProbe(tau=tau, z=z, w_real_set=w_r, w_imag_set=w_i,
-                                      disagreement=float("nan"),
-                                      closed_form_disagreement=float("nan"),
-                                      singular=True,
-                                      note="no interior stationary point "
-                                           "(root at the square-root branch point)"))
-                continue
-            cf_dis = float(max(np.abs(w_r - w_cf[i]).max(), np.abs(w_i - w_cf[i]).max()))
-        disagreement = float(np.abs(w_r - w_i).max())
-        ok = disagreement < _AUDIT_TOL
-        all_ok = all_ok and ok
-        out.append(AuditProbe(tau=tau, z=z, w_real_set=w_r, w_imag_set=w_i,
-                              disagreement=disagreement,
-                              closed_form_disagreement=cf_dis, singular=False))
-    return AuditReport(probes=tuple(out), tol=_AUDIT_TOL, passed=all_ok)
+        elif singular[i]:
+            out.append(AuditProbe(tau, z, w_r[i], w_i[i], disagreement=float("nan"),
+                                  closed_form_disagreement=float("nan"), singular=True,
+                                  note="no interior stationary point "
+                                       "(root at the square-root branch point)"))
+        else:
+            out.append(AuditProbe(tau, z, w_r[i], w_i[i], disagreement=float(disagreement[i]),
+                                  closed_form_disagreement=float(cf_dis[i]), singular=False))
+    # singular probes are left out; a failed solve's infinite disagreement fails
+    passed = all(p.singular or p.disagreement < _AUDIT_TOL for p in out)
+    return AuditReport(probes=tuple(out), tol=_AUDIT_TOL, passed=passed)

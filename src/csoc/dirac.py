@@ -28,8 +28,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .spacetime import LOWER, ComplexFourVector, Metric, MOSTLY_PLUS, contract
-from .ccalc import _as_point, _probe_stencil, _quot, _Stencil
+from .spacetime import LOWER, Metric, MOSTLY_PLUS, _vector, contract
+from .ccalc import _probe_stencil, _py_cdiv, _quot, _Stencil
 
 SpinorFieldFn = Callable[[float, np.ndarray], np.ndarray]
 PotentialFn = Callable[[float, np.ndarray], np.ndarray]
@@ -73,14 +73,7 @@ class GammaSet:
 
     def slash(self, a) -> np.ndarray:
         """sum_mu gamma^mu a_mu for a lower-index four-vector a."""
-        if isinstance(a, ComplexFourVector):
-            if a.index != LOWER:
-                a = a.flipped(self.metric)
-            a = a.components
-        a = np.asarray(a, dtype=np.complex128)
-        if a.shape != (4,):
-            raise DomainError(f"a must have 4 components, got shape {a.shape}")
-        return np.einsum("m,mij->ij", a, self.matrices)
+        return np.einsum("m,mij->ij", _vector(a, LOWER, self.metric), self.matrices)
 
     def anticommutator_residual(self) -> float:
         """max |{gamma^mu, gamma^nu} - 2 eta^{munu} I| over all pairs."""
@@ -96,11 +89,7 @@ class GammaSet:
 
     def square_slash_residual(self, a) -> float:
         """max |(gamma.a)^2 - (sum a^mu a_mu) I| for lower-index a."""
-        if isinstance(a, ComplexFourVector):
-            if a.index != LOWER:
-                a = a.flipped(self.metric)
-            a = a.components
-        a = np.asarray(a, dtype=np.complex128)
+        a = _vector(a, LOWER, self.metric)
         s = self.slash(a)
         norm = contract(a, a, self.metric, default_index=LOWER)
         return float(np.abs(s @ s - norm * np.eye(4)).max())
@@ -247,7 +236,7 @@ def linearized_residual(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
 
 
 def _spinor_stencil(phi: SpinorFieldFn, tau: float, z, h: Optional[float]) -> _Stencil:
-    st = _Stencil(phi, tau, _as_point(z), h, dtype=np.complex128)
+    st = _Stencil(phi, tau, _vector(z), h, dtype=np.complex128)
     if st().shape != (4,):
         raise DomainError(f"phi must return 4 components, got {st().shape}")
     return st
@@ -321,21 +310,6 @@ def hopf_cole_order(j_field, tau: float, z, metric: Metric = MOSTLY_PLUS) -> flo
     if r_f == 0.0:
         raise DomainError("fine-step residual vanished; order is undefined")
     return float(np.log(r_c / r_f) / np.log(_H_COARSE / _H_FINE))
-
-
-def _py_cdiv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b elementwise, rounded as CPython divides complex numbers (Smith's
-    method, dividing by the larger part of b first); numpy's complex division
-    differs in the last bit for about half of all operands. b must not be 0."""
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    real_first = np.abs(br) >= np.abs(bi)
-    num, den = np.where(real_first, bi, br), np.where(real_first, br, bi)
-    ratio = num / den
-    denom = den + num * ratio
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    out.real = np.where(real_first, ar + ai * ratio, ar * ratio + ai) / denom
-    out.imag = np.where(real_first, ai - ar * ratio, ai * ratio - ar) / denom
-    return out
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .spacetime import Metric
+from .spacetime import Metric, _vector
 from .wiener import DiffusionSpec, complex_sigma_squared
-from .ccalc import DomainBox, _as_point, _probe_stencil, _Stencil
+from .ccalc import DomainBox, _probe_stencil, _Stencil
 from .lagrangian import Lagrangian
 from .control import solve_optimal_control
 
@@ -88,7 +88,7 @@ def optimal_control_at(problem: HJBProblem, dJ: np.ndarray, tau: float, z) -> tu
     is the rest shell velocity, labelled "shell-degenerate". Every other
     Lagrangian goes through the Newton solver, labelled "newton".
     """
-    z = _as_point(z)
+    z = _vector(z)
     em = problem.lagrangian.em
     if em is not None:
         p = em._momentum(tau, z, dJ)
@@ -160,8 +160,13 @@ def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFi
     y = np.asarray(y, dtype=float)
     if x.shape != (4,) or y.shape != (4,):
         raise DomainError("x and y must each have 4 components")
+
+    def pair(t, p):
+        x, y = p.real, p.imag
+        return field_r(t, x, y), field_i(t, x, y)
+
     z = x + 1j * y
-    st = _Stencil((field_r, field_i), tau, z, h, call="pair")
+    st = _Stencil(pair, tau, z, h)
     # rows J_R and J_I, columns the axes
     dx, dy, dxx, dyy, dxy = (part.real.T.copy() for part in (
         st.diff1(), st.diff1(1j), st.diff2(), st.diff2(1j), st.mixed()))
@@ -188,7 +193,7 @@ def covariance_check(value_field, metric: Metric, rapidity: float, axis: int,
     """|d'Alembertian at z - d'Alembertian of the boosted field at the boosted point|."""
     from .spacetime import boost_matrix
 
-    z = _as_point(z)
+    z = _vector(z)
     lam = boost_matrix(rapidity, axis)
     lam_inv = boost_matrix(-rapidity, axis)
 
@@ -205,7 +210,7 @@ def boundary_residual(problem: HJBProblem, value_field,
     """max |J(tau_f, z)| over the probe points, NaN if any value is NaN."""
     if not len(points):
         raise DomainError("boundary point list is empty")
-    return float(np.max([abs(complex(value_field(problem.tau_f, _as_point(z))))
+    return float(np.max([abs(complex(value_field(problem.tau_f, _vector(z))))
                          for z in points]))
 
 

@@ -69,8 +69,7 @@ class Lagrangian:
         """
         if self.gradient_w is not None:
             return np.asarray(self.gradient_w(tau, z, w), dtype=np.complex128)
-        st = _Stencil(lambda t, v: self.value(t, z, v), tau,
-                      np.asarray(w, dtype=np.complex128), h, call="slab")
+        st = _Stencil(lambda t, v: self.value(t, z, v), tau, np.asarray(w, dtype=np.complex128), h)
         return np.moveaxis(st.diff1(), 0, -1)
 
 

@@ -43,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .ccalc import _as_point
+from .spacetime import _vector
 from .wiener import DiffusionSpec, _path_generators, path_generator
 
 PolicyFn = Callable[[float, np.ndarray], np.ndarray]
@@ -57,7 +57,7 @@ _NAN = complex(np.nan, np.nan)   # the state of a failed path
 
 def constant_policy(w) -> PolicyFn:
     """Policy returning the same complex four-velocity for every path."""
-    w = _as_point(w)
+    w = _vector(w)
 
     def policy(tau: float, z: np.ndarray) -> np.ndarray:
         return np.broadcast_to(w, z.shape)
@@ -195,7 +195,7 @@ def _check_grid(d_tau: float, n_steps: int, n_paths: int):
 
 def _initial_state(z0, n_paths: int) -> np.ndarray:
     """Every path at z0: a writable (n_paths, 4) complex array."""
-    return np.broadcast_to(_as_point(z0), (n_paths, 4)).copy()
+    return np.broadcast_to(_vector(z0), (n_paths, 4)).copy()
 
 
 def _euler(policy: PolicyFn, spec: DiffusionSpec, z: np.ndarray, d_tau: float,

@@ -13,7 +13,7 @@ contraction rule depends on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -112,6 +112,21 @@ def _components_and_index(v, default_index: str) -> tuple[np.ndarray, str]:
     return c, default_index
 
 
+def _vector(v, index: str = UPPER, metric: Optional[Metric] = None) -> np.ndarray:
+    """The 4 complex components of a four-vector with the given index.
+
+    A raw array is taken to carry index. A ComplexFourVector with the other
+    index is flipped under metric, and refused when no metric is given.
+    """
+    c, got = _components_and_index(v, index)
+    if got != index:
+        if metric is None:
+            raise DomainError(f"expected a four-vector with the {index} index, "
+                              f"got the {got} index")
+        c = metric.raise_or_lower(c)
+    return c
+
+
 def contract(a, b, metric: Metric = MOSTLY_PLUS, *, default_index: str = UPPER) -> complex:
     """Full contraction of two four-vectors under the metric.
 
@@ -147,7 +162,4 @@ def boost_matrix(rapidity: float, axis: int) -> np.ndarray:
 
 def apply_boost(v, rapidity: float, axis: int) -> ComplexFourVector:
     """Boost an upper-index four-vector; acts componentwise on re and im parts."""
-    c, index = _components_and_index(v, UPPER)
-    if index != UPPER:
-        raise DomainError("boost acts on upper-index vectors")
-    return ComplexFourVector(boost_matrix(rapidity, axis) @ c, UPPER)
+    return ComplexFourVector(boost_matrix(rapidity, axis) @ _vector(v), UPPER)

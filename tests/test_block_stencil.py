@@ -214,7 +214,9 @@ def probes(metric_name, n=6):
     zs = rng.uniform(-0.9, 0.9, (n, 4)) + 1j * rng.uniform(-0.9, 0.9, (n, 4))
     # signed zeros: a point offset along another axis keeps or flips them
     zs[0] = [complex(-0.0, 0.3), complex(0.2, -0.0), 0j, complex(-0.0, -0.0)]
-    return [(float(t), z) for t, z in zip(taus, zs)]
+    # probe 1 keeps numpy's float: a field then returns numpy complex values,
+    # which numpy divides, where a Python float tau gives CPython's division
+    return [(t if i == 1 else float(t), z) for i, (t, z) in enumerate(zip(taus, zs))]
 
 
 def python_field(eta):
@@ -269,8 +271,10 @@ def test_derivatives_match_the_per_point_stencil(metric_name, h):
         pts = probes(metric_name)
         scan = analyticity_scan(f, pts, h=h, tol=1.0)
         for (tau, z), scanned in zip(pts, scan.results):
-            d_x, d_y, cr, cons = ref_complex_derivative(f, tau, z, h)
-            for rep in (complex_derivative(f, tau, z, h=h), scanned.derivatives):
+            # the scan passes each row its tau as a Python float
+            for rep, t in ((complex_derivative(f, tau, z, h=h), tau),
+                           (scanned.derivatives, float(tau))):
+                d_x, d_y, cr, cons = ref_complex_derivative(f, t, z, h)
                 assert bits(rep.d_x) == bits(d_x) and bits(rep.d_y) == bits(d_y)
                 assert bits(rep.cr_residuals) == bits(cr)
                 assert bits(rep.consistency_residuals) == bits(cons)
@@ -357,3 +361,24 @@ def test_the_audit_reads_the_per_point_derivatives():
         cf = float(max(np.abs(probe.w_real_set - w_cf).max(),
                        np.abs(probe.w_imag_set - w_cf).max()))
         assert probe.closed_form_disagreement == cf
+
+
+def test_a_field_gets_the_callers_tau_or_a_python_float_per_row():
+    # the type of tau decides how a field's values divide (numpy's float makes
+    # tau * complex(...) numpy complex), so it reaches the field unchanged at
+    # one probe, and the scan hands each row a Python float
+    seen = []
+
+    def f(tau, z):
+        seen.append(type(tau))
+        return tau * complex(z[1])
+
+    z = probes("mostly-plus")[1][1]
+    for tau in (0.3, np.float64(0.3)):
+        seen.clear()
+        complex_derivative(f, tau, z)
+        tau_derivative(f, tau, z)
+        assert set(seen) == {type(tau)}
+    seen.clear()
+    analyticity_scan(f, [(0.3, z), (np.float64(0.4), z)], tol=1.0)
+    assert set(seen) == {float}

@@ -390,3 +390,17 @@ def test_audit_scenario_fails_when_no_probe_is_evaluated(tmp_path, monkeypatch):
     assert report["n_singular"] == 4
     assert report["max_disagreement"] == "Infinity"
     assert report["checks"][0]["passed"] is False
+
+
+def test_unsigned_bookkeeping_fails_route_discrepancy_alone(tmp_path):
+    # the wrong eps bookkeeping must be caught from the command line, and by
+    # the route check only: the plane-wave residuals do not depend on it
+    out = tmp_path / "run"
+    proc = run_fresh("run", "dirac-planewave", "--signing", "unsigned", "--out-dir", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "dirac-planewave: FAIL\n"
+    report = json.loads(read_bytes(out / "dirac-planewave.json"))
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["route-discrepancy"]
+    # a miss far beyond stencil error, not a marginal one
+    assert failed[0]["value"] > 1e3 * failed[0]["limit"]
