@@ -26,7 +26,7 @@ from typing import Any, Callable, Optional, get_type_hints
 import numpy as np
 
 from . import __version__
-from .errors import CsocError
+from .errors import CsocError, DomainError
 from .spacetime import MOSTLY_MINUS, MOSTLY_PLUS, Metric
 from .wiener import RNG_ALGORITHM, DiffusionSpec, moment_check
 from .sde import constant_policy, integrate
@@ -99,8 +99,6 @@ class ScenarioConfig:
     rapidity: float = _key(0.3, "boost rapidity for covariance")
     boost_axis: int = _key(1, "boost axis", (1, 2, 3))
     branch: str = _key("+", "plane-wave eigenvalue branch", ("+", "-"))
-    signing: str = _key("exact", "route-consistency sign bookkeeping",
-                        ("exact", "unsigned"))
     seed: int = _key(0, "RNG seed")
     out_dir: str = _key("csoc-out", f"output directory (env {ENV_OUT_DIR} overrides)")
 
@@ -128,6 +126,10 @@ class ScenarioConfig:
             raise ConfigError("tau_lo must be below tau_hi")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        try:
+            vector_potential_preset(self.potential)
+        except DomainError as exc:
+            raise ConfigError(f"bad value for potential: {exc}") from exc
 
     @property
     def metric_object(self) -> Metric:
@@ -524,12 +526,11 @@ def run_dirac_planewave(cfg: ScenarioConfig) -> dict:
 
     route = route_consistency(gammas, coupled.phi, 0.17, _PROBE_Z, q=q,
                               A=lambda tau, z: a_const,
-                              components=(0, 2), signing=cfg.signing, **common)
+                              components=(0, 2), **common)
     return {
         "verifies": ["plane-wave-dispersion",
                      "linear-nonlinear-route-agreement"],
-        "params": {"metric": cfg.metric, "branch": cfg.branch,
-                   "signing": cfg.signing, "q": q},
+        "params": {"metric": cfg.metric, "branch": cfg.branch, "q": q},
         "eigenvalue": {"re": free.g.real, "im": free.g.imag},
         "frequency": {"re": free.lam.real, "im": free.lam.imag},
         "eigen_residual": free.eigen_residual,

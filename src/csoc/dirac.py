@@ -29,13 +29,15 @@ import numpy as np
 
 from .errors import DomainError
 from .spacetime import LOWER, Metric, MOSTLY_PLUS, _vector, contract
-from .ccalc import _probe_stencil, _py_cdiv, _quot, _Stencil
+from .ccalc import _probe_stencil, _py_cdiv, _Stencil
 
 SpinorFieldFn = Callable[[float, np.ndarray], np.ndarray]
 PotentialFn = Callable[[float, np.ndarray], np.ndarray]
 _H_COARSE, _H_FINE = 0.02, 0.01   # the two steps of hopf_cole_order
 
-# signs eps_s of the per-component log map J = -i eps hbar log phi
+# signs eps_s of the per-component log map J = -i eps hbar log phi. They are
+# a convention: route A and route B agree for any sign pattern, all +1
+# included, so route_consistency does not pin this one
 COMPONENT_SIGNS = (1.0, 1.0, -1.0, -1.0)
 _SIGNS = np.array(COMPONENT_SIGNS)
 
@@ -319,7 +321,6 @@ class RouteReport:
     components: tuple
     route_a: np.ndarray
     route_b: np.ndarray
-    signing: str
 
     @property
     def discrepancies(self) -> np.ndarray:
@@ -334,7 +335,6 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
                       *, q: float = 0.0, A: Optional[PotentialFn] = None,
                       hbar: float = 1.0, m: float = 1.0, c: float = 1.0,
                       components: Sequence[int] = (0, 1, 2, 3),
-                      signing: str = "exact",
                       h: Optional[float] = None) -> RouteReport:
     """Evaluate the nonlinear residual two ways at one probe.
 
@@ -343,15 +343,7 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     operator to phi and divides by eps_r m phi_r. The two agree identically
     for exact derivatives; the report shows the stencil-level discrepancy on
     each of the requested components, a nonempty selection of 0..3.
-
-    signing selects the bookkeeping of the eps factors in route A. "exact"
-    is the arrangement that follows from the log map on every component;
-    "unsigned" drops the component signs from the gradient coupling and
-    moves one onto the box term, which only matches on plus-sign components
-    with decoupled off-diagonal terms.
     """
-    if signing not in ("exact", "unsigned"):
-        raise DomainError(f"signing must be 'exact' or 'unsigned', got {signing!r}")
     comps = tuple(int(r) for r in components)
     if not comps or any(r not in (0, 1, 2, 3) for r in comps):
         raise DomainError(f"components must be a nonempty choice of 0..3, got {components!r}")
@@ -399,9 +391,9 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     rs = list(comps)
     d2 = eta[:, None] * d2j[:, rs]
     box_j = (((0 + d2[0]) + d2[1]) + d2[2]) + d2[3]   # the builtin sum, in axis order
-    grad = eps[cols, None] * dj[cols] if signing == "exact" else dj[cols]   # [s, mu]
-    gam = gammas.matrices.transpose(1, 2, 0)[rs][:, cols]                   # [r, s, mu]
-    terms = (gam * (grad + q * a_val)).sum(axis=-1).tolist()              # [r][s]
+    grad = eps[cols, None] * dj[cols]                          # [s, mu]
+    gam = gammas.matrices.transpose(1, 2, 0)[rs][:, cols]      # [r, s, mu]
+    terms = (gam * (grad + q * a_val)).sum(axis=-1).tolist()   # [r][s]
     # the coupling of component r sums gamma-term times rho = phi_s / phi_r
     # over the live s, in Python, so each product and sum rounds as scalars do
     coupling = np.array([sum((t * (p / complex(phi0[r])) for t, p in zip(row, anchor)),
@@ -412,20 +404,13 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     a_sq = complex((eta * a_val * a_val).sum())
 
     eps_r = eps[rs]
-    if signing == "exact":
-        route_a = (-dtau_j[rs]
-                   + eps_r * c * coupling
-                   - 1j * hbar / m * box_j
-                   + eps_r / m * grad_sq
-                   + 2.0 * q / m * a_grad
-                   + eps_r * q * q / m * a_sq)
-    else:
-        route_a = (-dtau_j[rs]
-                   + eps_r * c * coupling
-                   - np.array([1j * eps[r] * hbar / m for r in rs]) * box_j
-                   + _quot(grad_sq + 2.0 * q * a_grad + q * q * a_sq, m, True))
+    route_a = (-dtau_j[rs]
+               + eps_r * c * coupling
+               - 1j * hbar / m * box_j
+               + eps_r / m * grad_sq
+               + 2.0 * q / m * a_grad
+               + eps_r * q * q / m * a_sq)
     route_b = eps_r * lin[rs] / (m * phi0[rs])
 
-    return RouteReport(components=comps, route_a=route_a, route_b=route_b,
-                       signing=signing)
+    return RouteReport(components=comps, route_a=route_a, route_b=route_b)
 

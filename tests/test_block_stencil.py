@@ -164,7 +164,7 @@ def spinor_stencil(phi, tau, z, h):
     return ReferenceStencil(lambda t, p: np.asarray(phi(t, p), dtype=np.complex128), tau, z, h)
 
 
-def ref_route(gammas, phi, tau, z, q, A, hbar, m, c, comps, signing, h):
+def ref_route(gammas, phi, tau, z, q, A, hbar, m, c, comps, h):
     st = spinor_stencil(phi, tau, z, h)
     phi0 = st()
     eta = gammas.metric.eta
@@ -184,19 +184,14 @@ def ref_route(gammas, phi, tau, z, q, A, hbar, m, c, comps, signing, h):
             rho = complex(phi0[s]) / complex(phi0[r])
             if not live[s]:
                 continue
-            grad = eps[s] * dj[s] if signing == "exact" else dj[s]
+            grad = eps[s] * dj[s]
             coupling += complex(np.sum(gammas.matrices[:, r, s] * (grad + q * a_val))) * rho
         grad_sq = complex(np.sum(eta * dj[r] * dj[r]))
         a_grad = complex(np.sum(eta * a_val * dj[r]))
         a_sq = complex(np.sum(eta * a_val * a_val))
-        if signing == "exact":
-            route_a.append(-dtau_j[r] + eps[r] * c * coupling - 1j * hbar / m * box_j
-                           + eps[r] / m * grad_sq + 2.0 * q / m * a_grad
-                           + eps[r] * q * q / m * a_sq)
-        else:
-            route_a.append(-dtau_j[r] + eps[r] * c * coupling
-                           - 1j * eps[r] * hbar / m * box_j
-                           + (grad_sq + 2.0 * q * a_grad + q * q * a_sq) / m)
+        route_a.append(-dtau_j[r] + eps[r] * c * coupling - 1j * hbar / m * box_j
+                       + eps[r] / m * grad_sq + 2.0 * q / m * a_grad
+                       + eps[r] * q * q / m * a_sq)
         route_b.append(eps[r] * complex(lin[r]) / (m * complex(phi0[r])))
     return np.array(route_a, dtype=np.complex128), np.array(route_b, dtype=np.complex128)
 
@@ -318,14 +313,11 @@ def test_spinor_routes_match_the_per_point_stencil(metric_name, h):
             got = linearized_residual(gammas, phi, tau, z, lam=lam, h=h, **common)
             want = ref_linearized(gammas, spinor_stencil(phi, tau, z, h), lam, **common)
             assert bits(got) == bits(want)
-        for signing in ("exact", "unsigned"):
-            for comps in ((0, 2), (3, 1, 2, 0)):
-                rep = route_consistency(gammas, phi, tau, z, components=comps,
-                                        signing=signing, h=h, **common)
-                route_a, route_b = ref_route(gammas, phi, tau, z, comps=comps,
-                                             signing=signing, h=h, **common)
-                assert bits(rep.route_a) == bits(route_a)
-                assert bits(rep.route_b) == bits(route_b)
+        for comps in ((0, 2), (3, 1, 2, 0)):
+            rep = route_consistency(gammas, phi, tau, z, components=comps, h=h, **common)
+            route_a, route_b = ref_route(gammas, phi, tau, z, comps=comps, h=h, **common)
+            assert bits(rep.route_a) == bits(route_a)
+            assert bits(rep.route_b) == bits(route_b)
 
 
 @pytest.mark.parametrize("h", STEPS)

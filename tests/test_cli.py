@@ -111,11 +111,21 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     for args in (["--seed", "-1"], ["--config", str(ini)]):
         assert main(["run", "moments", "--out-dir", str(out), *args]) == 2
         assert "config error: seed must be nonnegative, got -1" in capsys.readouterr().err
+    # so is a potential that does not parse, also for the scenarios that
+    # ignore the key and for run all, which then runs no scenario
+    ini.write_text("[common]\npotential = bogus(\n")
+    for scenario in ("hjb-residual", "dirac-planewave", "all"):
+        for args in (["--potential", "bogus("], ["--config", str(ini)]):
+            assert main(["run", scenario, "--out-dir", str(out), *args]) == 2
+            assert ("config error: bad value for potential: cannot parse potential "
+                    "preset 'bogus('") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_two(tmp_path, capsys):
-    # jobs was a key until the probe thread pool was retired
-    for key in ("wavelength", "jobs"):
+    # jobs was a key until the probe thread pool was retired, and signing
+    # until the planted-defect tests took over its wrong bookkeeping
+    for key in ("wavelength", "jobs", "signing"):
         ini = tmp_path / f"{key}.ini"
         ini.write_text(f"[common]\n{key} = 3\n")
         code = main(["run", "clifford", "--config", str(ini),
@@ -391,16 +401,3 @@ def test_audit_scenario_fails_when_no_probe_is_evaluated(tmp_path, monkeypatch):
     assert report["max_disagreement"] == "Infinity"
     assert report["checks"][0]["passed"] is False
 
-
-def test_unsigned_bookkeeping_fails_route_discrepancy_alone(tmp_path):
-    # the wrong eps bookkeeping must be caught from the command line, and by
-    # the route check only: the plane-wave residuals do not depend on it
-    out = tmp_path / "run"
-    proc = run_fresh("run", "dirac-planewave", "--signing", "unsigned", "--out-dir", str(out))
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stdout == "dirac-planewave: FAIL\n"
-    report = json.loads(read_bytes(out / "dirac-planewave.json"))
-    failed = [c for c in report["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == ["route-discrepancy"]
-    # a miss far beyond stencil error, not a marginal one
-    assert failed[0]["value"] > 1e3 * failed[0]["limit"]

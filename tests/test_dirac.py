@@ -220,7 +220,6 @@ def test_routes_agree_away_from_solutions():
     k = np.array([0.2, -0.1, 0.15, 0.05])
     phi = lambda tau, z: np.exp(complex(np.sum(k * z)) + 0.1 * tau) * chi
     report = route_consistency(gammas, phi, 0.3, PROBE_Z)
-    assert report.signing == "exact"
     assert np.abs(report.route_a).max() > 0.01
     assert report.max_discrepancy < 1e-6
 
@@ -255,19 +254,6 @@ def test_routes_agree_on_coupled_plane_wave_all_components():
     assert report.max_discrepancy < 1e-6
 
 
-def test_alternative_signing_departs_on_minus_components():
-    # bookkeeping that drops the component signs from the coupling matches
-    # only where those signs are +1; on the lower pair it misses by O(1)
-    gammas = build_gammas(MOSTLY_PLUS)
-    wave = plane_wave(gammas, P_LOWER, q=0.5, a_const=A_CONST)
-    exact = route_consistency(gammas, wave.phi, 0.3, PROBE_Z, q=0.5,
-                              A=wave.potential(), components=(2,))
-    alt = route_consistency(gammas, wave.phi, 0.3, PROBE_Z, q=0.5,
-                            A=wave.potential(), components=(2,), signing="unsigned")
-    assert exact.max_discrepancy < 1e-6
-    assert alt.max_discrepancy > 1e-3
-
-
 def test_route_consistency_rejects_dead_component():
     gammas = build_gammas(MOSTLY_PLUS)
     chi = np.array([1.0, 2.0, 0.0, 0.5], dtype=np.complex128)
@@ -282,8 +268,6 @@ def test_route_consistency_rejects_dead_component():
 def test_route_consistency_validates_arguments():
     gammas = build_gammas(MOSTLY_PLUS)
     wave = plane_wave(gammas, P_LOWER)
-    with pytest.raises(DomainError):
-        route_consistency(gammas, wave.phi, 0.3, PROBE_Z, signing="bogus")
     # out of range, negative (no wrap-around to component 3) and empty
     for components in ((5,), (-1,), ()):
         with pytest.raises(DomainError):

@@ -40,6 +40,8 @@ def _calls_without_removed_keywords():
     dj = np.array([0.3, -0.2, 0.1, 0.05]) + 0.02j
     field = lambda tau, zz: (0.25 * complex(np.sum(csoc.MOSTLY_PLUS.eta * zz * zz))
                              + 0.3 * complex(zz[0]))
+    gammas = csoc.build_gammas(csoc.MOSTLY_PLUS)
+    spinor = lambda tau, zz: np.exp(0.1 * zz[0]) * np.ones(4, dtype=np.complex128)
     return {
         "Lagrangian": (lambda **kw: csoc.Lagrangian(value=lag.value, **kw), ("params",)),
         "solve_optimal_control": (lambda **kw: csoc.solve_optimal_control(lag, dj, **kw),
@@ -50,6 +52,8 @@ def _calls_without_removed_keywords():
                                ("degenerate_tol",)),
         "hopf_cole_order": (lambda **kw: csoc.hopf_cole_order(field, 0.0, z, **kw),
                             ("h_coarse", "h_fine")),
+        "route_consistency": (lambda **kw: csoc.route_consistency(gammas, spinor, 0.3, z, **kw),
+                              ("signing",)),
         "ComplexFourVector.from_parts": (
             lambda **kw: csoc.ComplexFourVector.from_parts(z.real, z.imag, **kw), ("index",)),
     }
