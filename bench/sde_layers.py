@@ -11,7 +11,7 @@ Each layer is called once small to warm up, then timed REPEATS (5) times in
 this one process; an entry holds the median and quartiles of those times,
 the throughput (path-steps/s, or samples/s for moment_check), the array
 bytes computed from the sizes (the two increment arrays returned, the stored
-states, none for the action, the increment batch of moment_check) and the
+states, none for the action, the (9, n) sample block of moment_check) and the
 peak bytes numpy allocated during one further call, traced with tracemalloc
 outside the timed repeats. Timings on a shared machine drift; this is a
 record for comparing two trees, not a pass/fail gate.
@@ -84,7 +84,7 @@ def layers(csoc, np):
         ("estimate_action", "sde", {"paths": ACTION_PATHS, "steps": STEPS},
          ACTION_PATHS * STEPS, "path-steps", 0, action),
         ("moment_check", "wiener", {"samples": MOMENT_SAMPLES},
-         MOMENT_SAMPLES, "samples", 2 * MOMENT_SAMPLES * 4 * F64, moments),
+         MOMENT_SAMPLES, "samples", 9 * MOMENT_SAMPLES * F64, moments),
     ]
 
 

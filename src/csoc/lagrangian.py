@@ -189,6 +189,8 @@ def vector_potential_preset(text: str) -> tuple[Optional[AFn], dict]:
             args = [float(s) for s in argtext.split(",")]
         except ValueError as exc:
             raise DomainError(f"bad numeric arguments in preset {text!r}") from exc
+    if not np.all(np.isfinite(args)):
+        raise DomainError(f"preset {text!r} needs finite arguments")
     if name == "zero":
         if args:
             raise DomainError("zero preset takes no arguments")

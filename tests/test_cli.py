@@ -111,14 +111,18 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     for args in (["--seed", "-1"], ["--config", str(ini)]):
         assert main(["run", "moments", "--out-dir", str(out), *args]) == 2
         assert "config error: seed must be nonnegative, got -1" in capsys.readouterr().err
-    # so is a potential that does not parse, also for the scenarios that
-    # ignore the key and for run all, which then runs no scenario
-    ini.write_text("[common]\npotential = bogus(\n")
-    for scenario in ("hjb-residual", "dirac-planewave", "all"):
-        for args in (["--potential", "bogus("], ["--config", str(ini)]):
-            assert main(["run", scenario, "--out-dir", str(out), *args]) == 2
-            assert ("config error: bad value for potential: cannot parse potential "
-                    "preset 'bogus('") in capsys.readouterr().err
+    # so is a potential that does not parse or has a non-finite argument,
+    # also for the scenarios that ignore the key and for run all, which then
+    # runs no scenario
+    for preset, why in (("bogus(", "cannot parse potential preset 'bogus('"),
+                        ("constant(nan,0,0,0)", "preset 'constant(nan,0,0,0)' needs finite"),
+                        ("linear-electric(inf)", "preset 'linear-electric(inf)' needs finite"),
+                        ("constant(0,1e400,0,0)", "preset 'constant(0,1e400,0,0)' needs finite")):
+        ini.write_text(f"[common]\npotential = {preset}\n")
+        for scenario in ("hjb-residual", "dirac-planewave", "all"):
+            for args in (["--potential", preset], ["--config", str(ini)]):
+                assert main(["run", scenario, "--out-dir", str(out), *args]) == 2
+                assert f"config error: bad value for potential: {why}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -157,6 +157,14 @@ def test_potential_preset_rejects_garbage():
             vector_potential_preset(bad)
 
 
+def test_potential_preset_rejects_non_finite_arguments():
+    # float() parses these, and a NaN or infinite potential only shows up
+    # later as a stalled solver or a NaN residual
+    for bad in ("constant(nan,0,0,0)", "linear-electric(inf)", "constant(0,1e400,0,0)"):
+        with pytest.raises(DomainError, match="needs finite arguments"):
+            vector_potential_preset(bad)
+
+
 def test_potential_shape_is_validated():
     cfg = EMFieldConfig(q=1.0, A=lambda tau, z: np.zeros(3))
     with pytest.raises(DomainError):

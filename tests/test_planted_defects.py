@@ -58,6 +58,12 @@ DEFECTS = (
     Defect("sign-copy-without-epsilon", "wiener.py",
            "return self.epsilon * self.metric.eta", "return self.metric.eta",
            ("run", "moments", "--epsilon", "-1"), {"moments": ("flagged-lines",)}),
+    # dy copied from dx after dx is scaled, so the imaginary sheet carries
+    # sigma_x sigma_y: invisible while sigma_x = 1, as at the default config
+    Defect("sign-copy-after-scaling", "wiener.py",
+           "np.multiply(dx, spec.sign_copy[:, None], out=dy)\n    dx *= spec.sigma_x[:, None]",
+           "dx *= spec.sigma_x[:, None]\n    np.multiply(dx, spec.sign_copy[:, None], out=dy)",
+           ("run", "moments", "--sigma-x", "0.7"), {"moments": ("flagged-lines",)}),
     # the central first difference divided by h instead of 2h
     Defect("first-difference-over-h", "ccalc.py",
            "_quot(v[:4] - v[4:], 2 * h, pydiv)", "_quot(v[:4] - v[4:], h, pydiv)",

@@ -1,5 +1,8 @@
 """Paired Wiener increments: sign-copy rule, complex variance, moment targets."""
 
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,10 @@ from csoc.errors import DomainError
 from csoc.spacetime import MOSTLY_MINUS, MOSTLY_PLUS
 from csoc.wiener import (
     DiffusionSpec,
+    MomentLine,
     _path_generators,
     _substream_keys,
+    _zscore,
     complex_sigma_squared,
     moment_check,
     path_generator,
@@ -186,6 +191,77 @@ def test_moment_check_requires_large_batch():
     spec = DiffusionSpec.natural()
     with pytest.raises(DomainError):
         moment_check(spec, [0, 0, 0, 0], [0, 0, 0, 0], 0.01, n=9_999, seed=0)
+
+
+def reference_moment_check(spec, v, u, d_tau, n, seed, z_max=5.0):
+    """moment_check as plain numpy: sample_increments, per-axis tables, and
+    .mean() and .std(ddof=1) of each line's samples."""
+    v = np.asarray(v, dtype=float)
+    u = np.asarray(u, dtype=float)
+    dWx, dWy = sample_increments(spec, d_tau, n, seed)
+    dx = np.ascontiguousarray(dWx.T) * spec.sigma_x[:, None] + (v * d_tau)[:, None]
+    dy = np.ascontiguousarray(dWy.T) * spec.sigma_y[:, None] + (u * d_tau)[:, None]
+    sx, sy, eta = spec.sigma_x, spec.sigma_y, spec.metric.eta
+    table = [(f"dx{mu}", dx[mu], v[mu] * d_tau) for mu in range(4)]
+    table += [(f"dy{mu}", dy[mu], u[mu] * d_tau) for mu in range(4)]
+    table += [(f"dx{mu}dx{nu}", dx[mu] * dx[nu], sx[mu] * sx[mu] * d_tau if mu == nu else 0.0)
+              for mu in range(4) for nu in range(mu, 4)]
+    table += [(f"dy{mu}dy{nu}", dy[mu] * dy[nu], sy[mu] * sy[mu] * d_tau if mu == nu else 0.0)
+              for mu in range(4) for nu in range(mu, 4)]
+    table += [(f"dx{mu}dy{nu}", dx[mu] * dy[nu],
+               spec.epsilon * eta[mu] * sx[mu] * sy[mu] * d_tau if mu == nu else 0.0)
+              for mu in range(4) for nu in range(4)]
+    lines = []
+    for name, samples, target in table:
+        est = float(samples.mean())
+        se = float(samples.std(ddof=1) / np.sqrt(n))
+        z = _zscore(est, target, se)
+        lines.append(MomentLine(name, est, float(target), se, z, not abs(z) <= z_max))
+    return lines
+
+
+def same_value(a, b) -> bool:
+    """Equal with the same sign bit, or both NaN."""
+    if isinstance(a, float):
+        return (a == b and np.signbit(a) == np.signbit(b)) or (np.isnan(a) and np.isnan(b))
+    return a == b
+
+
+UNEQUAL = ([0.3, 0.7, 1.1, 0.0], [0.9, 0.2, 0.0, 1.3])  # a zero-width axis on each sheet
+DRIFTS = (([0.0] * 4, [0.0] * 4),
+          ([0.5, -1.0, 2.0, 0.1], [-0.3, 0.0, 1.0, 4.0]),
+          ([np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", (10_000, 12_345, 100_000))
+@pytest.mark.parametrize("epsilon", (1, -1))
+@pytest.mark.parametrize("metric", (MOSTLY_PLUS, MOSTLY_MINUS), ids=("plus", "minus"))
+def test_moment_check_equals_reference_bit_for_bit(metric, epsilon, n):
+    # also pins standard_normal * sqrt(d_tau) + 0.0 == normal(0, sqrt(d_tau))
+    for sigma_x, sigma_y in ((1.0, 1.0), UNEQUAL):
+        spec = DiffusionSpec(sigma_x=sigma_x, sigma_y=sigma_y, epsilon=epsilon, metric=metric)
+        for v, u in DRIFTS:
+            report = moment_check(spec, v, u, d_tau=0.03, n=n, seed=n + 1)
+            want = reference_moment_check(spec, v, u, d_tau=0.03, n=n, seed=n + 1)
+            assert len(report.lines) == len(want) == 44
+            for got, ref in zip(report.lines, want):
+                for field in fields(MomentLine):
+                    a, b = getattr(got, field.name), getattr(ref, field.name)
+                    assert same_value(a, b), (ref.name, field.name, a, b)
+
+
+def test_moment_check_holds_one_nine_row_block():
+    spec = DiffusionSpec(sigma_x=UNEQUAL[0], sigma_y=UNEQUAL[1], epsilon=-1)
+    n = 100_000
+    # the first Generator imports numpy.random's pickling helpers; that is not the table
+    moment_check(spec, [0.0] * 4, [0.0] * 4, d_tau=0.01, n=10_000, seed=3)
+    tracemalloc.start()
+    try:
+        moment_check(spec, [0.0] * 4, [0.0] * 4, d_tau=0.01, n=n, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * n * 8 + 64 * 1024, peak / (n * 8)
 
 
 SEED_GRID = (0, 1, 7, 2**31 - 1, 2**32, 2**40 + 5, 2**130 + 3)
