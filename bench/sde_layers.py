@@ -2,7 +2,7 @@
 
 Layers and sizes (those of the perfbench `ensemble` workload):
 
-    sde.ensemble_increments   34,236 paths x 200 steps
+    sde._draw_increments      34,236 paths x 200 steps, into one (STEPS, n, 4) buffer
     sde.integrate             34,236 paths x 200 steps, whole trajectory stored
     sde.estimate_action        4,096 paths x 200 steps, action only
     wiener.moment_check       1e6 increment samples
@@ -10,10 +10,10 @@ Layers and sizes (those of the perfbench `ensemble` workload):
 Each layer is called once small to warm up, then timed REPEATS (5) times in
 this one process; an entry holds the median and quartiles of those times,
 the throughput (path-steps/s, or samples/s for moment_check), the array
-bytes computed from the sizes (the two increment arrays returned, the stored
-states, none for the action, the (9, n) sample block of moment_check) and the
-peak bytes numpy allocated during one further call, traced with tracemalloc
-outside the timed repeats. Timings on a shared machine drift; this is a
+bytes computed from the sizes (the one dWx buffer filled, the stored
+states, none for the action, the (9, n) sample block of moment_check) and
+the peak bytes numpy allocated during one further call, traced with
+tracemalloc outside the timed repeats. Timings on a shared machine drift; this is a
 record for comparing two trees, not a pass/fail gate.
 
     python3 bench/sde_layers.py --label parent --src ../parent/src
@@ -62,7 +62,8 @@ def layers(csoc, np):
         return max(1, n // scale)
 
     def increments(scale):
-        return csoc.sde.ensemble_increments(spec, D_TAU, STEPS, paths(INTEGRATE_PATHS, scale), 11)
+        out = np.empty((STEPS, paths(INTEGRATE_PATHS, scale), 4))
+        return csoc.sde._draw_increments(out, D_TAU, 11)
 
     def integrate(scale):
         return csoc.sde.integrate(policy, spec, z0, D_TAU, STEPS, paths(INTEGRATE_PATHS, scale), 12)
@@ -77,8 +78,8 @@ def layers(csoc, np):
 
     increment_bytes = INTEGRATE_PATHS * STEPS * 4 * F64
     return [
-        ("ensemble_increments", "sde", {"paths": INTEGRATE_PATHS, "steps": STEPS},
-         INTEGRATE_PATHS * STEPS, "path-steps", 2 * increment_bytes, increments),
+        ("_draw_increments", "sde", {"paths": INTEGRATE_PATHS, "steps": STEPS},
+         INTEGRATE_PATHS * STEPS, "path-steps", increment_bytes, increments),
         ("integrate", "sde", {"paths": INTEGRATE_PATHS, "steps": STEPS},
          INTEGRATE_PATHS * STEPS, "path-steps", INTEGRATE_PATHS * (STEPS + 1) * 8 * F64, integrate),
         ("estimate_action", "sde", {"paths": ACTION_PATHS, "steps": STEPS},

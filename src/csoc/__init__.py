@@ -16,9 +16,9 @@ from .wiener import (RNG_ALGORITHM, DiffusionSpec, MomentLine, MomentReport,
 from .sde import (ActionEstimate, BellmanResidual, TrajectoryEnsemble,
                   bellman_consistency, constant_policy, estimate_action,
                   integrate, integrate_with_increments, linear_policy,
-                  pointwise_policy, zero_policy)
+                  pointwise_policy)
 from .ccalc import (DerivativeReport, DomainBox, ScalarField, ScanReport,
-                    analyticity_scan, complex_derivative, default_step,
+                    analyticity_scan, complex_derivative,
                     second_complex_derivative, tau_derivative)
 from .lagrangian import (EMFieldConfig, Lagrangian, em_lagrangian,
                          free_particle_lagrangian, quadratic_lagrangian,
@@ -26,13 +26,12 @@ from .lagrangian import (EMFieldConfig, Lagrangian, em_lagrangian,
 from .control import (AuditReport, StationarityResult, equivalence_audit,
                       solve_optimal_control)
 from .hjb import (HJBProblem, ResidualProbe, boundary_residual,
-                  covariance_check, dalembertian, hjb_residual_complex,
-                  hjb_residual_pair, hjb_residual_probe, optimal_control_at,
-                  probe_points)
+                  covariance_check, dalembertian, hjb_residual_pair,
+                  hjb_residual_probe, optimal_control_at, probe_points)
 from .dirac import (COMPONENT_SIGNS, GammaSet, HopfColeReport, PlaneWave,
-                    RouteReport, build_gammas, clifford_check,
-                    hopf_cole_check, hopf_cole_order, linearization_check,
-                    linearized_residual, plane_wave, route_consistency)
+                    RouteReport, build_gammas, hopf_cole_check,
+                    hopf_cole_order, linearization_check, linearized_residual,
+                    plane_wave, route_consistency)
 
 __version__ = "0.1.0"
 
@@ -46,20 +45,19 @@ __all__ = [
     "ActionEstimate", "BellmanResidual", "TrajectoryEnsemble",
     "bellman_consistency", "constant_policy", "estimate_action", "integrate",
     "integrate_with_increments", "linear_policy", "pointwise_policy",
-    "zero_policy",
     "DerivativeReport", "DomainBox", "ScalarField", "ScanReport",
-    "analyticity_scan", "complex_derivative", "default_step",
-    "second_complex_derivative", "tau_derivative",
+    "analyticity_scan", "complex_derivative", "second_complex_derivative",
+    "tau_derivative",
     "EMFieldConfig", "Lagrangian", "em_lagrangian", "free_particle_lagrangian",
     "quadratic_lagrangian", "vector_potential_preset", "zero_lagrangian",
     "AuditReport", "StationarityResult", "equivalence_audit",
     "solve_optimal_control",
     "HJBProblem", "ResidualProbe", "boundary_residual", "covariance_check",
-    "dalembertian", "hjb_residual_complex", "hjb_residual_pair",
-    "hjb_residual_probe", "optimal_control_at", "probe_points",
+    "dalembertian", "hjb_residual_pair", "hjb_residual_probe",
+    "optimal_control_at", "probe_points",
     "COMPONENT_SIGNS", "GammaSet", "HopfColeReport", "PlaneWave",
-    "RouteReport", "build_gammas", "clifford_check", "hopf_cole_check",
-    "hopf_cole_order", "linearization_check", "linearized_residual",
-    "plane_wave", "route_consistency",
+    "RouteReport", "build_gammas", "hopf_cole_check", "hopf_cole_order",
+    "linearization_check", "linearized_residual", "plane_wave",
+    "route_consistency",
     "__version__",
 ]

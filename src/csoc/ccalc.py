@@ -57,13 +57,6 @@ _PATTERNS = {key: np.concatenate(rows).view(np.float64) for key, rows in (
 )}
 
 
-def default_step(scale: float = 1.0) -> float:
-    """Central-difference step for a coordinate scale."""
-    if scale <= 0:
-        raise DomainError(f"scale must be positive, got {scale}")
-    return _step(scale)
-
-
 def _step(scale, order: int = 1, h=None):
     """h when given, else the step balancing truncation against roundoff for
     differences of the given order; scale may be an array of scales. A given
@@ -290,16 +283,15 @@ def _probe_stencil(f, tau: float, z, h: Optional[float] = None) -> _Stencil:
 class DerivativeReport:
     """First derivatives of one field at one probe.
 
-    d_x[mu] is the complex-valued x-route derivative, d_y[mu] the raw
-    y-partial (so the y-route derivative is -i * d_y[mu]); d_z is the
-    x-route value. cr_residuals are the Cauchy-Riemann defects
+    d_x[mu] is the x-route derivative, the estimate of d/dz^mu f, and d_y[mu]
+    the raw y-partial (so the y-route derivative is -i * d_y[mu]).
+    cr_residuals are the Cauchy-Riemann defects
     |Re d_x - Im d_y| + |Im d_x + Re d_y|, consistency_residuals the
     moduli of the x-route minus y-route differences.
     """
 
     d_x: np.ndarray
     d_y: np.ndarray
-    d_z: np.ndarray
     cr_residuals: np.ndarray
     consistency_residuals: np.ndarray
     h: float
@@ -321,7 +313,7 @@ def complex_derivative(f, tau: float, z, h: Optional[float] = None) -> Derivativ
     """Central-difference first derivatives along every axis, both routes."""
     st = _probe_stencil(f, tau, z, h)
     d_x, d_y, cr, cons = _first_routes(st)
-    return DerivativeReport(d_x=d_x, d_y=d_y, d_z=d_x.copy(),
+    return DerivativeReport(d_x=d_x, d_y=d_y,
                             cr_residuals=cr, consistency_residuals=cons, h=float(st.h1))
 
 
@@ -330,13 +322,12 @@ class SecondDerivativeReport:
     """Second derivatives per axis via the three routes.
 
     route_xx = d2/dx2 f, route_yy = -d2/dy2 f, route_xy = -i d/dx d/dy f;
-    all three estimate d2/dz2 f for analytic f. d2_z is the xx-route.
+    all three estimate d2/dz2 f for analytic f.
     """
 
     route_xx: np.ndarray
     route_yy: np.ndarray
     route_xy: np.ndarray
-    d2_z: np.ndarray
     route_discrepancies: np.ndarray
     h: float
 
@@ -351,7 +342,7 @@ def second_complex_derivative(f, tau: float, z, h: Optional[float] = None) -> Se
     xx, yy, xy = st.diff2(), -st.diff2(1j), -1j * st.mixed()
     disc = np.maximum(np.abs(xx - yy), np.maximum(np.abs(xx - xy), np.abs(yy - xy)))
     return SecondDerivativeReport(route_xx=xx, route_yy=yy, route_xy=xy,
-                                  d2_z=xx.copy(), route_discrepancies=disc, h=float(st.h2))
+                                  route_discrepancies=disc, h=float(st.h2))
 
 
 def tau_derivative(f, tau: float, z, h: Optional[float] = None) -> complex:
@@ -364,7 +355,7 @@ class ProbeResult:
     tau: float
     z: np.ndarray
     residual: float          # worst raw first-derivative residual at the probe
-    scaled_residual: float   # residual relative to max(1, |d_z|) per axis
+    scaled_residual: float   # residual relative to max(1, |d_x|) per axis
     passed: bool
     derivatives: DerivativeReport
 
@@ -373,7 +364,7 @@ class ProbeResult:
 class ScanReport:
     """Analyticity scan over a probe set.
 
-    Residuals are compared against tol * max(1, |d_z^mu|) per axis, a
+    Residuals are compared against tol * max(1, |d_x^mu|) per axis, a
     tolerance relative to the local derivative scale.
     """
 
@@ -414,7 +405,7 @@ def analyticity_scan(f, probes: Sequence[tuple[float, np.ndarray]],
         ProbeResult(tau=taus[i], z=zs[i], residual=float(raw[i]),
                     scaled_residual=float(scaled[i]), passed=bool(scaled[i] < tol),
                     derivatives=DerivativeReport(
-                        d_x=d_x[i], d_y=d_y[i], d_z=d_x[i].copy(), cr_residuals=cr[i],
+                        d_x=d_x[i], d_y=d_y[i], cr_residuals=cr[i],
                         consistency_residuals=cons[i], h=float(steps[i])))
         for i in range(len(taus)))
     worst = max(range(len(results)), key=lambda i: results[i].scaled_residual)

@@ -118,10 +118,6 @@ def build_gammas(metric: Metric = MOSTLY_PLUS) -> GammaSet:
     return GammaSet(1j * base, metric, "standard-times-i")
 
 
-def clifford_check(gammas: GammaSet) -> float:
-    return gammas.anticommutator_residual()
-
-
 def linearization_check(gammas: GammaSet, n: int = 100, seed: int = 0) -> float:
     """Worst (gamma.a)^2 defect over n random complex four-vectors."""
     rng = np.random.default_rng(seed)
@@ -369,8 +365,6 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     coef = np.array([-1j * eps[s] * hbar for s in cols])
 
     def log_map(values):
-        if len(cols) == 4:
-            return coef * np.log(_py_cdiv(values, phi0))
         out = np.zeros(values.shape, dtype=np.complex128)
         out[:, cols] = coef * np.log(_py_cdiv(values[:, cols], phi0[cols]))
         return out

@@ -129,8 +129,8 @@ def hjb_residual_probe(problem: HJBProblem, value_field, tau: float, z,
     """Complex-route residual with its ingredients at one interior probe."""
     st = _probe_stencil(value_field, tau, z, h)   # one stencil, so routes share points
     z = st.z
-    dj = st.diff1()     # the x-route, as complex_derivative's d_z
-    d2j = st.diff2()    # the xx-route, as second_complex_derivative's d2_z
+    dj = st.diff1()     # the x-route, as complex_derivative's d_x
+    d2j = st.diff2()    # the xx-route, as second_complex_derivative's route_xx
     w_star, method = optimal_control_at(problem, dj, tau, z)
     lval = complex(np.asarray(problem.lagrangian.value(tau, z, w_star)))
     bracket = lval + complex((w_star * dj).sum())
@@ -139,12 +139,6 @@ def hjb_residual_probe(problem: HJBProblem, value_field, tau: float, z,
     residual = -dtau_j - bracket - second
     return ResidualProbe(tau=float(tau), z=z, residual=residual, w_star=w_star,
                          control_method=method, dJ=dj, d2J=d2j)
-
-
-def hjb_residual_complex(problem: HJBProblem, value_field, tau: float, z,
-                         h: Optional[float] = None) -> complex:
-    """The combined complex-equation residual at one probe."""
-    return hjb_residual_probe(problem, value_field, tau, z, h=h).residual
 
 
 def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFieldFn,

@@ -24,14 +24,13 @@ regenerated in isolation (path_increments). An ensemble computes all its keys
 at once and re-keys one generator per path (see wiener).
 
 Arrays are time-major: trajectories are stored in one (n_steps+1, n_paths, 8)
-buffer, so each step reads and writes contiguous slabs. TrajectoryEnsemble.states
-and the arrays of ensemble_increments expose (n_paths, ...) views, which are
-not C-contiguous. integrate holds no increment array: each path's dWx is
-drawn into the x-slots of the states it drives, states[t+1, :, 0:4], where
+buffer, so each step reads and writes contiguous slabs; TrajectoryEnsemble.states
+is an (n_paths, ...) view of it, not C-contiguous. Callers draw or supply dWx
+alone, into the x-slots of the states it drives, states[t+1, :, 0:4], where
 step t reads it before storing x_{t+1} over it, so a run peaks at about its
-states buffer. estimate_action and bellman_consistency, which store no states,
-still hold dWx in one (n_steps, n_paths, 4) buffer. dWy is never stored for a
-run: each step forms its slice as the signed copy of dWx's.
+states buffer; estimate_action and bellman_consistency, which store no states,
+hold dWx in one (n_steps, n_paths, 4) buffer. dWy is never stored: _euler
+forms each step's slice as the signed copy of dWx's.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spacetime import _vector
-from .wiener import DiffusionSpec, _path_generators, path_generator
+from .wiener import DiffusionSpec, _check_d_tau, _path_generators, path_generator
 
 PolicyFn = Callable[[float, np.ndarray], np.ndarray]
 
@@ -63,10 +62,6 @@ def constant_policy(w) -> PolicyFn:
         return np.broadcast_to(w, z.shape)
 
     return policy
-
-
-def zero_policy() -> PolicyFn:
-    return constant_policy(np.zeros(4, dtype=np.complex128))
 
 
 def linear_policy(matrix) -> PolicyFn:
@@ -97,11 +92,10 @@ def pointwise_policy(f: Callable[[float, np.ndarray], np.ndarray]) -> PolicyFn:
     return policy
 
 
-def path_increments(spec: DiffusionSpec, d_tau: float, n_steps: int,
-                    seed: int, path: int) -> tuple[np.ndarray, np.ndarray]:
-    """All increments for one path, shape (n_steps, 4) each."""
-    dWx = path_generator(seed, path).normal(0.0, np.sqrt(d_tau), size=(n_steps, 4))
-    return dWx, dWx * spec.sign_copy
+def path_increments(d_tau: float, n_steps: int, seed: int, path: int) -> np.ndarray:
+    """The real-sheet increments dWx of one path, shape (n_steps, 4)."""
+    _check_grid(d_tau, n_steps, 1)
+    return path_generator(seed, path).normal(0.0, np.sqrt(d_tau), size=(n_steps, 4))
 
 
 _DRAW_CHUNK = 64   # paths drawn contiguous before one time-major copy
@@ -120,20 +114,6 @@ def _draw_increments(out: np.ndarray, d_tau: float, seed: int) -> np.ndarray:
         chunk = np.stack([rng.normal(0.0, scale, size=(n_steps, 4)) for rng in paths])
         out[:, p0:p0 + len(chunk)] = chunk.swapaxes(0, 1)
     return out
-
-
-def _signed_steps(spec: DiffusionSpec, dW: np.ndarray):
-    """Per-step (dWx, dWy) of a time-major dWx, each dWy slice its signed copy."""
-    sign = spec.sign_copy
-    return ((dx, dx * sign) for dx in dW)
-
-
-def ensemble_increments(spec: DiffusionSpec, d_tau: float, n_steps: int,
-                        n_paths: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Increments for the whole ensemble, shape (n_paths, n_steps, 4) each:
-    views of time-major buffers, not C-contiguous."""
-    dW = _draw_increments(np.empty((n_steps, n_paths, 4)), d_tau, seed)
-    return dW.swapaxes(0, 1), (dW * spec.sign_copy).swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
@@ -187,8 +167,7 @@ class TrajectoryEnsemble:
 
 
 def _check_grid(d_tau: float, n_steps: int, n_paths: int):
-    if not 0 < d_tau < np.inf:
-        raise DomainError(f"d_tau must be finite and positive, got {d_tau}")
+    _check_d_tau(d_tau)
     if n_steps < 1 or n_paths < 1:
         raise DomainError("n_steps and n_paths must be at least 1")
 
@@ -199,17 +178,18 @@ def _initial_state(z0, n_paths: int) -> np.ndarray:
 
 
 def _euler(policy: PolicyFn, spec: DiffusionSpec, z: np.ndarray, d_tau: float,
-           steps, tau0: float):
+           dW: np.ndarray, tau0: float):
     """The Euler-Maruyama loop: advance every path of z in place.
 
-    steps yields one (dWx, dWy) pair of (n_paths, 4) slices per step. Yields
+    dW is the time-major dWx; each step's dWy is its slice's signed copy. Yields
     (t, tau, w) before each step moves the paths, so the caller sees z_t and
     w_t; afterwards z holds the final state. x + v d_tau + sigma_x dWx (and
     likewise y) keeps the order of operations of the stored states. A path
     whose state turns non-finite is set to NaN and, NaN in NaN out, stays so.
     """
     x, y = z.real, z.imag
-    for t, (dx, dy) in enumerate(steps):
+    sign = spec.sign_copy
+    for t, dx in enumerate(dW):
         tau = tau0 + t * d_tau
         w = np.asarray(policy(tau, z), dtype=np.complex128)
         if w.shape != z.shape:
@@ -218,19 +198,19 @@ def _euler(policy: PolicyFn, spec: DiffusionSpec, z: np.ndarray, d_tau: float,
         x += w.real * d_tau
         x += spec.sigma_x * dx
         y += w.imag * d_tau
-        y += spec.sigma_y * dy
+        y += spec.sigma_y * (dx * sign)
         if not np.isfinite(z).all():  # the row test costs ~4x this one
             z[~np.isfinite(z).all(axis=1)] = _NAN
 
 
-def _integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float, steps,
+def _integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
                states: np.ndarray, tau0: float, seed: int) -> TrajectoryEnsemble:
-    """Run _euler over (dWx, dWy) pairs, storing every state time-major in the
-    (n_steps+1, n_paths, 8) buffer states. Step t stores z_t before it moves
-    the paths, so its increments may sit in states[t+1] until then."""
+    """Run _euler over the dWx in states[1:, :, 0:4], storing every state
+    time-major in the (n_steps+1, n_paths, 8) buffer states. Step t stores z_t
+    before it moves the paths, so its dWx may sit in states[t+1] until then."""
     n_steps, n_paths = states.shape[0] - 1, states.shape[1]
     z = _initial_state(z0, n_paths)
-    for t, _, _ in _euler(policy, spec, z, d_tau, steps, tau0):
+    for t, _, _ in _euler(policy, spec, z, d_tau, states[1:, :, 0:4], tau0):
         states[t, :, 0:4], states[t, :, 4:8] = z.real, z.imag
     states[n_steps, :, 0:4], states[n_steps, :, 4:8] = z.real, z.imag
     states.flags.writeable = False
@@ -240,23 +220,23 @@ def _integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float, steps,
 
 
 def integrate_with_increments(policy: PolicyFn, spec: DiffusionSpec, z0,
-                              d_tau: float, dWx: np.ndarray, dWy: np.ndarray,
+                              d_tau: float, dWx: np.ndarray,
                               tau0: float = 0.0, seed: int = 0) -> TrajectoryEnsemble:
-    """Core stepper against externally supplied increments, each of shape
-    (n_paths, n_steps, 4).
+    """integrate against supplied real increments dWx, (n_paths, n_steps, 4).
 
     Exposed so refinement studies can integrate coarse and fine grids against
-    the same Brownian path (coarse increments as sums of fine ones).
+    the same Brownian path (coarse increments as sums of fine ones), and so
+    one path can be integrated alone from its path_increments.
     """
-    dWx, dWy = np.asarray(dWx), np.asarray(dWy)
-    if dWx.ndim != 3 or dWx.shape[2] != 4 or dWy.shape != dWx.shape:
-        raise DomainError(f"dWx and dWy must both have shape (n_paths, n_steps, 4), "
-                          f"got {dWx.shape} and {dWy.shape}")
+    dWx = np.asarray(dWx)
+    if np.iscomplexobj(dWx) or dWx.ndim != 3 or dWx.shape[2] != 4:
+        raise DomainError(f"dWx must be a real (n_paths, n_steps, 4) array, "
+                          f"got {dWx.dtype} of shape {dWx.shape}")
     n_paths, n_steps = dWx.shape[0], dWx.shape[1]
     _check_grid(d_tau, n_steps, n_paths)
-    steps = zip(dWx.swapaxes(0, 1), dWy.swapaxes(0, 1))
     states = np.empty((n_steps + 1, n_paths, 8))
-    return _integrate(policy, spec, z0, d_tau, steps, states, tau0, seed)
+    states[1:, :, 0:4] = dWx.swapaxes(0, 1)
+    return _integrate(policy, spec, z0, d_tau, states, tau0, seed)
 
 
 def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
@@ -265,9 +245,8 @@ def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
     """Integrate the ensemble forward from a shared initial point."""
     _check_grid(d_tau, n_steps, n_paths)
     states = np.empty((n_steps + 1, n_paths, 8))
-    dW = _draw_increments(states[1:, :, 0:4], d_tau, seed)
-    return _integrate(policy, spec, z0, d_tau, _signed_steps(spec, dW),
-                      states, tau0, seed)
+    _draw_increments(states[1:, :, 0:4], d_tau, seed)
+    return _integrate(policy, spec, z0, d_tau, states, tau0, seed)
 
 
 def _survivor_stats(samples: np.ndarray, good: np.ndarray, what: str) -> tuple[complex, dict]:
@@ -312,7 +291,7 @@ def estimate_action(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0,
     dW = _draw_increments(np.empty((n_steps, n_paths, 4)), d_tau, seed)
     z = _initial_state(z0, n_paths)
     action = np.zeros(n_paths, dtype=np.complex128)
-    for _, tau, w in _euler(policy, spec, z, d_tau, _signed_steps(spec, dW), tau0):
+    for _, tau, w in _euler(policy, spec, z, d_tau, dW, tau0):
         action += np.asarray(lagrangian.value(tau, z, w), dtype=np.complex128) * d_tau
     good = np.isfinite(z).all(axis=1) & np.isfinite(action)
     mean, rest = _survivor_stats(action, good, "action estimate")
@@ -348,7 +327,7 @@ def bellman_consistency(value_field, lagrangian, policy: PolicyFn,
     dW = _draw_increments(np.empty((1, n_paths, 4)), d_tau, seed)
     z = _initial_state(z0, n_paths)
     j0 = complex(value_field(tau, z[0]))
-    for _, _, w in _euler(policy, spec, z, d_tau, _signed_steps(spec, dW), tau):
+    for _, _, w in _euler(policy, spec, z, d_tau, dW, tau):
         lval = np.asarray(lagrangian.value(tau, z, w), dtype=np.complex128)
     j1 = np.full(n_paths, _NAN)
     moved = np.isfinite(z).all(axis=1)

@@ -33,14 +33,23 @@ from .spacetime import Metric, MOSTLY_PLUS
 RNG_ALGORITHM = "philox4x64-10 (numpy Philox, SeedSequence keyed)"
 
 
+def _check_index(value: int, name: str) -> int:
+    """A seed or path index as a Python int; DomainError when negative."""
+    if (value := operator.index(value)) < 0:
+        raise DomainError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 def generator(seed: int) -> np.random.Generator:
     """Deterministic generator for a flat batch."""
+    seed = _check_index(seed, "seed")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def path_generator(seed: int, path: int) -> np.random.Generator:
     """Independent substream for one path, derived from (seed, path index)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(path,))
+    ss = np.random.SeedSequence(entropy=_check_index(seed, "seed"),
+                                spawn_key=(_check_index(path, "path"),))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -60,9 +69,7 @@ def _substream_keys(seed: int, paths: np.ndarray) -> np.ndarray:
     arrays: uint32 arithmetic wraps there, as the hash needs, where numpy
     scalars would warn on overflow.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+    seed = _check_index(seed, "seed")
     n_words = max(_POOL, -(-seed.bit_length() // 32))  # zero-padded to the pool
     words = [(seed >> (32 * i)) & 0xFFFFFFFF for i in range(n_words)]
     paths = np.asarray(paths, dtype=np.uint32)

@@ -12,7 +12,6 @@ from csoc.cli import main as cli_main
 from csoc.control import equivalence_audit
 from csoc.dirac import (
     build_gammas,
-    clifford_check,
     hopf_cole_check,
     hopf_cole_order,
     linearization_check,
@@ -24,7 +23,6 @@ from csoc.hjb import (
     HJBProblem,
     boundary_residual,
     covariance_check,
-    hjb_residual_complex,
     hjb_residual_pair,
     hjb_residual_probe,
     probe_points,
@@ -147,8 +145,8 @@ def test_criterion_05_pair_complex_recombination():
             return float(np.imag(field(tau, x + 1j * y)))
 
         for tau, z in pts:
-            res_c = hjb_residual_complex(problem, field, tau, z, h=h)
-            res_c_half = hjb_residual_complex(problem, field, tau, z, h=h / 2)
+            res_c = hjb_residual_probe(problem, field, tau, z, h=h).residual
+            res_c_half = hjb_residual_probe(problem, field, tau, z, h=h / 2).residual
             # truncation scale of the stencils from step halving; floored by
             # the roundoff of second differences at this step
             stencil = max(abs(res_c - res_c_half) * 4.0 / 3.0, 1e-8)
@@ -214,7 +212,7 @@ def test_criterion_08_clifford_and_linearization():
     ok = True
     for metric in (MOSTLY_PLUS, MOSTLY_MINUS):
         gammas = build_gammas(metric)
-        ok = ok and clifford_check(gammas) < 1e-14
+        ok = ok and gammas.anticommutator_residual() < 1e-14
         ok = ok and linearization_check(gammas, n=100, seed=0) < 1e-12
     _criterion(8, ok)
 

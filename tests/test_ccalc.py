@@ -10,7 +10,6 @@ from csoc.ccalc import (
     ScalarField,
     analyticity_scan,
     complex_derivative,
-    default_step,
     second_complex_derivative,
     tau_derivative,
 )
@@ -21,7 +20,7 @@ from csoc.errors import DomainError
 from csoc.hjb import (HJBProblem, boundary_residual, covariance_check, hjb_residual_pair,
                       hjb_residual_probe, optimal_control_at)
 from csoc.lagrangian import Lagrangian, free_particle_lagrangian, quadratic_lagrangian
-from csoc.sde import bellman_consistency, constant_policy, integrate, zero_policy
+from csoc.sde import bellman_consistency, constant_policy, integrate
 from csoc.spacetime import LOWER, MOSTLY_PLUS, UPPER, ComplexFourVector
 from csoc.wiener import DiffusionSpec
 
@@ -33,10 +32,13 @@ def quad_form(tau, z):
 
 
 def test_default_step_matches_cube_root_of_eps():
-    assert default_step() == pytest.approx(np.finfo(float).eps ** (1 / 3))
-    assert default_step(2.0) == pytest.approx(2 * np.finfo(float).eps ** (1 / 3))
-    with pytest.raises(DomainError):
-        default_step(0.0)
+    # the step scales with max(1, max |z^mu|): eps^(1/3) for first
+    # differences, eps^(1/4) for second ones
+    eps = np.finfo(float).eps
+    for scale in (1.0, 2.0):
+        z = np.array([0.5, -scale, 0.25j, 0])
+        assert complex_derivative(quad_form, 0.0, z).h == pytest.approx(scale * eps ** (1 / 3))
+        assert second_complex_derivative(quad_form, 0.0, z).h == pytest.approx(scale * eps ** (1 / 4))
 
 
 def test_first_derivative_of_metric_square():
@@ -44,7 +46,7 @@ def test_first_derivative_of_metric_square():
     rep = complex_derivative(quad_form, 0.0, z, h=1e-4)
     # d/dz^0 of eta z z is 2 eta_00 z^0 = -2 (1+i); quadratic, so the
     # central stencil is exact up to roundoff
-    assert rep.d_z[0] == pytest.approx(-2 - 2j, abs=1e-10)
+    assert rep.d_x[0] == pytest.approx(-2 - 2j, abs=1e-10)
     assert np.all(rep.cr_residuals < 1e-8)
     assert np.all(rep.consistency_residuals < 1e-8)
     assert rep.max_residual < 1e-8
@@ -52,7 +54,7 @@ def test_first_derivative_of_metric_square():
 
 def test_first_derivative_of_constant_is_zero():
     rep = complex_derivative(lambda tau, z: 3.7 - 0.2j, 0.0, np.zeros(4))
-    assert np.all(np.abs(rep.d_z) < 1e-12)
+    assert np.all(np.abs(rep.d_x) < 1e-12)
     assert rep.max_residual < 1e-12
 
 
@@ -68,14 +70,14 @@ def test_conjugate_field_breaks_the_route_agreement():
 def test_first_derivative_of_exponential():
     z = np.array([0.3 + 0.1j, 0, 0, 0], dtype=np.complex128)
     rep = complex_derivative(lambda tau, zz: cmath.exp(zz[0]), 0.0, z)
-    assert abs(rep.d_z[0] - cmath.exp(0.3 + 0.1j)) < 1e-6
+    assert abs(rep.d_x[0] - cmath.exp(0.3 + 0.1j)) < 1e-6
     assert rep.max_residual < 1e-6
 
 
 def test_second_derivative_routes_agree_on_square():
     z = np.array([0, 0.5 - 0.3j, 0, 0], dtype=np.complex128)
     rep = second_complex_derivative(lambda tau, zz: zz[1] ** 2, 0.0, z, h=1e-3)
-    assert rep.d2_z[1] == pytest.approx(2.0, abs=1e-8)
+    assert rep.route_xx[1] == pytest.approx(2.0, abs=1e-8)
     assert rep.route_xx[1] == pytest.approx(rep.route_yy[1], abs=1e-6)
     assert rep.route_xx[1] == pytest.approx(rep.route_xy[1], abs=1e-6)
     assert rep.max_discrepancy < 1e-6
@@ -85,7 +87,7 @@ def test_second_derivative_of_linear_is_zero():
     a = np.array([0.3, -0.2, 0.1, 0.7], dtype=np.complex128)
     rep = second_complex_derivative(lambda tau, zz: complex(a @ zz), 0.0,
                                     np.zeros(4), h=1e-3)
-    assert np.all(np.abs(rep.d2_z) < 1e-8)
+    assert np.all(np.abs(rep.route_xx) < 1e-8)
 
 
 def test_second_derivative_routes_exact_for_cubics():
@@ -198,7 +200,7 @@ def test_a_boxed_field_checks_every_evaluation(entry):
         "boundary_residual": lambda tau, z: boundary_residual(
             HJBProblem(problem.lagrangian, problem.diffusion, tau_f=tau), field, [z]),
         "bellman_consistency": lambda tau, z: bellman_consistency(
-            field, problem.lagrangian, zero_policy(), problem.diffusion, tau, z,
+            field, problem.lagrangian, constant_policy(np.zeros(4)), problem.diffusion, tau, z,
             d_tau=0.01, n_paths=4, seed=0),
     }[entry]
     call(0.5, np.zeros(4))

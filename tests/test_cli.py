@@ -1,6 +1,7 @@
 """Config layering, artifact determinism, exit codes of the batch runner."""
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -20,6 +21,7 @@ from csoc.cli import (
     read_config_file,
 )
 from csoc.hjb import covariance_check
+from csoc.sde import constant_policy, integrate_with_increments, path_increments
 from csoc.spacetime import MOSTLY_PLUS
 from csoc.wiener import RNG_ALGORITHM
 
@@ -405,3 +407,21 @@ def test_audit_scenario_fails_when_no_probe_is_evaluated(tmp_path, monkeypatch):
     assert report["max_disagreement"] == "Infinity"
     assert report["checks"][0]["passed"] is False
 
+
+
+def test_one_path_regenerated_alone_matches_the_sde_demo_trajectory(tmp_path):
+    # path k's increments depend on (seed, k) alone, so path 3 integrated by
+    # itself reproduces its rows of trajectories.csv bit for bit
+    out = tmp_path / "run"
+    assert main(["run", "sde-demo", "--epsilon", "-1", "--sigma-x", "0.7",
+                 "--out-dir", str(out)]) == 0
+    cfg = ScenarioConfig(epsilon=-1, sigma_x=0.7)
+    w_bar = np.array([cfg.c, 0, 0, 0], dtype=np.complex128)
+    dWx = path_increments(cfg.d_tau, cfg.n_steps, cfg.seed, 3)
+    ens = integrate_with_increments(constant_policy(w_bar), cfg.diffusion(), np.zeros(4),
+                                    cfg.d_tau, dWx[None])
+    with open(out / "trajectories.csv", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row[0] == "3"]
+    assert len(rows) == cfg.n_steps + 1
+    got = np.array([[float(v) for v in row[3:]] for row in rows])
+    assert np.array_equal(got.view(np.uint64), ens.states[0].view(np.uint64))

@@ -6,7 +6,6 @@ import pytest
 from csoc.dirac import (
     COMPONENT_SIGNS,
     build_gammas,
-    clifford_check,
     hopf_cole_check,
     hopf_cole_order,
     linearization_check,
@@ -45,8 +44,8 @@ def test_gamma_pairs_anticommute():
 
 
 def test_clifford_residual_both_conventions():
-    assert clifford_check(build_gammas(MOSTLY_PLUS)) < 1e-14
-    assert clifford_check(build_gammas(MOSTLY_MINUS)) < 1e-14
+    assert build_gammas(MOSTLY_PLUS).anticommutator_residual() < 1e-14
+    assert build_gammas(MOSTLY_MINUS).anticommutator_residual() < 1e-14
 
 
 def test_representation_labels():

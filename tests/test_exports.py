@@ -2,7 +2,9 @@
 the command line needs no third-party package but numpy; fixed tolerances and
 steps are not keyword parameters."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import csoc
+from csoc.sde import path_increments
 
 
 def test_every_export_resolves_once():
@@ -54,6 +57,11 @@ def _calls_without_removed_keywords():
                             ("h_coarse", "h_fine")),
         "route_consistency": (lambda **kw: csoc.route_consistency(gammas, spinor, 0.3, z, **kw),
                               ("signing",)),
+        "integrate_with_increments": (
+            lambda **kw: csoc.integrate_with_increments(csoc.constant_policy(np.zeros(4)),
+                                                        csoc.DiffusionSpec(), z, 0.01,
+                                                        np.zeros((2, 3, 4)), **kw), ("dWy",)),
+        "sde.path_increments": (lambda **kw: path_increments(0.01, 3, 0, 1, **kw), ("spec",)),
         "ComplexFourVector.from_parts": (
             lambda **kw: csoc.ComplexFourVector.from_parts(z.real, z.imag, **kw), ("index",)),
     }
@@ -66,3 +74,17 @@ def test_removed_keywords_raise_type_error(name):
     for keyword in removed:
         with pytest.raises(TypeError, match=keyword):
             call(**{keyword: None})
+
+
+def test_readme_references_resolve():
+    # every dotted csoc.<module>.<name> the README names exists
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        refs = set(re.findall(r"\bcsoc\.[a-z_]+\.[A-Za-z_][\w.]*\w", fh.read()))
+    assert len(refs) >= 11
+    for ref in sorted(refs):
+        module, *attrs = ref.split(".")[1:]
+        obj = importlib.import_module(f"csoc.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), ref
+            obj = getattr(obj, attr)

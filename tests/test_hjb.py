@@ -18,7 +18,6 @@ from csoc.hjb import (
     boundary_residual,
     covariance_check,
     dalembertian,
-    hjb_residual_complex,
     hjb_residual_pair,
     hjb_residual_probe,
     optimal_control_at,
@@ -78,7 +77,7 @@ def test_free_particle_value_solves_the_equation():
 def test_free_particle_value_mostly_minus():
     problem = free_problem(metric=MOSTLY_MINUS)
     value = lambda tau, z: complex(1.0 - tau)
-    res = hjb_residual_complex(problem, value, 0.4, PROBE_Z, h=1e-3)
+    res = hjb_residual_probe(problem, value, 0.4, PROBE_Z, h=1e-3).residual
     assert abs(res) < 1e-10
 
 
@@ -127,7 +126,7 @@ def test_pair_residuals_recombine_into_complex_residual(field_idx):
 
     tau = 0.37
     h = 1e-3
-    res_c = hjb_residual_complex(problem, field, tau, PROBE_Z, h=h)
+    res_c = hjb_residual_probe(problem, field, tau, PROBE_Z, h=h).residual
     res_r, res_i = hjb_residual_pair(problem, field_r, field_i, tau,
                                      PROBE_Z.real, PROBE_Z.imag, h=h)
     assert abs(res_r - res_c.real) < 1e-5
@@ -138,7 +137,7 @@ def test_pair_residuals_quadratic_field_tight():
     # every stencil is exact on quadratics, so only roundoff separates routes
     problem = free_problem()
     field = FIELDS[0]
-    res_c = hjb_residual_complex(problem, field, 0.37, PROBE_Z, h=1e-3)
+    res_c = hjb_residual_probe(problem, field, 0.37, PROBE_Z, h=1e-3).residual
     res_r, res_i = hjb_residual_pair(
         problem,
         lambda tau, x, y: float(np.real(field(tau, x + 1j * y))),
@@ -297,8 +296,8 @@ def test_residual_probe_shares_one_stencil(h, n_calls):
     probe = hjb_residual_probe(problem, field, 0.37, PROBE_Z, h=h)
     assert len(calls) == n_calls
     # the public derivatives, each on its own stencil, give the same bits
-    dj = complex_derivative(FIELDS[1], 0.37, PROBE_Z, h=h).d_z
-    d2j = second_complex_derivative(FIELDS[1], 0.37, PROBE_Z, h=h).d2_z
+    dj = complex_derivative(FIELDS[1], 0.37, PROBE_Z, h=h).d_x
+    d2j = second_complex_derivative(FIELDS[1], 0.37, PROBE_Z, h=h).route_xx
     w_star, method = optimal_control_at(problem, dj, 0.37, PROBE_Z)
     bracket = complex(np.asarray(problem.lagrangian.value(0.37, PROBE_Z, w_star))) \
         + complex(np.sum(w_star * dj))
@@ -321,7 +320,7 @@ def test_dalembertian_evaluates_only_the_xx_route(h):
     val = dalembertian(field, 0.2, PROBE_Z, MOSTLY_PLUS, h=h)
     assert len(calls) == 9
     rep2 = second_complex_derivative(FIELDS[2], 0.2, PROBE_Z, h=h)
-    assert val == complex(np.sum(ETA * rep2.d2_z))
+    assert val == complex(np.sum(ETA * rep2.route_xx))
     calls.clear()
     covariance_check(field, MOSTLY_PLUS, 0.3, 1, 0.2, PROBE_Z, h=h)
     assert len(calls) == 18

@@ -15,20 +15,20 @@ from csoc.lagrangian import (
 )
 from csoc.sde import (
     _DRAW_CHUNK,
+    _draw_increments,
     bellman_consistency,
     constant_policy,
-    ensemble_increments,
     estimate_action,
     integrate,
     integrate_with_increments,
     linear_policy,
     path_increments,
     pointwise_policy,
-    zero_policy,
 )
 from csoc.wiener import DiffusionSpec
 
 ZERO4 = np.zeros(4, dtype=np.complex128)
+STILL = constant_policy(ZERO4)
 ETA = DiffusionSpec.natural().metric.eta
 
 # a state-feedback drift mixing the real and imaginary sheets
@@ -45,14 +45,16 @@ def blow_up(tau, zp):
     return ZERO4
 
 
-def gather_reference(policy, spec, z0, d_tau, dWx, dWy, tau0=0.0, lagrangian=None):
+def gather_reference(policy, spec, z0, d_tau, dWx, tau0=0.0, lagrangian=None):
     """Reference Euler loop that gathers the live paths by index every step.
 
-    A path dies when its state (or, with a Lagrangian, its action) turns
+    The imaginary sheet is driven by dWy, the whole signed copy of dWx,
+    formed before the loop. A path dies when its state (or, with a Lagrangian, its action) turns
     non-finite: its state is set to NaN and it is stepped no more. Returns
     the states, the failed paths, the action and the mask of live paths.
     """
     n_paths, n_steps = dWx.shape[0], dWx.shape[1]
+    dWy = dWx * spec.sign_copy
     x = np.broadcast_to(z0.real, (n_paths, 4)).copy()
     y = np.broadcast_to(z0.imag, (n_paths, 4)).copy()
     states = np.empty((n_paths, n_steps + 1, 8))
@@ -99,7 +101,7 @@ def test_noiseless_drift_is_exact_quadrature():
 
 def test_ensemble_grid_and_views():
     spec = DiffusionSpec.natural()
-    ens = integrate(zero_policy(), spec, ZERO4, d_tau=0.1, n_steps=5,
+    ens = integrate(STILL, spec, ZERO4, d_tau=0.1, n_steps=5,
                     n_paths=7, seed=1, tau0=0.25)
     assert ens.n_paths == 7
     assert ens.n_steps == 5
@@ -110,7 +112,7 @@ def test_ensemble_grid_and_views():
 def test_spread_matches_accumulated_variance():
     # var(x^1 at tau) = sigma^2 tau for pure diffusion
     spec = DiffusionSpec.natural()
-    ens = integrate(zero_policy(), spec, ZERO4, d_tau=0.1, n_steps=10,
+    ens = integrate(STILL, spec, ZERO4, d_tau=0.1, n_steps=10,
                     n_paths=50_000, seed=4)
     var = ens.x[:, -1, 1].var(ddof=1)
     tol = 5.0 * np.sqrt(2.0 / 50_000)
@@ -121,18 +123,31 @@ def test_sheets_are_signed_copies_along_paths():
     # same Gaussians drive both sheets, so pure-diffusion paths satisfy
     # y^0 = -x^0 and y^i = x^i bit for bit (mostly-plus, epsilon = +1)
     spec = DiffusionSpec.natural()
-    ens = integrate(zero_policy(), spec, ZERO4, d_tau=0.05, n_steps=20,
+    ens = integrate(STILL, spec, ZERO4, d_tau=0.05, n_steps=20,
                     n_paths=50, seed=2)
     assert np.array_equal(ens.y[..., 0], -ens.x[..., 0])
     assert np.array_equal(ens.y[..., 1:], ens.x[..., 1:])
 
 
 def test_path_substreams_regenerate_in_isolation():
-    spec = DiffusionSpec.natural()
-    dWx, dWy = ensemble_increments(spec, 0.01, 12, n_paths=6, seed=11)
-    one_x, one_y = path_increments(spec, 0.01, 12, seed=11, path=3)
-    assert np.array_equal(one_x, dWx[3])
-    assert np.array_equal(one_y, dWy[3])
+    dWx = _draw_increments(np.empty((12, 6, 4)), 0.01, seed=11)
+    assert np.array_equal(path_increments(0.01, 12, seed=11, path=3), dWx[:, 3])
+
+
+@pytest.mark.parametrize("d_tau, n_steps, path", [
+    (0.0, 12, 3), (-0.01, 12, 3), (np.nan, 12, 3), (np.inf, 12, 3),
+    (0.01, 0, 3), (0.01, -1, 3), (0.01, 12, -1)])
+def test_path_increments_reject_a_bad_grid_or_path(d_tau, n_steps, path):
+    with pytest.raises(DomainError):
+        path_increments(d_tau, n_steps, seed=11, path=path)
+
+
+def test_a_complex_dwx_is_refused():
+    # copied into the float states buffer, its imaginary part would be lost
+    dWx = np.zeros((2, 5, 4), dtype=np.complex128)
+    dWx[..., 1] = 1j
+    with pytest.raises(DomainError, match="real"):
+        integrate_with_increments(STILL, DiffusionSpec.natural(), ZERO4, 0.01, dWx)
 
 
 def test_strong_error_halves_with_the_step():
@@ -142,14 +157,12 @@ def test_strong_error_halves_with_the_step():
     policy = linear_policy(MIX)
     z0 = np.array([1.0, 0.5 + 0.2j, -0.3, 0.1j])
     n_paths, n1, d1 = 200, 32, 0.02
-    dx4, dy4 = ensemble_increments(spec, d1 / 4, 4 * n1, n_paths, seed=6)
+    dx4 = _draw_increments(np.empty((4 * n1, n_paths, 4)), d1 / 4, seed=6).swapaxes(0, 1)
     dx2 = dx4[:, 0::2] + dx4[:, 1::2]
-    dy2 = dy4[:, 0::2] + dy4[:, 1::2]
     dx1 = dx2[:, 0::2] + dx2[:, 1::2]
-    dy1 = dy2[:, 0::2] + dy2[:, 1::2]
-    z1 = integrate_with_increments(policy, spec, z0, d1, dx1, dy1).z(n1)
-    z2 = integrate_with_increments(policy, spec, z0, d1 / 2, dx2, dy2).z(2 * n1)
-    z4 = integrate_with_increments(policy, spec, z0, d1 / 4, dx4, dy4).z(4 * n1)
+    z1 = integrate_with_increments(policy, spec, z0, d1, dx1).z(n1)
+    z2 = integrate_with_increments(policy, spec, z0, d1 / 2, dx2).z(2 * n1)
+    z4 = integrate_with_increments(policy, spec, z0, d1 / 4, dx4).z(4 * n1)
     e_coarse = np.abs(z1 - z2).max(axis=1).mean()
     e_fine = np.abs(z2 - z4).max(axis=1).mean()
     assert 0.35 < e_fine / e_coarse < 0.65
@@ -171,10 +184,10 @@ def test_grid_validation():
     spec = DiffusionSpec.natural()
     for d_tau in (-0.01, np.nan, np.inf):
         with pytest.raises(DomainError):
-            integrate(zero_policy(), spec, ZERO4, d_tau=d_tau, n_steps=5,
+            integrate(STILL, spec, ZERO4, d_tau=d_tau, n_steps=5,
                       n_paths=2, seed=0)
     with pytest.raises(DomainError):
-        integrate(zero_policy(), spec, np.zeros(3), d_tau=0.01, n_steps=5,
+        integrate(STILL, spec, np.zeros(3), d_tau=0.01, n_steps=5,
                   n_paths=2, seed=0)
     flat = lambda tau, z: np.zeros(4, dtype=np.complex128)
     with pytest.raises(DomainError):
@@ -183,16 +196,15 @@ def test_grid_validation():
     with pytest.raises(DomainError):
         bellman_consistency(lambda tau, z: 0j, zero_lagrangian(), flat, spec,
                             tau=0.0, z0=ZERO4, d_tau=0.01, n_paths=2, seed=0)
-    dWx, dWy = ensemble_increments(spec, 0.01, 5, n_paths=2, seed=0)
-    for d_tau, dx, dy in ((-0.01, dWx, dWy), (0.01, dWx, dWy[:, :2]),
-                          (0.01, dWx[:, :0], dWy[:, :0]), (0.01, dWx[..., :3], dWy[..., :3])):
+    dWx = np.zeros((2, 5, 4))
+    for d_tau, dx in ((-0.01, dWx), (0.01, dWx[0]), (0.01, dWx[:, :0]), (0.01, dWx[..., :3])):
         with pytest.raises(DomainError):
-            integrate_with_increments(zero_policy(), spec, ZERO4, d_tau, dx, dy)
+            integrate_with_increments(STILL, spec, ZERO4, d_tau, dx)
 
 
 def test_csv_round_trip():
     spec = DiffusionSpec.natural()
-    ens = integrate(zero_policy(), spec, ZERO4, d_tau=0.01, n_steps=3,
+    ens = integrate(STILL, spec, ZERO4, d_tau=0.01, n_steps=3,
                     n_paths=2, seed=9)
     import io
     import os
@@ -244,7 +256,7 @@ def test_action_of_constant_lagrangian_is_the_time_span():
     unit = Lagrangian(value=lambda tau, z, w: np.ones(
         np.asarray(w).shape[:-1], dtype=np.complex128))
     spec = DiffusionSpec.natural()
-    est = estimate_action(unit, zero_policy(), spec, ZERO4, d_tau=0.02,
+    est = estimate_action(unit, STILL, spec, ZERO4, d_tau=0.02,
                           n_steps=100, n_paths=8, seed=0)
     assert abs(est.mean - 2.0) < 1e-12
     assert est.stderr_re == 0.0
@@ -312,7 +324,7 @@ def test_bellman_marks_a_mostly_failed_ensemble_invalid():
 
 def test_bellman_is_valid_without_failed_paths():
     res = bellman_consistency(lambda tau, z: complex(np.sum(z)), zero_lagrangian(),
-                              zero_policy(), DiffusionSpec.natural(), tau=0.2, z0=ZERO4,
+                              STILL, DiffusionSpec.natural(), tau=0.2, z0=ZERO4,
                               d_tau=0.01, n_paths=50, seed=3)
     assert res.n_failed == 0 and res.valid
 
@@ -336,7 +348,7 @@ def test_integrate_holds_no_increment_copy():
 def test_bellman_zero_field_zero_lagrangian():
     spec = DiffusionSpec.natural()
     res = bellman_consistency(lambda tau, z: 0j, zero_lagrangian(),
-                              zero_policy(), spec, tau=0.2, z0=ZERO4,
+                              STILL, spec, tau=0.2, z0=ZERO4,
                               d_tau=0.01, n_paths=100, seed=0)
     assert res.residual == 0j
     assert res.stderr_re == 0.0
@@ -380,10 +392,9 @@ REFERENCE_CASES = {
 }
 
 
-def path_major_increments(spec, d_tau, n_steps, n_paths, seed):
-    """Reference increments, path by path from each path's own SeedSequence."""
-    pairs = [path_increments(spec, d_tau, n_steps, seed, p) for p in range(n_paths)]
-    return np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
+def path_major_increments(d_tau, n_steps, n_paths, seed):
+    """Reference dWx, path by path from each path's own SeedSequence."""
+    return np.stack([path_increments(d_tau, n_steps, seed, p) for p in range(n_paths)])
 
 
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
@@ -391,25 +402,24 @@ def test_stepper_matches_the_gather_reference_bit_for_bit(case):
     policy, spec, z0, d_tau, n_steps, n_paths, seed = REFERENCE_CASES[case]
     # depends on z as well as w, so it pins which state each step's L sees
     lag = Lagrangian(value=lambda tau, z, w: 0.55 * np.sum(ETA * w * w, axis=-1) + tau * z[..., 1])
-    dWx, dWy = path_major_increments(spec, d_tau, n_steps, n_paths, seed)
+    dWx = path_major_increments(d_tau, n_steps, n_paths, seed)
 
-    states, failed, _, _ = gather_reference(policy, spec, z0, d_tau, dWx, dWy, tau0=0.1)
-    for ens in (integrate_with_increments(policy, spec, z0, d_tau, dWx, dWy, tau0=0.1),
+    states, failed, _, _ = gather_reference(policy, spec, z0, d_tau, dWx, tau0=0.1)
+    for ens in (integrate_with_increments(policy, spec, z0, d_tau, dWx, tau0=0.1),
                 integrate(policy, spec, z0, d_tau, n_steps, n_paths, seed, tau0=0.1)):
         assert np.array_equal(ens.states.view(np.uint64), states.view(np.uint64))
         assert ens.failed_paths == failed
 
     est = estimate_action(lag, policy, spec, z0, d_tau, n_steps, n_paths, seed)
-    _, _, action, alive = gather_reference(policy, spec, z0, d_tau, dWx, dWy,
-                                           lagrangian=lag)
+    _, _, action, alive = gather_reference(policy, spec, z0, d_tau, dWx, lagrangian=lag)
     assert (est.mean, est.stderr_re, est.stderr_im) == reference_stats(action[alive])
     assert est.n_failed == n_paths - alive.sum()
 
     value = lambda tau, z: complex(np.sum(ETA * z * z)) + 0.3 * z[0] + tau
     res = bellman_consistency(value, lag, policy, spec, 0.2, z0, d_tau, n_paths, seed)
-    dx1, dy1 = path_major_increments(spec, d_tau, 1, n_paths, seed)
-    states, _, action, _ = gather_reference(policy, spec, z0, d_tau, dx1, dy1,
-                                            tau0=0.2, lagrangian=lag)
+    dx1 = path_major_increments(d_tau, 1, n_paths, seed)
+    states, _, action, _ = gather_reference(policy, spec, z0, d_tau, dx1, tau0=0.2,
+                                            lagrangian=lag)
     z1 = states[:, 1, 0:4] + 1j * states[:, 1, 4:8]
     samples = action + np.array([value(0.2 + d_tau, zp) for zp in z1])
     mean, se_re, se_im = reference_stats(samples)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from csoc.errors import DomainError
+from csoc.sde import constant_policy, integrate, path_increments
 from csoc.spacetime import MOSTLY_MINUS, MOSTLY_PLUS
 from csoc.wiener import (
     DiffusionSpec,
@@ -283,3 +284,19 @@ def test_rekeyed_generator_draws_each_path_substream():
         assert np.array_equal(rng.normal(size=7).view(np.uint64), want.view(np.uint64))
     with pytest.raises(DomainError):
         next(_path_generators(-1, 3))
+
+
+NEGATIVE_SEED_CALLS = {
+    "sample_increments": lambda: sample_increments(DiffusionSpec(), 0.01, 16, seed=-1),
+    "moment_check": lambda: moment_check(DiffusionSpec(), [0] * 4, [0] * 4, 0.01, 10_000, seed=-1),
+    "path_generator": lambda: path_generator(0, -1),
+    "path_increments": lambda: path_increments(0.01, 5, seed=-1, path=0),
+    "integrate": lambda: integrate(constant_policy(np.zeros(4)), DiffusionSpec(), np.zeros(4),
+                                   0.01, 5, 3, seed=-1),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NEGATIVE_SEED_CALLS))
+def test_a_negative_seed_or_path_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        NEGATIVE_SEED_CALLS[call]()
