@@ -2,7 +2,7 @@
 
 Layers and sizes (those of the perfbench `ensemble` workload):
 
-    sde._draw_increments      34,236 paths x 200 steps, into one (STEPS, n, 4) buffer
+    wiener._draw_paths        34,236 paths x 200 steps, into one (STEPS, n, 4) buffer
     sde.integrate             34,236 paths x 200 steps, whole trajectory stored
     sde.estimate_action        4,096 paths x 200 steps, action only
     wiener.moment_check       1e6 increment samples
@@ -20,9 +20,11 @@ record for comparing two trees, not a pass/fail gate.
     python3 bench/sde_layers.py --label change
 
 `--src` picks the csoc sources to import (default: ./src next to this
-script). The record names them by the git rev of the repository holding
-them (suffixed -dirty when it has uncommitted changes) and by a sha256 of
-their csoc/*.py files, computed as perfbench's stamp does.
+script). The draw layer is looked up as wiener._draw_paths, or as its
+earlier home sde._draw_increments, so older trees can be timed too. The
+record names the sources by the git rev of the repository holding them
+(suffixed -dirty when it has uncommitted changes) and by a sha256 of their
+csoc/*.py files, computed as perfbench's stamp does.
 """
 
 from __future__ import annotations
@@ -58,12 +60,14 @@ def layers(csoc, np):
     policy = csoc.linear_policy(matrix)
     lagrangian = csoc.quadratic_lagrangian(1.0, spec.metric)
 
+    draw = getattr(csoc.wiener, "_draw_paths", None) or csoc.sde._draw_increments
+
     def paths(n, scale):
         return max(1, n // scale)
 
     def increments(scale):
         out = np.empty((STEPS, paths(INTEGRATE_PATHS, scale), 4))
-        return csoc.sde._draw_increments(out, D_TAU, 11)
+        return draw(out, D_TAU, 11)
 
     def integrate(scale):
         return csoc.sde.integrate(policy, spec, z0, D_TAU, STEPS, paths(INTEGRATE_PATHS, scale), 12)
@@ -78,7 +82,7 @@ def layers(csoc, np):
 
     increment_bytes = INTEGRATE_PATHS * STEPS * 4 * F64
     return [
-        ("_draw_increments", "sde", {"paths": INTEGRATE_PATHS, "steps": STEPS},
+        (draw.__name__, draw.__module__.split(".")[-1], {"paths": INTEGRATE_PATHS, "steps": STEPS},
          INTEGRATE_PATHS * STEPS, "path-steps", increment_bytes, increments),
         ("integrate", "sde", {"paths": INTEGRATE_PATHS, "steps": STEPS},
          INTEGRATE_PATHS * STEPS, "path-steps", INTEGRATE_PATHS * (STEPS + 1) * 8 * F64, integrate),

@@ -296,10 +296,6 @@ class DerivativeReport:
     consistency_residuals: np.ndarray
     h: float
 
-    @property
-    def max_residual(self) -> float:
-        return float(max(self.cr_residuals.max(), self.consistency_residuals.max()))
-
 
 def _first_routes(st: _Stencil) -> tuple[np.ndarray, ...]:
     """The x-route d_x and the y-partial d_y of a stencil's field, with their

@@ -43,11 +43,11 @@ class StationarityResult:
     residual_complex: np.ndarray             # 4 complex, dL/dw + dJ at w_star
     residual_real_pair: np.ndarray           # 8 reals, real-part condition set
     iterations: int
-    converged: bool
 
 
 _SHIFTS = np.concatenate([np.eye(8), -np.eye(8)])   # the Jacobian's 16 unit steps
 _MAX_ITER = 100       # Newton iterations per solve
+_NEWTON_TOL = 1e-10   # solve_optimal_control's largest residual component at a root
 _AUDIT_TOL = 1e-8     # the audit's largest passing root disagreement
 _SCAN_TOL = 1e-6      # the audit's analyticity-scan tolerance
 _SOLVER_TOL = 1e-12   # the audit's Newton tolerance per condition set
@@ -167,8 +167,8 @@ def _theta_to_w(theta: np.ndarray) -> np.ndarray:
     return theta[..., :4] + 1j * theta[..., 4:]
 
 
-def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0, z=None,
-                          tol: float = 1e-10) -> StationarityResult:
+def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0,
+                          z=None) -> StationarityResult:
     """Newton solve of dL/dw + dJ = 0 from w = 0 over the 8 real velocity components."""
     dj = _vector(dJ, LOWER)
     z = _vector(np.zeros(4) if z is None else z)
@@ -177,7 +177,7 @@ def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0, z=None,
         g_c = lagrangian.grad(tau, z, _theta_to_w(theta)) + dj
         return np.concatenate([g_c.real, g_c.imag], axis=-1)
 
-    roots, residuals, iterations, failures = _newton8(residual, tol)
+    roots, residuals, iterations, failures = _newton8(residual, _NEWTON_TOL)
     if failures:
         raise failures[0]
     w = _theta_to_w(roots[0])
@@ -189,7 +189,6 @@ def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0, z=None,
         residual_complex=g_c,
         residual_real_pair=real_pair,
         iterations=int(iterations[0]),
-        converged=bool(np.abs(g_c).max() < tol),
     )
 
 
@@ -214,12 +213,12 @@ class AuditReport:
     @property
     def max_disagreement(self) -> float:
         vals = [p.disagreement for p in self.probes if not p.singular]
-        return max(vals) if vals else 0.0
+        return max(vals) if vals else float("inf")
 
     @property
     def max_closed_form_disagreement(self) -> float:
         vals = [p.closed_form_disagreement for p in self.probes if not p.singular]
-        return max(vals) if vals else 0.0
+        return max(vals) if vals else float("inf")
 
     @property
     def singular_probes(self) -> tuple[int, ...]:
@@ -237,7 +236,8 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
     For the EM Lagrangian (lagrangian.em set) each root is also compared
     with the closed-form control, and probes whose root lands on the
     square-root branch point (sum w^mu w_mu ~ 0) are flagged singular, "no
-    interior stationary point", and excluded from the pass criterion. A
+    interior stationary point", and excluded from the pass criterion. With
+    no probe left to compare the audit fails and both maxima are infinite. A
     probe where either Newton solve fails is not singular: it fails the
     audit with an infinite disagreement.
     """
@@ -296,6 +296,7 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
         else:
             out.append(AuditProbe(tau, z, w_r[i], w_i[i], disagreement=float(disagreement[i]),
                                   closed_form_disagreement=float(cf_dis[i]), singular=False))
-    # singular probes are left out; a failed solve's infinite disagreement fails
-    passed = all(p.singular or p.disagreement < _AUDIT_TOL for p in out)
+    # a pass needs a compared probe; a failed solve's infinite disagreement fails
+    compared = [p for p in out if not p.singular]
+    passed = bool(compared) and all(p.disagreement < _AUDIT_TOL for p in compared)
     return AuditReport(probes=tuple(out), tol=_AUDIT_TOL, passed=passed)

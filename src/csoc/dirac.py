@@ -119,7 +119,9 @@ def build_gammas(metric: Metric = MOSTLY_PLUS) -> GammaSet:
 
 
 def linearization_check(gammas: GammaSet, n: int = 100, seed: int = 0) -> float:
-    """Worst (gamma.a)^2 defect over n random complex four-vectors."""
+    """Worst (gamma.a)^2 defect over n >= 1 random complex four-vectors."""
+    if n < 1:
+        raise DomainError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
@@ -149,10 +151,6 @@ class PlaneWave:
     lam: complex
     chi: np.ndarray
     eigen_residual: float
-
-    @property
-    def total_momentum(self) -> np.ndarray:
-        return self.p + self.q * self.a_const
 
     def phi(self, tau: float, z: np.ndarray) -> np.ndarray:
         z = np.asarray(getattr(z, "components", z), dtype=np.complex128)

@@ -254,29 +254,33 @@ def _sobol_unit(n: int) -> np.ndarray:
     return np.bitwise_xor.accumulate(steps, axis=0) / 2.0 ** _SOBOL_BITS
 
 
-def probe_points(box: DomainBox, n: int = 64,
-                 shrink: float = 0.05) -> list[tuple[float, np.ndarray]]:
+_SHRINK = 0.05   # the fraction of each span the probe box loses at either end
+
+
+def probe_points(box: DomainBox, n: int = 64) -> list[tuple[float, np.ndarray]]:
     """Deterministic low-discrepancy probes strictly inside the box.
 
     The first n unscrambled 9-dimensional Sobol points (Bratley and Fox, ACM
     TOMS 14, 1988, Algorithm 659; direction numbers of Joe and Kuo, SIAM J.
-    Sci. Comput. 30, 2008), mapped into the box shrunk by the given fraction
-    of each span, so stencils of moderate step stay interior. The first n
-    probes of a larger n are the same points.
+    Sci. Comput. 30, 2008), mapped into the box shrunk by _SHRINK of each
+    span, so stencils of moderate step stay interior. The first n probes of
+    a larger n are the same points. A box whose span overflows to inf is a
+    DomainError.
     """
     if not 1 <= n <= 2 ** _SOBOL_BITS:
         raise DomainError(f"n must be in [1, 2**{_SOBOL_BITS}], got {n}")
-    if not 0.0 <= shrink < 0.5:
-        raise DomainError(f"shrink must be in [0, 0.5), got {shrink}")
     lo = np.array([box.tau_lo, *box.x_lo, *box.y_lo])
     hi = np.array([box.tau_hi, *box.x_hi, *box.y_hi])
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise DomainError("the probe box must be finite")
     if not (lo < hi).all():
         raise DomainError("the probe box must have lo < hi on every axis")
-    span = hi - lo
-    lo_s = lo + shrink * span
-    hi_s = hi - shrink * span
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if not np.isfinite(span).all():
+        raise DomainError("the probe box span must be finite")
+    lo_s = lo + _SHRINK * span
+    hi_s = hi - _SHRINK * span
     pts = _sobol_unit(n) * (hi_s - lo_s) + lo_s
     out = []
     for row in pts:

@@ -20,30 +20,29 @@ Lagrangians receive these NaN rows, per-point callables never see them.
 
 Each path draws its increments from an independent substream keyed by
 (seed, path index) alone, so an ensemble is reproducible and any path can be
-regenerated in isolation (path_increments). An ensemble computes all its keys
-at once and re-keys one generator per path (see wiener).
+regenerated in isolation (path_increments). An ensemble draws all its paths
+through wiener._draw_paths, the one draw routine.
 
 Arrays are time-major: trajectories are stored in one (n_steps+1, n_paths, 8)
 buffer, so each step reads and writes contiguous slabs; TrajectoryEnsemble.states
 is an (n_paths, ...) view of it, not C-contiguous. Callers draw or supply dWx
 alone, into the x-slots of the states it drives, states[t+1, :, 0:4], where
 step t reads it before storing x_{t+1} over it, so a run peaks at about its
-states buffer; estimate_action and bellman_consistency, which store no states,
-hold dWx in one (n_steps, n_paths, 4) buffer. dWy is never stored: _euler
-forms each step's slice as the signed copy of dWx's.
+states buffer; estimate_action and bellman_consistency store no states: their
+_run_paths holds dWx in one (n_steps, n_paths, 4) buffer. dWy is never stored:
+_euler forms each step's slice as the signed copy of dWx's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
 from .spacetime import _vector
-from .wiener import DiffusionSpec, _check_d_tau, _path_generators, path_generator
+from .wiener import DiffusionSpec, _check_d_tau, _draw_paths, path_generator
 
 PolicyFn = Callable[[float, np.ndarray], np.ndarray]
 
@@ -98,24 +97,6 @@ def path_increments(d_tau: float, n_steps: int, seed: int, path: int) -> np.ndar
     return path_generator(seed, path).normal(0.0, np.sqrt(d_tau), size=(n_steps, 4))
 
 
-_DRAW_CHUNK = 64   # paths drawn contiguous before one time-major copy
-
-
-def _draw_increments(out: np.ndarray, d_tau: float, seed: int) -> np.ndarray:
-    """Fill a time-major (n_steps, n_paths, 4) view with the ensemble's dWx and
-    return it; path p's column holds exactly the numbers of
-    path_increments(..., path=p). Paths are drawn _DRAW_CHUNK at a time into a
-    contiguous block, which is copied into out in one assignment."""
-    n_steps, n_paths, _ = out.shape
-    scale = np.sqrt(d_tau)
-    rngs = _path_generators(seed, n_paths)
-    for p0 in range(0, n_paths, _DRAW_CHUNK):
-        paths = islice(rngs, _DRAW_CHUNK)
-        chunk = np.stack([rng.normal(0.0, scale, size=(n_steps, 4)) for rng in paths])
-        out[:, p0:p0 + len(chunk)] = chunk.swapaxes(0, 1)
-    return out
-
-
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
     """Integrated ensemble. states has shape (n_paths, n_steps+1, 8): a
@@ -124,7 +105,6 @@ class TrajectoryEnsemble:
     states: np.ndarray
     d_tau: float
     tau0: float
-    seed: int
     failed_paths: tuple[int, ...]
 
     @property
@@ -204,7 +184,7 @@ def _euler(policy: PolicyFn, spec: DiffusionSpec, z: np.ndarray, d_tau: float,
 
 
 def _integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
-               states: np.ndarray, tau0: float, seed: int) -> TrajectoryEnsemble:
+               states: np.ndarray, tau0: float) -> TrajectoryEnsemble:
     """Run _euler over the dWx in states[1:, :, 0:4], storing every state
     time-major in the (n_steps+1, n_paths, 8) buffer states. Step t stores z_t
     before it moves the paths, so its dWx may sit in states[t+1] until then."""
@@ -216,12 +196,12 @@ def _integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
     states.flags.writeable = False
     failed = tuple(np.flatnonzero(~np.isfinite(z).all(axis=1)).tolist())
     return TrajectoryEnsemble(states=states.swapaxes(0, 1), d_tau=float(d_tau),
-                              tau0=float(tau0), seed=seed, failed_paths=failed)
+                              tau0=float(tau0), failed_paths=failed)
 
 
 def integrate_with_increments(policy: PolicyFn, spec: DiffusionSpec, z0,
                               d_tau: float, dWx: np.ndarray,
-                              tau0: float = 0.0, seed: int = 0) -> TrajectoryEnsemble:
+                              tau0: float = 0.0) -> TrajectoryEnsemble:
     """integrate against supplied real increments dWx, (n_paths, n_steps, 4).
 
     Exposed so refinement studies can integrate coarse and fine grids against
@@ -236,7 +216,7 @@ def integrate_with_increments(policy: PolicyFn, spec: DiffusionSpec, z0,
     _check_grid(d_tau, n_steps, n_paths)
     states = np.empty((n_steps + 1, n_paths, 8))
     states[1:, :, 0:4] = dWx.swapaxes(0, 1)
-    return _integrate(policy, spec, z0, d_tau, states, tau0, seed)
+    return _integrate(policy, spec, z0, d_tau, states, tau0)
 
 
 def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
@@ -245,8 +225,22 @@ def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
     """Integrate the ensemble forward from a shared initial point."""
     _check_grid(d_tau, n_steps, n_paths)
     states = np.empty((n_steps + 1, n_paths, 8))
-    _draw_increments(states[1:, :, 0:4], d_tau, seed)
-    return _integrate(policy, spec, z0, d_tau, states, tau0, seed)
+    _draw_paths(states[1:, :, 0:4], d_tau, seed)
+    return _integrate(policy, spec, z0, d_tau, states, tau0)
+
+
+def _run_paths(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float, n_steps: int,
+               n_paths: int, seed: int, tau0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each path's final state, (n_paths, 4), and action, (n_paths,), from z0 at
+    tau0, by Ito (left endpoint) quadrature: each step adds L(tau_t, z_t, w_t)
+    d_tau with w_t the same control used for stepping."""
+    _check_grid(d_tau, n_steps, n_paths)
+    dW = _draw_paths(np.empty((n_steps, n_paths, 4)), d_tau, seed)
+    z = _initial_state(z0, n_paths)
+    action = np.zeros(n_paths, dtype=np.complex128)
+    for _, tau, w in _euler(policy, spec, z, d_tau, dW, tau0):
+        action += np.asarray(lagrangian.value(tau, z, w), dtype=np.complex128) * d_tau
+    return z, action
 
 
 def _survivor_stats(samples: np.ndarray, good: np.ndarray, what: str) -> tuple[complex, dict]:
@@ -279,20 +273,13 @@ class ActionEstimate:
 def estimate_action(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0,
                     d_tau: float, n_steps: int, n_paths: int, seed: int,
                     tau0: float = 0.0) -> ActionEstimate:
-    """Estimate E[integral of L dtau] along policy-driven paths.
+    """Estimate E[integral of L dtau] along policy-driven paths (Ito quadrature).
 
-    Ito (left endpoint) quadrature: each step contributes
-    L(tau_t, z_t, w_t) d_tau with w_t the same control used for stepping.
     Failed paths, whose state or action turned non-finite, are excluded
     from the estimate and counted; the estimate is marked invalid when they
     exceed 0.1% of the ensemble.
     """
-    _check_grid(d_tau, n_steps, n_paths)
-    dW = _draw_increments(np.empty((n_steps, n_paths, 4)), d_tau, seed)
-    z = _initial_state(z0, n_paths)
-    action = np.zeros(n_paths, dtype=np.complex128)
-    for _, tau, w in _euler(policy, spec, z, d_tau, dW, tau0):
-        action += np.asarray(lagrangian.value(tau, z, w), dtype=np.complex128) * d_tau
+    z, action = _run_paths(lagrangian, policy, spec, z0, d_tau, n_steps, n_paths, seed, tau0)
     good = np.isfinite(z).all(axis=1) & np.isfinite(action)
     mean, rest = _survivor_stats(action, good, "action estimate")
     return ActionEstimate(mean=mean, **rest)
@@ -323,15 +310,11 @@ def bellman_consistency(value_field, lagrangian, policy: PolicyFn,
     residual is marked invalid when they exceed 0.1% of the ensemble, since
     the surviving paths are then a biased sample.
     """
-    _check_grid(d_tau, 1, n_paths)
-    dW = _draw_increments(np.empty((1, n_paths, 4)), d_tau, seed)
-    z = _initial_state(z0, n_paths)
-    j0 = complex(value_field(tau, z[0]))
-    for _, _, w in _euler(policy, spec, z, d_tau, dW, tau):
-        lval = np.asarray(lagrangian.value(tau, z, w), dtype=np.complex128)
+    z, action = _run_paths(lagrangian, policy, spec, z0, d_tau, 1, n_paths, seed, tau)
+    j0 = complex(value_field(tau, _vector(z0)))
     j1 = np.full(n_paths, _NAN)
     moved = np.isfinite(z).all(axis=1)
     j1[moved] = [value_field(tau + d_tau, zp) for zp in z[moved]]
-    samples = np.broadcast_to(lval, (n_paths,)) * d_tau + j1
+    samples = action + j1
     mean, rest = _survivor_stats(samples, np.isfinite(samples), "Bellman residual")
     return BellmanResidual(residual=j0 - mean, **rest)

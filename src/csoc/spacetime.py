@@ -13,7 +13,7 @@ contraction rule depends on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -82,12 +82,6 @@ class ComplexFourVector:
         object.__setattr__(self, "components", c)
         if self.index not in (UPPER, LOWER):
             raise DomainError(f"index must be 'upper' or 'lower', got {self.index!r}")
-
-    @classmethod
-    def from_parts(cls, x: Iterable[float], y: Iterable[float]) -> "ComplexFourVector":
-        x = np.asarray(list(x), dtype=float)
-        y = np.asarray(list(y), dtype=float)
-        return cls(x + 1j * y, UPPER)
 
     @property
     def x(self) -> np.ndarray:

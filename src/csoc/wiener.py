@@ -14,9 +14,10 @@ RNG: counter-based Philox (4x64, 10 rounds) seeded through numpy SeedSequence.
 Batch sampling uses SeedSequence(seed); ensemble integration elsewhere draws
 path k from the substream keyed by SeedSequence(entropy=seed, spawn_key=(k,)),
 a pure function of (seed, k). path_generator builds that stream for one path;
-_path_generators computes the keys of a whole ensemble in one vectorized pass
-and re-keys a single generator per path, drawing the same numbers. The
-algorithm name is recorded in CLI run manifests as RNG_ALGORITHM.
+_draw_paths, the one draw of an ensemble, computes the keys of all its paths
+in one vectorized pass and re-keys a single generator per path, drawing the
+same numbers. The algorithm name is recorded in CLI run manifests as
+RNG_ALGORITHM.
 """
 
 from __future__ import annotations
@@ -106,19 +107,28 @@ def _substream_keys(seed: int, paths: np.ndarray) -> np.ndarray:
                      state[2] | state[3] << np.uint64(32)], axis=1)
 
 
-def _path_generators(seed: int, n_paths: int):
-    """Yield, for path k = 0, 1, ..., the generator of path_generator(seed, k).
+_DRAW_CHUNK = 64   # paths drawn contiguous before one time-major copy
 
-    One Generator is re-keyed per path (counter and buffer zeroed, as fresh),
-    so draw from each before asking for the next.
-    """
+
+def _draw_paths(out: np.ndarray, d_tau: float, seed: int) -> np.ndarray:
+    """Fill a time-major (n_steps, n_paths, 4) view with the dWx of every path
+    and return it: path k's column is exactly path_generator(seed, k)'s
+    normal(0.0, sqrt(d_tau), (n_steps, 4)). One Generator is re-keyed per path,
+    counter and buffer zeroed; each time-major copy moves _DRAW_CHUNK paths."""
+    n_steps, n_paths, _ = out.shape
+    keys = _substream_keys(seed, np.arange(n_paths))
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
     zeros = np.zeros(4, dtype=np.uint64)
-    for key in _substream_keys(seed, np.arange(n_paths)):
-        bits.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        yield rng
+    scale = np.sqrt(d_tau)
+    for p0 in range(0, n_paths, _DRAW_CHUNK):
+        chunk = []
+        for key in keys[p0:p0 + _DRAW_CHUNK]:
+            bits.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                          "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            chunk.append(rng.normal(0.0, scale, size=(n_steps, 4)))
+        out[:, p0:p0 + len(chunk)] = np.stack(chunk).swapaxes(0, 1)
+    return out
 
 
 def _sigma_array(sigma, name: str) -> np.ndarray:
@@ -160,10 +170,6 @@ class DiffusionSpec:
             raise DomainError("hbar and m must be positive")
         s = float(np.sqrt(hbar / m))
         return cls(sigma_x=s, sigma_y=s, epsilon=epsilon, metric=metric)
-
-    @classmethod
-    def noiseless(cls, metric: Metric = MOSTLY_PLUS, epsilon: int = 1) -> "DiffusionSpec":
-        return cls(sigma_x=0.0, sigma_y=0.0, epsilon=epsilon, metric=metric)
 
     @property
     def sign_copy(self) -> np.ndarray:
@@ -238,8 +244,11 @@ def _zscore(estimate: float, target: float, stderr: float) -> float:
     return (estimate - target) / stderr
 
 
+_Z_MAX = 5.0   # the largest |z-score| of an unflagged moment line
+
+
 def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
-                 d_tau: float, n: int, seed: int, z_max: float = 5.0) -> MomentReport:
+                 d_tau: float, n: int, seed: int) -> MomentReport:
     """Estimate all first and second increment moments and flag outliers.
 
     Targets are the order-d_tau values: <dx^mu> = v^mu d_tau,
@@ -247,7 +256,7 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
     (off-diagonal 0), and <dx^mu dy^nu> = epsilon eta^{mumu} sigma_x sigma_y
     d_tau on the diagonal (0 off it). Standard errors are sample standard
     deviations over the batch divided by sqrt(n); a line is flagged unless
-    |z| <= z_max, so a NaN z-score is flagged.
+    |z| <= _Z_MAX, so a NaN z-score is flagged.
 
     The samples are those of sample_increments(spec, d_tau, n, seed), held
     in one (9, n) float64 block, 72 MB at 1e6 samples, half of what a
@@ -292,7 +301,7 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
         se = float(np.sqrt(np.add.reduce(scratch) / (n - 1)) / np.sqrt(n))
         est = float(mean)
         z = _zscore(est, target, se)
-        lines.append(MomentLine(name, est, float(target), se, z, not abs(z) <= z_max))
+        lines.append(MomentLine(name, est, float(target), se, z, not abs(z) <= _Z_MAX))
 
     for mu in range(4):
         add(f"dx{mu}", dx[mu], v[mu] * d_tau)
@@ -313,4 +322,4 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
             target = spec.epsilon * eta[mu] * sx[mu] * sy[mu] * d_tau if mu == nu else 0.0
             add(f"dx{mu}dy{nu}", np.multiply(dx[mu], dy[nu], out=scratch), target)
 
-    return MomentReport(lines=tuple(lines), n=n, d_tau=float(d_tau), z_max=float(z_max))
+    return MomentReport(lines=tuple(lines), n=n, d_tau=float(d_tau), z_max=_Z_MAX)

@@ -189,6 +189,19 @@ def test_infinite_flag_is_a_domain_error_not_a_traceback(tmp_path, flag):
     assert summary["errors"] and summary["passed"] is False
 
 
+@pytest.mark.parametrize("flags", [("--box-half-width", "1e308"),
+                                   ("--tau-lo=-1e308", "--tau-hi", "1e308")])
+def test_a_probe_box_whose_span_overflows_is_a_domain_error(tmp_path, flags):
+    # finite bounds whose span is inf: no NaN probes, and no overflow warning
+    out = tmp_path / "run"
+    proc = run_fresh("run", "all", "--out-dir", str(out), *flags, PYTHONWARNINGS="error")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr and "overflow" not in proc.stderr
+    errors = json.loads(read_bytes(out / "summary.json"))["errors"]
+    assert set(errors) >= {"cr-scan", "equivalence-audit", "hjb-residual"}
+    assert set(errors.values()) == {"the probe box span must be finite"}
+
+
 @pytest.mark.parametrize("flag", ["--q", "--tau-lo"])
 def test_negative_infinity_as_a_separate_value_acts_like_the_equals_form(tmp_path, flag):
     apart = run_fresh("run", "all", "--out-dir", str(tmp_path / "apart"), flag, "-inf")
@@ -277,7 +290,7 @@ def test_config_round_trips_through_ini(tmp_path):
                          potential="constant(0.2,0,-0.1,0)",
                          seed=123456789, out_dir="some/dir")
     ini = tmp_path / "cfg.ini"
-    ini.write_text(cfg.to_ini())
+    ini.write_text("[common]\n" + "".join(f"{k} = {v}\n" for k, v in cfg.to_mapping().items()))
     sections = read_config_file(str(ini))
     assert set(sections) == {"common"}
     cfg2 = config_from_layers(sections["common"])

@@ -74,6 +74,13 @@ def test_linearization_over_random_vectors():
         assert linearization_check(build_gammas(metric), n=100, seed=0) < 1e-12
 
 
+def test_linearization_check_needs_a_vector():
+    # a maximum over no vectors would read as a pass
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            linearization_check(build_gammas(MOSTLY_PLUS), n=n)
+
+
 def test_gamma_payload_shape():
     payload = build_gammas(MOSTLY_PLUS).to_payload()
     assert payload["metric_diag"] == [-1, 1, 1, 1]
@@ -127,7 +134,7 @@ def test_plane_wave_potential_bookkeeping():
     free = plane_wave(gammas, P_LOWER)
     assert free.potential() is None
     coupled = plane_wave(gammas, P_LOWER, q=0.5, a_const=A_CONST)
-    assert np.array_equal(coupled.total_momentum, P_LOWER + 0.5 * A_CONST)
+    assert np.array_equal(coupled.p + coupled.q * coupled.a_const, P_LOWER + 0.5 * A_CONST)
     A = coupled.potential()
     assert np.array_equal(A(0.3, PROBE_Z), A_CONST)
 

@@ -2,6 +2,7 @@
 the command line needs no third-party package but numpy; fixed tolerances and
 steps are not keyword parameters."""
 
+import dataclasses
 import importlib
 import os
 import re
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import csoc
+from csoc.cli import ScenarioConfig
 from csoc.sde import path_increments
 
 
@@ -48,7 +50,7 @@ def _calls_without_removed_keywords():
     return {
         "Lagrangian": (lambda **kw: csoc.Lagrangian(value=lag.value, **kw), ("params",)),
         "solve_optimal_control": (lambda **kw: csoc.solve_optimal_control(lag, dj, **kw),
-                                  ("guess", "max_iter")),
+                                  ("guess", "max_iter", "tol")),
         "equivalence_audit": (lambda **kw: csoc.equivalence_audit(lag, field, [(0.3, z)], **kw),
                               ("tol", "scan_tol", "solver_tol", "branch_tol")),
         "optimal_control_at": (lambda **kw: csoc.optimal_control_at(problem, dj, 0.3, z, **kw),
@@ -60,10 +62,14 @@ def _calls_without_removed_keywords():
         "integrate_with_increments": (
             lambda **kw: csoc.integrate_with_increments(csoc.constant_policy(np.zeros(4)),
                                                         csoc.DiffusionSpec(), z, 0.01,
-                                                        np.zeros((2, 3, 4)), **kw), ("dWy",)),
+                                                        np.zeros((2, 3, 4)), **kw),
+            ("dWy", "seed")),
         "sde.path_increments": (lambda **kw: path_increments(0.01, 3, 0, 1, **kw), ("spec",)),
-        "ComplexFourVector.from_parts": (
-            lambda **kw: csoc.ComplexFourVector.from_parts(z.real, z.imag, **kw), ("index",)),
+        "moment_check": (lambda **kw: csoc.moment_check(csoc.DiffusionSpec(), np.zeros(4),
+                                                        np.zeros(4), 0.01, 10_000, 0, **kw),
+                         ("z_max",)),
+        "probe_points": (lambda **kw: csoc.probe_points(csoc.DomainBox.cube(0.5), 4, **kw),
+                         ("shrink",)),
     }
 
 
@@ -74,6 +80,24 @@ def test_removed_keywords_raise_type_error(name):
     for keyword in removed:
         with pytest.raises(TypeError, match=keyword):
             call(**{keyword: None})
+
+
+REMOVED_MEMBERS = {
+    csoc.DiffusionSpec: ("noiseless",),
+    csoc.ComplexFourVector: ("from_parts",),
+    csoc.PlaneWave: ("total_momentum",),
+    csoc.DerivativeReport: ("max_residual",),
+    ScenarioConfig: ("to_ini",),
+    csoc.TrajectoryEnsemble: ("seed",),
+    csoc.StationarityResult: ("converged",),
+}
+
+
+@pytest.mark.parametrize("owner", list(REMOVED_MEMBERS), ids=lambda cls: cls.__name__)
+def test_members_without_a_caller_are_gone(owner):
+    field_names = {f.name for f in dataclasses.fields(owner)}
+    for member in REMOVED_MEMBERS[owner]:
+        assert not hasattr(owner, member) and member not in field_names, member
 
 
 def test_readme_references_resolve():

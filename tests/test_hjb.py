@@ -14,6 +14,7 @@ from csoc.ccalc import (
 from csoc.errors import DomainError
 from csoc.hjb import (
     HJBProblem,
+    _SHRINK,
     _sobol_unit,
     boundary_residual,
     covariance_check,
@@ -212,13 +213,18 @@ def test_probe_points_reject_a_non_finite_box():
             probe_points(box, n=8)
 
 
+def test_probe_points_reject_a_finite_box_whose_span_overflows():
+    # hi - lo overflows to inf here; the probes would be NaN
+    for box in (DomainBox.cube(1e308), DomainBox.cube(0.5, tau_lo=-1e308, tau_hi=1e308)):
+        with np.errstate(over="raise"), pytest.raises(DomainError, match="span"):
+            probe_points(box, n=8)
+
+
 def test_probe_points_non_power_of_two():
     pts = probe_points(DomainBox.cube(0.5), n=50)
     assert len(pts) == 50
     with pytest.raises(DomainError):
         probe_points(DomainBox.cube(0.5), n=0)
-    with pytest.raises(DomainError):
-        probe_points(DomainBox.cube(0.5), n=8, shrink=0.7)
 
 
 # the first 8 unscrambled 9-D Sobol points, in eighths (Joe-Kuo directions)
@@ -252,8 +258,9 @@ def test_probe_points_are_a_prefix_of_a_longer_sequence():
         assert ta == tb
         assert np.array_equal(za, zb)
     unit_box = DomainBox(0.0, 1.0, (0.0,) * 4, (1.0,) * 4, (0.0,) * 4, (1.0,) * 4)
-    rows = [[tau, *z.real, *z.imag] for tau, z in probe_points(unit_box, 64, shrink=0.0)]
-    assert np.array_equal(rows, _sobol_unit(64))
+    rows = [[tau, *z.real, *z.imag] for tau, z in probe_points(unit_box, 64)]
+    lo, hi = _SHRINK, 1.0 - _SHRINK   # the unit box shrunk at either end
+    assert np.array_equal(rows, _sobol_unit(64) * (hi - lo) + lo)
 
 
 def test_probe_points_reject_an_empty_box_and_too_many_points():

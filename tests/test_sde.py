@@ -14,8 +14,6 @@ from csoc.lagrangian import (
     zero_lagrangian,
 )
 from csoc.sde import (
-    _DRAW_CHUNK,
-    _draw_increments,
     bellman_consistency,
     constant_policy,
     estimate_action,
@@ -25,7 +23,7 @@ from csoc.sde import (
     path_increments,
     pointwise_policy,
 )
-from csoc.wiener import DiffusionSpec
+from csoc.wiener import _DRAW_CHUNK, DiffusionSpec, _draw_paths
 
 ZERO4 = np.zeros(4, dtype=np.complex128)
 STILL = constant_policy(ZERO4)
@@ -90,7 +88,7 @@ def reference_stats(samples):
 
 
 def test_noiseless_drift_is_exact_quadrature():
-    spec = DiffusionSpec.noiseless()
+    spec = DiffusionSpec(sigma_x=0.0, sigma_y=0.0)
     ens = integrate(constant_policy([1, 0, 0, 0]), spec, ZERO4,
                     d_tau=0.01, n_steps=100, n_paths=3, seed=0)
     final = ens.states[:, -1]
@@ -130,7 +128,7 @@ def test_sheets_are_signed_copies_along_paths():
 
 
 def test_path_substreams_regenerate_in_isolation():
-    dWx = _draw_increments(np.empty((12, 6, 4)), 0.01, seed=11)
+    dWx = _draw_paths(np.empty((12, 6, 4)), 0.01, seed=11)
     assert np.array_equal(path_increments(0.01, 12, seed=11, path=3), dWx[:, 3])
 
 
@@ -157,7 +155,7 @@ def test_strong_error_halves_with_the_step():
     policy = linear_policy(MIX)
     z0 = np.array([1.0, 0.5 + 0.2j, -0.3, 0.1j])
     n_paths, n1, d1 = 200, 32, 0.02
-    dx4 = _draw_increments(np.empty((4 * n1, n_paths, 4)), d1 / 4, seed=6).swapaxes(0, 1)
+    dx4 = _draw_paths(np.empty((4 * n1, n_paths, 4)), d1 / 4, seed=6).swapaxes(0, 1)
     dx2 = dx4[:, 0::2] + dx4[:, 1::2]
     dx1 = dx2[:, 0::2] + dx2[:, 1::2]
     z1 = integrate_with_increments(policy, spec, z0, d1, dx1).z(n1)
@@ -265,7 +263,7 @@ def test_action_of_constant_lagrangian_is_the_time_span():
 
 
 def test_action_of_quadratic_lagrangian_noiseless():
-    spec = DiffusionSpec.noiseless()
+    spec = DiffusionSpec(sigma_x=0.0, sigma_y=0.0)
     policy = constant_policy([1, 0, 0, 0])
     for a, want in ((2.0, -1.0), (1.0, -0.5)):
         est = estimate_action(quadratic_lagrangian(a=a), policy, spec, ZERO4,
@@ -275,7 +273,7 @@ def test_action_of_quadratic_lagrangian_noiseless():
 
 def test_action_of_free_particle_at_rest():
     # on-shell rest velocity: L = sigma_tilde m c^2 = -1, integrated over 1
-    spec = DiffusionSpec.noiseless()
+    spec = DiffusionSpec(sigma_x=0.0, sigma_y=0.0)
     est = estimate_action(free_particle_lagrangian(), constant_policy([1, 0, 0, 0]),
                           spec, ZERO4, d_tau=0.01, n_steps=100, n_paths=4, seed=0)
     assert abs(est.mean - (-1.0)) < 1e-12
@@ -383,8 +381,8 @@ def test_bellman_flags_suboptimal_policy():
 REFERENCE_CASES = {
     "linear-feedback": (linear_policy(MIX), DiffusionSpec.natural(),
                         np.array([1.0, 0.5 + 0.2j, -0.3, 0.1j]), 0.02, 40, 60, 6),
-    "noiseless-constant": (constant_policy([1, 0, 0, 0]), DiffusionSpec.noiseless(),
-                           ZERO4, 0.01, 100, 4, 0),
+    "noiseless-constant": (constant_policy([1, 0, 0, 0]),
+                           DiffusionSpec(sigma_x=0.0, sigma_y=0.0), ZERO4, 0.01, 100, 4, 0),
     "blow-up": (pointwise_policy(blow_up), DiffusionSpec.natural(), ZERO4, 0.01, 30, 40, 5),
     # two whole draw chunks and a remainder, anticorrelated sheets of unequal width
     "chunk-edges": (linear_policy(MIX), DiffusionSpec(sigma_x=0.7, sigma_y=1.3, epsilon=-1),

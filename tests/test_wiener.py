@@ -12,7 +12,7 @@ from csoc.spacetime import MOSTLY_MINUS, MOSTLY_PLUS
 from csoc.wiener import (
     DiffusionSpec,
     MomentLine,
-    _path_generators,
+    _draw_paths,
     _substream_keys,
     _zscore,
     complex_sigma_squared,
@@ -157,17 +157,13 @@ def test_moment_check_drift_targets():
     assert report.passed
 
 
-def test_moment_check_threshold_controls_flagging():
-    spec = DiffusionSpec.natural()
-    zero = [0.0, 0.0, 0.0, 0.0]
-    strict = moment_check(spec, zero, zero, d_tau=0.01, n=20_000, seed=0,
-                          z_max=0.01)
-    assert not strict.passed
-    assert strict.n_flagged > 30
-    loose = moment_check(spec, zero, zero, d_tau=0.01, n=20_000, seed=0,
-                         z_max=1e6)
-    assert loose.passed
-    assert strict.worst.zscore == loose.worst.zscore
+@pytest.mark.parametrize("v0, dx0_flagged", [(np.nan, True), (0.0, False)], ids=("nan", "default"))
+def test_moment_check_flags_at_the_fixed_threshold(v0, dx0_flagged):
+    report = moment_check(DiffusionSpec.natural(), [v0, 0, 0, 0], [0] * 4, d_tau=0.01,
+                          n=20_000, seed=0)
+    assert report.z_max == 5.0
+    assert all(ln.flagged == (not abs(ln.zscore) <= 5.0) for ln in report.lines)
+    assert report.lines[0].name == "dx0" and report.lines[0].flagged == dx0_flagged
 
 
 def test_increments_require_a_finite_positive_step():
@@ -278,12 +274,18 @@ def test_vectorized_substream_keys_equal_seed_sequence(seed):
 
 
 def test_rekeyed_generator_draws_each_path_substream():
-    # 7 normals leave Philox's buffer part used, so each re-key must clear it
-    for k, rng in enumerate(_path_generators(2**40 + 5, 5)):
-        want = path_generator(2**40 + 5, k).normal(size=7)
-        assert np.array_equal(rng.normal(size=7).view(np.uint64), want.view(np.uint64))
+    seed, n_steps, n_paths = 2**40 + 5, 3, 150
+    dWx = _draw_paths(np.empty((n_steps, n_paths, 4)), 0.01, seed)
+    part_used = 0
+    for k in range(n_paths):
+        rng = path_generator(seed, k)
+        want = rng.normal(0.0, 0.1, (n_steps, 4))
+        assert np.array_equal(dWx[:, k].view(np.uint64), want.view(np.uint64)), k
+        part_used += rng.bit_generator.state["buffer_pos"] != 4
+    # some paths leave Philox's buffer part used, so each re-key must clear it
+    assert part_used
     with pytest.raises(DomainError):
-        next(_path_generators(-1, 3))
+        _draw_paths(np.empty((n_steps, 3, 4)), 0.01, -1)
 
 
 NEGATIVE_SEED_CALLS = {
