@@ -8,8 +8,7 @@ desk scale from the command line (`csoc run <scenario>`).
 
 from .errors import (AnalyticityError, CsocError, DomainError,
                      NonConvergenceError)
-from .spacetime import (LOWER, MOSTLY_MINUS, MOSTLY_PLUS, UPPER,
-                        ComplexFourVector, Metric, apply_boost, boost_matrix,
+from .spacetime import (MOSTLY_MINUS, MOSTLY_PLUS, Metric, boost_matrix,
                         contract, weak_equation_residual)
 from .wiener import (RNG_ALGORITHM, DiffusionSpec, MomentLine, MomentReport,
                      complex_sigma_squared, moment_check, sample_increments)
@@ -37,8 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticityError", "CsocError", "DomainError", "NonConvergenceError",
-    "LOWER", "MOSTLY_MINUS", "MOSTLY_PLUS", "UPPER", "ComplexFourVector",
-    "Metric", "apply_boost", "boost_matrix", "contract",
+    "MOSTLY_MINUS", "MOSTLY_PLUS", "Metric", "boost_matrix", "contract",
     "weak_equation_residual",
     "RNG_ALGORITHM", "DiffusionSpec", "MomentLine", "MomentReport",
     "complex_sigma_squared", "moment_check", "sample_increments",

@@ -364,15 +364,15 @@ def run_optimal_control(cfg: ScenarioConfig) -> dict:
     dj = np.array([0.3, -0.2, 0.1, 0.05]) + 0.02j * np.ones(4)
     result = solve_optimal_control(lag, dj, tau=0.1, z=_PROBE_Z)
     closed = lag.em.stationary_control(0.1, _PROBE_Z, dj)
-    diff = float(np.abs(result.w_star.components - closed).max())
+    diff = float(np.abs(result.w_star - closed).max())
     res = float(np.abs(result.residual_complex).max())
     return {
         "verifies": ["stationarity-newton-root", "closed-form-control-match"],
         "params": {"q": cfg.q, "m": cfg.m, "c": cfg.c,
                    "potential": cfg.potential},
         "iterations": result.iterations,
-        "w_star_re": list(result.w_star.components.real),
-        "w_star_im": list(result.w_star.components.imag),
+        "w_star_re": list(result.w_star.real),
+        "w_star_im": list(result.w_star.imag),
         "checks": [_check("newton-residual", res, 1e-10),
                    _check("closed-form-difference", diff, 1e-8)],
     }

@@ -32,14 +32,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AnalyticityError, NonConvergenceError
-from .spacetime import ComplexFourVector, LOWER, UPPER, _vector
+from .spacetime import _vector
 from .ccalc import _step, analyticity_scan
 from .lagrangian import Lagrangian
 
 
 @dataclass(frozen=True)
 class StationarityResult:
-    w_star: ComplexFourVector                # upper index
+    w_star: np.ndarray                       # 4 complex, upper index, read-only
     residual_complex: np.ndarray             # 4 complex, dL/dw + dJ at w_star
     residual_real_pair: np.ndarray           # 8 reals, real-part condition set
     iterations: int
@@ -170,7 +170,7 @@ def _theta_to_w(theta: np.ndarray) -> np.ndarray:
 def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0,
                           z=None) -> StationarityResult:
     """Newton solve of dL/dw + dJ = 0 from w = 0 over the 8 real velocity components."""
-    dj = _vector(dJ, LOWER)
+    dj = _vector(dJ)
     z = _vector(np.zeros(4) if z is None else z)
 
     def residual(rows, theta: np.ndarray) -> np.ndarray:
@@ -181,11 +181,12 @@ def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0,
     if failures:
         raise failures[0]
     w = _theta_to_w(roots[0])
+    w.flags.writeable = False
     g_c = np.empty(4, dtype=np.complex128)   # dL/dw + dJ at the root, as the solve left it
     g_c.real, g_c.imag = residuals[0, :4], residuals[0, 4:]
     real_pair = np.concatenate([g_c.real, -g_c.imag])
     return StationarityResult(
-        w_star=ComplexFourVector(w, UPPER),
+        w_star=w,
         residual_complex=g_c,
         residual_real_pair=real_pair,
         iterations=int(iterations[0]),

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .spacetime import LOWER, Metric, MOSTLY_PLUS, _vector, contract
+from .spacetime import Metric, MOSTLY_PLUS, _vector, contract
 from .ccalc import _probe_stencil, _py_cdiv, _Stencil
 
 SpinorFieldFn = Callable[[float, np.ndarray], np.ndarray]
@@ -75,7 +75,7 @@ class GammaSet:
 
     def slash(self, a) -> np.ndarray:
         """sum_mu gamma^mu a_mu for a lower-index four-vector a."""
-        return np.einsum("m,mij->ij", _vector(a, LOWER, self.metric), self.matrices)
+        return np.einsum("m,mij->ij", _vector(a), self.matrices)
 
     def anticommutator_residual(self) -> float:
         """max |{gamma^mu, gamma^nu} - 2 eta^{munu} I| over all pairs."""
@@ -91,9 +91,9 @@ class GammaSet:
 
     def square_slash_residual(self, a) -> float:
         """max |(gamma.a)^2 - (sum a^mu a_mu) I| for lower-index a."""
-        a = _vector(a, LOWER, self.metric)
+        a = _vector(a)
         s = self.slash(a)
-        norm = contract(a, a, self.metric, default_index=LOWER)
+        norm = contract(a, a, self.metric)
         return float(np.abs(s @ s - norm * np.eye(4)).max())
 
     def to_payload(self) -> dict:
@@ -153,7 +153,7 @@ class PlaneWave:
     eigen_residual: float
 
     def phi(self, tau: float, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(getattr(z, "components", z), dtype=np.complex128)
+        z = np.asarray(z, dtype=np.complex128)
         phase = 1j * complex((self.p * z).sum()) / self.hbar - 1j * self.lam * tau
         return np.exp(phase) * self.chi
 
@@ -184,7 +184,7 @@ def plane_wave(gammas: GammaSet, p, *, q: float = 0.0, a_const=None,
 
     big_p = p + q * a_const
     p_scale = float(np.sum(np.abs(big_p) ** 2))
-    p_sq = complex(contract(big_p, big_p, gammas.metric, default_index=LOWER))
+    p_sq = contract(big_p, big_p, gammas.metric)
     if abs(p_sq) < 1e-12 * max(p_scale, 1e-30):
         # slash(P) is nilpotent on the light cone: no separated eigenvalue
         # branches exist, and eig noise there is O(eps^(1/4)), not O(eps)

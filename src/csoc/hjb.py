@@ -96,7 +96,7 @@ def optimal_control_at(problem: HJBProblem, dJ: np.ndarray, tau: float, z) -> tu
             return rest_shell_velocity(em.c), "shell-degenerate"
         return em._control(p), "closed-form"
     result = solve_optimal_control(problem.lagrangian, dJ, tau=tau, z=z)
-    return result.w_star.components, "newton"
+    return result.w_star, "newton"
 
 
 @dataclass(frozen=True)

@@ -146,10 +146,12 @@ class TrajectoryEnsemble:
             fh.write("".join(lines))
 
 
-def _check_grid(d_tau: float, n_steps: int, n_paths: int):
+def _check_grid(d_tau: float, n_steps: int, n_paths: int, tau0: float = 0.0):
     _check_d_tau(d_tau)
     if n_steps < 1 or n_paths < 1:
         raise DomainError("n_steps and n_paths must be at least 1")
+    if not np.isfinite(tau0):
+        raise DomainError(f"the start time must be finite, got {tau0}")
 
 
 def _initial_state(z0, n_paths: int) -> np.ndarray:
@@ -213,7 +215,7 @@ def integrate_with_increments(policy: PolicyFn, spec: DiffusionSpec, z0,
         raise DomainError(f"dWx must be a real (n_paths, n_steps, 4) array, "
                           f"got {dWx.dtype} of shape {dWx.shape}")
     n_paths, n_steps = dWx.shape[0], dWx.shape[1]
-    _check_grid(d_tau, n_steps, n_paths)
+    _check_grid(d_tau, n_steps, n_paths, tau0)
     states = np.empty((n_steps + 1, n_paths, 8))
     states[1:, :, 0:4] = dWx.swapaxes(0, 1)
     return _integrate(policy, spec, z0, d_tau, states, tau0)
@@ -223,7 +225,7 @@ def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
               n_steps: int, n_paths: int, seed: int,
               tau0: float = 0.0) -> TrajectoryEnsemble:
     """Integrate the ensemble forward from a shared initial point."""
-    _check_grid(d_tau, n_steps, n_paths)
+    _check_grid(d_tau, n_steps, n_paths, tau0)
     states = np.empty((n_steps + 1, n_paths, 8))
     _draw_paths(states[1:, :, 0:4], d_tau, seed)
     return _integrate(policy, spec, z0, d_tau, states, tau0)
@@ -234,7 +236,7 @@ def _run_paths(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: flo
     """Each path's final state, (n_paths, 4), and action, (n_paths,), from z0 at
     tau0, by Ito (left endpoint) quadrature: each step adds L(tau_t, z_t, w_t)
     d_tau with w_t the same control used for stepping."""
-    _check_grid(d_tau, n_steps, n_paths)
+    _check_grid(d_tau, n_steps, n_paths, tau0)
     dW = _draw_paths(np.empty((n_steps, n_paths, 4)), d_tau, seed)
     z = _initial_state(z0, n_paths)
     action = np.zeros(n_paths, dtype=np.complex128)

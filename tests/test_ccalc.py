@@ -21,7 +21,7 @@ from csoc.hjb import (HJBProblem, boundary_residual, covariance_check, hjb_resid
                       hjb_residual_probe, optimal_control_at)
 from csoc.lagrangian import Lagrangian, free_particle_lagrangian, quadratic_lagrangian
 from csoc.sde import bellman_consistency, constant_policy, integrate
-from csoc.spacetime import LOWER, MOSTLY_PLUS, UPPER, ComplexFourVector
+from csoc.spacetime import MOSTLY_PLUS
 from csoc.wiener import DiffusionSpec
 
 ETA = MOSTLY_PLUS.eta
@@ -304,9 +304,7 @@ def _point_entry_points():
 def test_a_point_must_be_four_upper_components(entry):
     call = _point_entry_points()[entry]
     z = np.array([0.11 + 0.07j, -0.23 + 0.13j, 0.17 - 0.19j, 0.05 + 0.02j])
-    call(z)   # a plain array and an upper-index vector go through
-    call(ComplexFourVector(z, UPPER))
-    with pytest.raises(DomainError, match="4 components"):
-        call(z[:3])
-    with pytest.raises(DomainError, match="upper index"):
-        call(ComplexFourVector(z, LOWER))
+    call(z)
+    for bad in (z[:3], z[None, :]):
+        with pytest.raises(DomainError, match="4 components"):
+            call(bad)

@@ -20,6 +20,7 @@ from csoc.cli import (
     main,
     read_config_file,
 )
+from csoc.errors import DomainError
 from csoc.hjb import covariance_check
 from csoc.sde import constant_policy, integrate_with_increments, path_increments
 from csoc.spacetime import MOSTLY_PLUS
@@ -189,6 +190,18 @@ def test_infinite_flag_is_a_domain_error_not_a_traceback(tmp_path, flag):
     assert summary["errors"] and summary["passed"] is False
 
 
+def test_a_boost_that_overflows_is_a_domain_error(tmp_path):
+    # a finite rapidity whose cosh overflows: one error line, no warning
+    out = tmp_path / "run"
+    proc = run_fresh("run", "covariance", "--out-dir", str(out), "--rapidity", "800",
+                     PYTHONWARNINGS="error")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "domain error: covariance: boost rapidity must be finite with a finite cosh, got 800.0"]
+    assert proc.stdout == "covariance: FAIL\n"
+    assert not (out / "covariance.json").exists()
+
+
 @pytest.mark.parametrize("flags", [("--box-half-width", "1e308"),
                                    ("--tau-lo=-1e308", "--tau-hi", "1e308")])
 def test_a_probe_box_whose_span_overflows_is_a_domain_error(tmp_path, flags):
@@ -225,10 +238,11 @@ def test_float_flags_take_a_negative_value_apart(value, capsys):
 
 
 def test_nan_rapidity_fails_the_covariance_check(tmp_path):
-    # the check itself propagates the NaN; the CLI refuses the value up front
+    # the check refuses the NaN boost; the CLI refuses the value up front
     value = lambda tau, z: complex(np.sum(MOSTLY_PLUS.eta * z * z))
     z = np.array([0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.1j, 0.05 + 0.3j])
-    assert np.isnan(covariance_check(value, MOSTLY_PLUS, float("nan"), 1, 0.2, z))
+    with pytest.raises(DomainError, match="rapidity"):
+        covariance_check(value, MOSTLY_PLUS, float("nan"), 1, 0.2, z)
     out = tmp_path / "run"
     assert main(["run", "covariance", "--out-dir", str(out), "--rapidity", "nan"]) == 2
     assert not out.exists()

@@ -13,7 +13,7 @@ from csoc.lagrangian import (
     quadratic_lagrangian,
     vector_potential_preset,
 )
-from csoc.spacetime import LOWER, UPPER, ComplexFourVector, MOSTLY_PLUS
+from csoc.spacetime import MOSTLY_PLUS
 
 ETA = MOSTLY_PLUS.eta
 
@@ -24,30 +24,37 @@ def solved(res) -> bool:
     return bool(np.abs(np.concatenate([g.real, g.imag])).max() < 1e-10)
 
 
+def root(res) -> np.ndarray:
+    """w_star, checked to be a read-only (4,) complex array (upper index)."""
+    w = res.w_star
+    assert isinstance(w, np.ndarray) and w.shape == (4,) and w.dtype == np.complex128
+    assert not w.flags.writeable
+    return w
+
+
 def test_solve_free_particle_momentum_balance():
     # m w_mu = -dJ_mu, so the lower-index root mirrors the gradient
     res = solve_optimal_control(free_particle_lagrangian(), [1, 0, 0, 0])
     assert solved(res)
-    assert res.w_star.index == UPPER
-    lower = res.w_star.flipped(MOSTLY_PLUS)
-    assert np.allclose(lower.components, [-1, 0, 0, 0], atol=1e-10)
-    assert np.allclose(res.w_star.components, [1, 0, 0, 0], atol=1e-10)
+    lower = MOSTLY_PLUS.eta * root(res)
+    assert np.allclose(lower, [-1, 0, 0, 0], atol=1e-10)
+    assert np.allclose(res.w_star, [1, 0, 0, 0], atol=1e-10)
 
 
 def test_solve_with_potential_shifts_the_root():
     A, _ = vector_potential_preset("constant(0.1,0,0,0)")
     lag = em_lagrangian(EMFieldConfig(q=2.0, A=A))
     res = solve_optimal_control(lag, [0.3, 0, 0, 0])
-    lower = res.w_star.flipped(MOSTLY_PLUS)
+    lower = MOSTLY_PLUS.eta * root(res)
     # m w_mu = -(dJ_mu + q A_mu) = -0.5
-    assert np.allclose(lower.components, [-0.5, 0, 0, 0], atol=1e-10)
+    assert np.allclose(lower, [-0.5, 0, 0, 0], atol=1e-10)
 
 
 def test_solve_complex_gradient():
     dJ = np.array([0.1 + 0.2j, -0.05j, 0.2, 0], dtype=np.complex128)
     res = solve_optimal_control(free_particle_lagrangian(), dJ)
-    lower = res.w_star.flipped(MOSTLY_PLUS)
-    assert np.allclose(lower.components, -dJ, atol=1e-10)
+    lower = MOSTLY_PLUS.eta * root(res)
+    assert np.allclose(lower, -dJ, atol=1e-10)
     assert np.abs(res.residual_complex).max() < 1e-10
     assert np.abs(res.residual_real_pair).max() < 1e-10
 
@@ -65,19 +72,17 @@ def test_solve_agrees_with_closed_form():
     dJ = np.array([0.3, -0.2, 0.1, 0.05]) + 0.02j
     res = solve_optimal_control(lag, dJ)
     want = lag.em.stationary_control(0.0, np.zeros(4, np.complex128), dJ)
-    assert np.allclose(res.w_star.components, want, atol=1e-10)
+    assert np.allclose(root(res), want, atol=1e-10)
 
 
 def test_solve_validates_dj():
     lag = free_particle_lagrangian()
-    with pytest.raises(DomainError):
-        solve_optimal_control(lag, [1, 0, 0])
-    upper = ComplexFourVector(np.ones(4), UPPER)
-    with pytest.raises(DomainError):
-        solve_optimal_control(lag, upper)
-    lower = ComplexFourVector(np.array([0.2, 0, 0, 0], dtype=np.complex128), LOWER)
-    res = solve_optimal_control(lag, lower)
+    for bad in ([1, 0, 0], np.ones((2, 4))):
+        with pytest.raises(DomainError, match="4 components"):
+            solve_optimal_control(lag, bad)
+    res = solve_optimal_control(lag, np.array([0.2, 0, 0, 0], dtype=np.complex128))
     assert solved(res)
+    assert np.allclose(root(res), [0.2, 0, 0, 0], atol=1e-10)
 
 
 def test_solver_reports_nonconvergence():

@@ -70,6 +70,8 @@ def _calls_without_removed_keywords():
                          ("z_max",)),
         "probe_points": (lambda **kw: csoc.probe_points(csoc.DomainBox.cube(0.5), 4, **kw),
                          ("shrink",)),
+        "contract": (lambda **kw: csoc.contract(z, dj, csoc.MOSTLY_PLUS, **kw),
+                     ("default_index",)),
     }
 
 
@@ -84,7 +86,7 @@ def test_removed_keywords_raise_type_error(name):
 
 REMOVED_MEMBERS = {
     csoc.DiffusionSpec: ("noiseless",),
-    csoc.ComplexFourVector: ("from_parts",),
+    csoc.Metric: ("raise_or_lower",),
     csoc.PlaneWave: ("total_momentum",),
     csoc.DerivativeReport: ("max_residual",),
     ScenarioConfig: ("to_ini",),
@@ -98,6 +100,14 @@ def test_members_without_a_caller_are_gone(owner):
     field_names = {f.name for f in dataclasses.fields(owner)}
     for member in REMOVED_MEMBERS[owner]:
         assert not hasattr(owner, member) and member not in field_names, member
+
+
+def test_index_tagged_four_vector_names_are_gone():
+    # a four-vector is a plain (4,) complex array; its index is a convention
+    for name in ("UPPER", "LOWER", "ComplexFourVector", "apply_boost"):
+        assert name not in csoc.__all__, name
+        assert not hasattr(csoc, name), name
+        assert not hasattr(csoc.spacetime, name), name
 
 
 def test_readme_references_resolve():

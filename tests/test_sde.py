@@ -288,6 +288,22 @@ def test_action_counts_failed_paths():
     assert not est.valid
 
 
+@pytest.mark.parametrize("tau0", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_start_time_is_a_domain_error(tau0):
+    spec, dWx = DiffusionSpec.natural(), np.zeros((2, 3, 4))
+    calls = [
+        lambda: integrate(STILL, spec, ZERO4, 0.01, 3, 2, 0, tau0=tau0),
+        lambda: integrate_with_increments(STILL, spec, ZERO4, 0.01, dWx, tau0=tau0),
+        lambda: estimate_action(quadratic_lagrangian(), STILL, spec, ZERO4, 0.01, 3, 2, 0,
+                                tau0=tau0),
+        lambda: bellman_consistency(lambda tau, z: 0j, zero_lagrangian(), STILL, spec,
+                                    tau0, ZERO4, 0.01, 2, 0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="start time must be finite"):
+            call()
+
+
 def test_bellman_excludes_and_counts_failed_paths():
     def one_bad_row(tau, z):
         w = np.zeros(z.shape, dtype=np.complex128)
