@@ -4,24 +4,27 @@ Layers and sizes (those of the perfbench `ensemble` workload):
 
     wiener._draw_paths        34,236 paths x 200 steps, into one (STEPS, n, 4) buffer
     sde.integrate             34,236 paths x 200 steps, whole trajectory stored
-    sde.estimate_action        4,096 paths x 200 steps, action only
+    sde.estimate_action        4,096 paths x 200 steps, action only, in path blocks
     wiener.moment_check       1e6 increment samples
 
 Each layer is called once small to warm up, then timed REPEATS (5) times in
 this one process; an entry holds the median and quartiles of those times,
 the throughput (path-steps/s, or samples/s for moment_check), the array
 bytes computed from the sizes (the one dWx buffer filled, the stored
-states, none for the action, the (9, n) sample block of moment_check) and
-the peak bytes numpy allocated during one further call, traced with
-tracemalloc outside the timed repeats. Timings on a shared machine drift; this is a
-record for comparing two trees, not a pass/fail gate.
+states, the action's one dWx block buffer plus its final states and
+actions, the (9, n) sample block of moment_check) and the peak bytes
+numpy allocated during one further call, traced with tracemalloc outside
+the timed repeats. Timings on a shared machine drift; this is a record for
+comparing two trees, not a pass/fail gate.
 
     python3 bench/sde_layers.py --label parent --src ../parent/src
     python3 bench/sde_layers.py --label change
 
 `--src` picks the csoc sources to import (default: ./src next to this
 script). The draw layer is looked up as wiener._draw_paths, or as its
-earlier home sde._draw_increments, so older trees can be timed too. The
+earlier home sde._draw_increments, so older trees can be timed too; the
+action's dWx bytes follow the block rule of the sources timed, whose byte
+budget is sde._BLOCK_BYTES, and sources without one hold every path's dWx. The
 record names the sources by the git rev of the repository holding them
 (suffixed -dirty when it has uncommitted changes) and by a sha256 of their
 csoc/*.py files, computed as perfbench's stamp does.
@@ -80,6 +83,12 @@ def layers(csoc, np):
         return csoc.wiener.moment_check(spec, np.zeros(4), np.zeros(4), D_TAU,
                                         max(10_000, MOMENT_SAMPLES // scale), 14)
 
+    # estimate_action's dWx buffer holds its widest path block, by the block
+    # rule of the sources timed; sources without one hold every path's dWx
+    budget = getattr(csoc.sde, "_BLOCK_BYTES", None)
+    n_blocks = 1 if budget is None else max(1, ACTION_PATHS // max(2, budget // (STEPS * 32)))
+    action_bytes = (STEPS * -(-ACTION_PATHS // n_blocks) * 4 * F64
+                    + ACTION_PATHS * 5 * 2 * F64)   # complex z (4 a path) and action
     increment_bytes = INTEGRATE_PATHS * STEPS * 4 * F64
     return [
         (draw.__name__, draw.__module__.split(".")[-1], {"paths": INTEGRATE_PATHS, "steps": STEPS},
@@ -87,7 +96,7 @@ def layers(csoc, np):
         ("integrate", "sde", {"paths": INTEGRATE_PATHS, "steps": STEPS},
          INTEGRATE_PATHS * STEPS, "path-steps", INTEGRATE_PATHS * (STEPS + 1) * 8 * F64, integrate),
         ("estimate_action", "sde", {"paths": ACTION_PATHS, "steps": STEPS},
-         ACTION_PATHS * STEPS, "path-steps", 0, action),
+         ACTION_PATHS * STEPS, "path-steps", action_bytes, action),
         ("moment_check", "wiener", {"samples": MOMENT_SAMPLES},
          MOMENT_SAMPLES, "samples", 9 * MOMENT_SAMPLES * F64, moments),
     ]

@@ -13,28 +13,38 @@ vectorized callables: policy(tau, z) takes z of shape (n, 4) complex and
 returns w of shape (n, 4) complex. Use pointwise_policy to adapt a scalar
 per-point function.
 
-One stepper, _euler, moves all paths of every ensemble, one policy call per
-step. A path is failed from the step at which its state or its action becomes
-non-finite, and its state is NaN from then on: vectorized policies and
-Lagrangians receive these NaN rows, per-point callables never see them.
+One stepper, _euler, moves all paths of an ensemble or of a path block, one
+policy call per step. A path is failed from the step at which its state or
+its action becomes non-finite, and its state is NaN from then on: vectorized
+policies and Lagrangians receive these NaN rows, per-point callables never
+see them. The stepping runs with numpy's overflow and invalid warnings off,
+so a path that overflows is counted as failed, not warned about.
 
 Each path draws its increments from an independent substream keyed by
 (seed, path index) alone, so an ensemble is reproducible and any path can be
-regenerated in isolation (path_increments). An ensemble draws all its paths
-through wiener._draw_paths, the one draw routine.
+regenerated in isolation (path_increments). An ensemble, or a block of its
+paths, draws through wiener._draw_paths, the one draw routine.
 
 Arrays are time-major: trajectories are stored in one (n_steps+1, n_paths, 8)
 buffer, so each step reads and writes contiguous slabs; TrajectoryEnsemble.states
 is an (n_paths, ...) view of it, not C-contiguous. Callers draw or supply dWx
 alone, into the x-slots of the states it drives, states[t+1, :, 0:4], where
 step t reads it before storing x_{t+1} over it, so a run peaks at about its
-states buffer; estimate_action and bellman_consistency store no states: their
-_run_paths holds dWx in one (n_steps, n_paths, 4) buffer. dWy is never stored:
-_euler forms each step's slice as the signed copy of dWx's.
+states buffer. estimate_action and bellman_consistency store no states: their
+_run_paths steps the paths in max(1, n_paths // per_block) near-equal
+contiguous blocks, per_block = max(2, 2**23 // (n_steps * 32)) being the
+paths whose dWx fill 8 MiB. Each block is drawn into one reused
+(n_steps, block, 4) dWx buffer and steps its rows of the final state and the
+action in place. A block holds per_block to 2 * per_block - 1 paths, or all
+n_paths when fewer, so none holds a single path unless n_paths == 1, and a
+run holds under 16 MiB of dWx (for n_steps <= 2**17) plus 80 bytes a path.
+dWy is never stored: _euler forms each step's slice as the signed copy of
+dWx's.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -51,6 +61,7 @@ _CSV_FIELDS = ["path", "step", "tau",
 _CSV_ROW = "%d,%d" + ",%.17g" * 9 + "\r\n"
 
 _NAN = complex(np.nan, np.nan)   # the state of a failed path
+_BLOCK_BYTES = 2**23              # dWx bytes that set per_block (module docstring)
 
 
 def constant_policy(w) -> PolicyFn:
@@ -152,6 +163,9 @@ def _check_grid(d_tau: float, n_steps: int, n_paths: int, tau0: float = 0.0):
         raise DomainError("n_steps and n_paths must be at least 1")
     if not np.isfinite(tau0):
         raise DomainError(f"the start time must be finite, got {tau0}")
+    if not math.isfinite(float(tau0) + n_steps * float(d_tau)):
+        raise DomainError(f"the horizon tau0 + n_steps * d_tau must be finite, "
+                          f"got {tau0} + {n_steps} * {d_tau}")
 
 
 def _initial_state(z0, n_paths: int) -> np.ndarray:
@@ -192,8 +206,9 @@ def _integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
     before it moves the paths, so its dWx may sit in states[t+1] until then."""
     n_steps, n_paths = states.shape[0] - 1, states.shape[1]
     z = _initial_state(z0, n_paths)
-    for t, _, _ in _euler(policy, spec, z, d_tau, states[1:, :, 0:4], tau0):
-        states[t, :, 0:4], states[t, :, 4:8] = z.real, z.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, _, _ in _euler(policy, spec, z, d_tau, states[1:, :, 0:4], tau0):
+            states[t, :, 0:4], states[t, :, 4:8] = z.real, z.imag
     states[n_steps, :, 0:4], states[n_steps, :, 4:8] = z.real, z.imag
     states.flags.writeable = False
     failed = tuple(np.flatnonzero(~np.isfinite(z).all(axis=1)).tolist())
@@ -235,13 +250,21 @@ def _run_paths(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: flo
                n_paths: int, seed: int, tau0: float) -> tuple[np.ndarray, np.ndarray]:
     """Each path's final state, (n_paths, 4), and action, (n_paths,), from z0 at
     tau0, by Ito (left endpoint) quadrature: each step adds L(tau_t, z_t, w_t)
-    d_tau with w_t the same control used for stepping."""
+    d_tau with w_t the same control used for stepping. The paths run in the
+    contiguous blocks of the module docstring, one reused dWx buffer for all."""
     _check_grid(d_tau, n_steps, n_paths, tau0)
-    dW = _draw_paths(np.empty((n_steps, n_paths, 4)), d_tau, seed)
+    n_blocks = max(1, n_paths // max(2, _BLOCK_BYTES // (n_steps * 32)))
+    edges = [n_paths * b // n_blocks for b in range(n_blocks + 1)]
+    dW = np.empty((n_steps, -(-n_paths // n_blocks), 4))
     z = _initial_state(z0, n_paths)
     action = np.zeros(n_paths, dtype=np.complex128)
-    for _, tau, w in _euler(policy, spec, z, d_tau, dW, tau0):
-        action += np.asarray(lagrangian.value(tau, z, w), dtype=np.complex128) * d_tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p0, p1 in zip(edges, edges[1:]):
+            zb, ab = z[p0:p1], action[p0:p1]
+            dWb = _draw_paths(dW[:, :p1 - p0], d_tau, seed, first=p0)
+            for _, tau, w in _euler(policy, spec, zb, d_tau, dWb, tau0):
+                ab += np.asarray(lagrangian.value(tau, zb, w), dtype=np.complex128) * d_tau
+            del w   # the block's last control, not kept through the next draw
     return z, action
 
 
@@ -249,15 +272,19 @@ def _survivor_stats(samples: np.ndarray, good: np.ndarray, what: str) -> tuple[c
     """The mean of the samples of the paths marked good, and the fields an
     ensemble result reports with it: the standard errors of its real and
     imaginary parts, n_paths, n_failed, and valid, false when more than 0.1%
-    of the paths failed. Raises DomainError when every path failed."""
+    of the paths failed or when the mean or a standard error overflowed.
+    Raises DomainError when every path failed."""
     if not good.any():
         raise DomainError(f"all paths failed, no {what} available")
     n_paths, kept = good.size, samples[good]
     n_failed = n_paths - kept.size
-    se_re, se_im = (float(p.std(ddof=1) / np.sqrt(kept.size)) if kept.size > 1 else 0.0
-                    for p in (kept.real, kept.imag))
-    return complex(kept.mean()), dict(stderr_re=se_re, stderr_im=se_im, n_paths=n_paths,
-                                      n_failed=n_failed, valid=n_failed <= 0.001 * n_paths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        se_re, se_im = (float(p.std(ddof=1) / np.sqrt(kept.size)) if kept.size > 1 else 0.0
+                        for p in (kept.real, kept.imag))
+        mean = complex(kept.mean())
+    finite = all(map(math.isfinite, (mean.real, mean.imag, se_re, se_im)))
+    return mean, dict(stderr_re=se_re, stderr_im=se_im, n_paths=n_paths, n_failed=n_failed,
+                      valid=finite and n_failed <= 0.001 * n_paths)
 
 
 @dataclass(frozen=True)

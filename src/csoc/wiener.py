@@ -14,10 +14,10 @@ RNG: counter-based Philox (4x64, 10 rounds) seeded through numpy SeedSequence.
 Batch sampling uses SeedSequence(seed); ensemble integration elsewhere draws
 path k from the substream keyed by SeedSequence(entropy=seed, spawn_key=(k,)),
 a pure function of (seed, k). path_generator builds that stream for one path;
-_draw_paths, the one draw of an ensemble, computes the keys of all its paths
-in one vectorized pass and re-keys a single generator per path, drawing the
-same numbers. The algorithm name is recorded in CLI run manifests as
-RNG_ALGORITHM.
+_draw_paths, the one draw of an ensemble or of a block of its paths, computes
+the keys of all those paths in one vectorized pass and re-keys a single
+generator per path, drawing the same numbers. The algorithm name is recorded
+in CLI run manifests as RNG_ALGORITHM.
 """
 
 from __future__ import annotations
@@ -110,13 +110,13 @@ def _substream_keys(seed: int, paths: np.ndarray) -> np.ndarray:
 _DRAW_CHUNK = 64   # paths drawn contiguous before one time-major copy
 
 
-def _draw_paths(out: np.ndarray, d_tau: float, seed: int) -> np.ndarray:
-    """Fill a time-major (n_steps, n_paths, 4) view with the dWx of every path
-    and return it: path k's column is exactly path_generator(seed, k)'s
+def _draw_paths(out: np.ndarray, d_tau: float, seed: int, first: int = 0) -> np.ndarray:
+    """Fill a time-major (n_steps, n, 4) view with the dWx of paths first ..
+    first+n-1 and return it: column j is exactly path_generator(seed, first+j)'s
     normal(0.0, sqrt(d_tau), (n_steps, 4)). One Generator is re-keyed per path,
     counter and buffer zeroed; each time-major copy moves _DRAW_CHUNK paths."""
     n_steps, n_paths, _ = out.shape
-    keys = _substream_keys(seed, np.arange(n_paths))
+    keys = _substream_keys(seed, np.arange(first, first + n_paths))
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
     zeros = np.zeros(4, dtype=np.uint64)

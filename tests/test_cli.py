@@ -202,6 +202,21 @@ def test_a_boost_that_overflows_is_a_domain_error(tmp_path):
     assert not (out / "covariance.json").exists()
 
 
+def test_a_horizon_that_overflows_is_a_domain_error(tmp_path):
+    # d_tau finite, tau0 + n_steps * d_tau not: one error line, no warning
+    out = tmp_path / "run"
+    proc = run_fresh("run", "sde-demo", "--out-dir", str(out), "--d-tau", "1e308",
+                     "--n-steps", "3", PYTHONWARNINGS="error")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "domain error: sde-demo: the horizon tau0 + n_steps * d_tau must be finite, "
+        "got 0.0 + 3 * 1e+308"]
+    assert proc.stdout == "sde-demo: FAIL\n"
+    ok = ["run", "sde-demo", "--out-dir", str(tmp_path / "ok"), "--d-tau", "1e300",
+          "--n-steps", "3"]
+    assert main(ok) == 0
+
+
 @pytest.mark.parametrize("flags", [("--box-half-width", "1e308"),
                                    ("--tau-lo=-1e308", "--tau-hi", "1e308")])
 def test_a_probe_box_whose_span_overflows_is_a_domain_error(tmp_path, flags):

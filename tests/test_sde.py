@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from csoc import sde
 from csoc.errors import DomainError
 from csoc.lagrangian import (
     Lagrangian,
@@ -83,7 +84,8 @@ def gather_reference(policy, spec, z0, d_tau, dWx, tau0=0.0, lagrangian=None):
 
 def reference_stats(samples):
     n = samples.size
-    se = [float(part.std(ddof=1) / np.sqrt(n)) for part in (samples.real, samples.imag)]
+    se = [float(part.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+          for part in (samples.real, samples.imag)]
     return complex(samples.mean()), se[0], se[1]
 
 
@@ -304,6 +306,35 @@ def test_a_non_finite_start_time_is_a_domain_error(tau0):
             call()
 
 
+def test_a_horizon_that_overflows_is_a_domain_error():
+    # finite d_tau and tau0 whose last step time is not: refused up front
+    spec = DiffusionSpec.natural()
+    calls = [
+        lambda: integrate(STILL, spec, ZERO4, 1e308, 3, 2, 0),
+        lambda: integrate_with_increments(STILL, spec, ZERO4, 1e308, np.zeros((2, 3, 4))),
+        lambda: estimate_action(quadratic_lagrangian(), STILL, spec, ZERO4, 1e308, 3, 2, 0),
+        lambda: bellman_consistency(lambda tau, z: 0j, zero_lagrangian(), STILL, spec,
+                                    1e308, ZERO4, 1e308, 2, 0),
+        lambda: path_increments(1e308, 3, 0, 0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="horizon"):
+            call()
+    assert integrate(STILL, spec, ZERO4, 1e300, 3, 2, 0).taus()[-1] == 3e300
+
+
+def test_an_overflowing_path_is_counted_not_warned_about():
+    # warnings are errors here: the stepping and the statistics must not warn
+    args = (DiffusionSpec.natural(), np.ones(4), 0.01, 200, 50, 0)
+    est = estimate_action(quadratic_lagrangian(), linear_policy(200 * np.eye(4)), *args)
+    assert est.n_failed == 0 and np.isfinite(est.mean)   # actions of about 3.5e192
+    assert est.stderr_re == np.inf and not est.valid     # whose spread overflows
+    with pytest.raises(DomainError, match="all paths failed"):
+        estimate_action(quadratic_lagrangian(), linear_policy(2000 * np.eye(4)), *args)
+    ens = integrate(linear_policy(2e4 * np.eye(4)), *args)   # 201**t overflows
+    assert ens.failed_paths == tuple(range(50))
+
+
 def test_bellman_excludes_and_counts_failed_paths():
     def one_bad_row(tau, z):
         w = np.zeros(z.shape, dtype=np.complex128)
@@ -403,6 +434,10 @@ REFERENCE_CASES = {
     # two whole draw chunks and a remainder, anticorrelated sheets of unequal width
     "chunk-edges": (linear_policy(MIX), DiffusionSpec(sigma_x=0.7, sigma_y=1.3, epsilon=-1),
                     np.array([0.2j, -0.1, 0.3 + 0.1j, 0.0]), 0.02, 9, 2 * _DRAW_CHUNK + 5, 12),
+    # 2 * per_block + 1 paths at three paths a block, and a lone path
+    "seven-paths": (linear_policy(MIX), DiffusionSpec.natural(epsilon=-1),
+                    np.array([0.1, 0.2j, 0.0, -0.3]), 0.02, 11, 7, 4),
+    "one-path": (linear_policy(MIX), DiffusionSpec.natural(), ZERO4, 0.02, 5, 1, 9),
 }
 
 
@@ -411,11 +446,64 @@ def path_major_increments(d_tau, n_steps, n_paths, seed):
     return np.stack([path_increments(d_tau, n_steps, seed, p) for p in range(n_paths)])
 
 
+# depends on z as well as w, so it pins which state each step's L sees
+Z_AND_W = Lagrangian(value=lambda tau, z, w: 0.55 * np.sum(ETA * w * w, axis=-1) + tau * z[..., 1])
+
+
+def block_widths(policy, run, n_steps):
+    """run(policy) with the policy recording the rows it is called on; returns
+    the result and the width of each path block, which takes n_steps calls."""
+    rows = []
+
+    def recording(tau, z):
+        rows.append(len(z))
+        return policy(tau, z)
+
+    result = run(recording)
+    widths = rows[::n_steps]
+    assert rows == [w for w in widths for _ in range(n_steps)]
+    return result, widths
+
+
+def check_action_and_bellman(case, per_block=None, monkeypatch=None):
+    """estimate_action and bellman_consistency of a reference case against the
+    gather reference, bit for bit; with per_block, under a dWx budget of
+    per_block paths, and with the widths of the blocks checked. Returns the
+    reference's mask of paths alive after the action run."""
+    policy, spec, z0, d_tau, n_steps, n_paths, seed = REFERENCE_CASES[case]
+    n_blocks = max(1, n_paths // (per_block or n_paths))
+
+    if per_block:
+        monkeypatch.setattr(sde, "_BLOCK_BYTES", per_block * n_steps * 4 * 8)
+    est, widths = block_widths(policy, lambda p: estimate_action(
+        Z_AND_W, p, spec, z0, d_tau, n_steps, n_paths, seed), n_steps)
+    dWx = path_major_increments(d_tau, n_steps, n_paths, seed)
+    _, _, action, alive = gather_reference(policy, spec, z0, d_tau, dWx, lagrangian=Z_AND_W)
+    assert (est.mean, est.stderr_re, est.stderr_im) == reference_stats(action[alive])
+    assert est.n_failed == n_paths - alive.sum()
+    assert sum(widths) == n_paths and len(widths) == n_blocks
+    assert max(widths) - min(widths) <= 1
+    assert min(widths) >= 2 or n_paths == 1
+
+    value = lambda tau, z: complex(np.sum(ETA * z * z)) + 0.3 * z[0] + tau
+    if per_block:
+        monkeypatch.setattr(sde, "_BLOCK_BYTES", per_block * 4 * 8)
+    res, widths = block_widths(policy, lambda p: bellman_consistency(
+        value, Z_AND_W, p, spec, 0.2, z0, d_tau, n_paths, seed), 1)
+    assert len(widths) == n_blocks
+    dx1 = path_major_increments(d_tau, 1, n_paths, seed)
+    states, _, action1, _ = gather_reference(policy, spec, z0, d_tau, dx1, tau0=0.2,
+                                             lagrangian=Z_AND_W)
+    z1 = states[:, 1, 0:4] + 1j * states[:, 1, 4:8]
+    samples = action1 + np.array([value(0.2 + d_tau, zp) for zp in z1])
+    mean, se_re, se_im = reference_stats(samples)
+    assert (res.residual, res.stderr_re, res.stderr_im) == (value(0.2, z0) - mean, se_re, se_im)
+    return alive
+
+
 @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
 def test_stepper_matches_the_gather_reference_bit_for_bit(case):
     policy, spec, z0, d_tau, n_steps, n_paths, seed = REFERENCE_CASES[case]
-    # depends on z as well as w, so it pins which state each step's L sees
-    lag = Lagrangian(value=lambda tau, z, w: 0.55 * np.sum(ETA * w * w, axis=-1) + tau * z[..., 1])
     dWx = path_major_increments(d_tau, n_steps, n_paths, seed)
 
     states, failed, _, _ = gather_reference(policy, spec, z0, d_tau, dWx, tau0=0.1)
@@ -423,21 +511,39 @@ def test_stepper_matches_the_gather_reference_bit_for_bit(case):
                 integrate(policy, spec, z0, d_tau, n_steps, n_paths, seed, tau0=0.1)):
         assert np.array_equal(ens.states.view(np.uint64), states.view(np.uint64))
         assert ens.failed_paths == failed
+    check_action_and_bellman(case)   # one block at the default budget
 
-    est = estimate_action(lag, policy, spec, z0, d_tau, n_steps, n_paths, seed)
-    _, _, action, alive = gather_reference(policy, spec, z0, d_tau, dWx, lagrangian=lag)
-    assert (est.mean, est.stderr_re, est.stderr_im) == reference_stats(action[alive])
-    assert est.n_failed == n_paths - alive.sum()
 
-    value = lambda tau, z: complex(np.sum(ETA * z * z)) + 0.3 * z[0] + tau
-    res = bellman_consistency(value, lag, policy, spec, 0.2, z0, d_tau, n_paths, seed)
-    dx1 = path_major_increments(d_tau, 1, n_paths, seed)
-    states, _, action, _ = gather_reference(policy, spec, z0, d_tau, dx1, tau0=0.2,
-                                            lagrangian=lag)
-    z1 = states[:, 1, 0:4] + 1j * states[:, 1, 4:8]
-    samples = action + np.array([value(0.2 + d_tau, zp) for zp in z1])
-    mean, se_re, se_im = reference_stats(samples)
-    assert (res.residual, res.stderr_re, res.stderr_im) == (value(0.2, z0) - mean, se_re, se_im)
+@pytest.mark.parametrize("per_block", [2, 3])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_path_blocks_match_the_gather_reference_bit_for_bit(case, per_block, monkeypatch):
+    # a budget of 2 or 3 paths a block splits the paths into blocks of 2 to 5,
+    # unevenly where per_block does not divide n_paths
+    alive = check_action_and_bellman(case, per_block, monkeypatch)
+    if case == "blow-up":   # failed paths farther apart than a block is wide
+        failed = np.flatnonzero(~alive)
+        assert failed.max() - failed.min() >= 2 * per_block
+
+
+def test_a_block_draws_its_own_path_substreams():
+    d_tau, n_steps, seed, first = 0.01, 6, 3, 70
+    out = _draw_paths(np.empty((n_steps, 5, 4)), d_tau, seed, first=first)
+    for j in range(5):
+        assert np.array_equal(out[:, j], path_increments(d_tau, n_steps, seed, first + j))
+
+
+def test_action_memory_scales_with_paths_not_path_steps():
+    # 7 blocks of 2,857-2,858 paths, whose one dWx buffer (9.1 MB) replaces
+    # the whole ensemble's 64 MB; z and the action take 80 bytes a path
+    n_paths, n_steps = 20_000, 100
+    tracemalloc.start()
+    try:
+        estimate_action(quadratic_lagrangian(), linear_policy(MIX), DiffusionSpec.natural(),
+                        ZERO4, 0.01, n_steps, n_paths, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**23 + 100 * n_paths + 2**20
 
 
 def test_pointwise_policy_never_sees_a_non_finite_point():
