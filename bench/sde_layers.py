@@ -24,10 +24,11 @@ comparing two trees, not a pass/fail gate.
 script). The draw layer is looked up as wiener._draw_paths, or as its
 earlier home sde._draw_increments, so older trees can be timed too; the
 action's dWx bytes follow the block rule of the sources timed, whose byte
-budget is sde._BLOCK_BYTES, and sources without one hold every path's dWx. The
-record names the sources by the git rev of the repository holding them
-(suffixed -dirty when it has uncommitted changes) and by a sha256 of their
-csoc/*.py files, computed as perfbench's stamp does.
+budget is sde._BLOCK_BYTES and width cap sde._BLOCK_PATHS; sources without a
+budget hold every path's dWx, and sources without a cap let the budget alone
+set the width. The record names the sources by the git rev of the repository
+holding them (suffixed -dirty when it has uncommitted changes) and by a
+sha256 of their csoc/*.py files, computed as perfbench's stamp does.
 """
 
 from __future__ import annotations
@@ -84,9 +85,12 @@ def layers(csoc, np):
                                         max(10_000, MOMENT_SAMPLES // scale), 14)
 
     # estimate_action's dWx buffer holds its widest path block, by the block
-    # rule of the sources timed; sources without one hold every path's dWx
+    # rule of the sources timed; sources without one hold every path's dWx,
+    # and sources without a width cap let the byte budget alone set it
     budget = getattr(csoc.sde, "_BLOCK_BYTES", None)
-    n_blocks = 1 if budget is None else max(1, ACTION_PATHS // max(2, budget // (STEPS * 32)))
+    cap = getattr(csoc.sde, "_BLOCK_PATHS", ACTION_PATHS)
+    per_block = ACTION_PATHS if budget is None else min(cap, max(2, budget // (STEPS * 32)))
+    n_blocks = max(1, ACTION_PATHS // per_block)
     action_bytes = (STEPS * -(-ACTION_PATHS // n_blocks) * 4 * F64
                     + ACTION_PATHS * 5 * 2 * F64)   # complex z (4 a path) and action
     increment_bytes = INTEGRATE_PATHS * STEPS * 4 * F64

@@ -28,18 +28,24 @@ paths, draws through wiener._draw_paths, the one draw routine.
 Arrays are time-major: trajectories are stored in one (n_steps+1, n_paths, 8)
 buffer, so each step reads and writes contiguous slabs; TrajectoryEnsemble.states
 is an (n_paths, ...) view of it, not C-contiguous. Callers draw or supply dWx
-alone, into the x-slots of the states it drives, states[t+1, :, 0:4], where
-step t reads it before storing x_{t+1} over it, so a run peaks at about its
-states buffer. estimate_action and bellman_consistency store no states: their
-_run_paths steps the paths in max(1, n_paths // per_block) near-equal
-contiguous blocks, per_block = max(2, 2**23 // (n_steps * 32)) being the
-paths whose dWx fill 8 MiB. Each block is drawn into one reused
-(n_steps, block, 4) dWx buffer and steps its rows of the final state and the
-action in place. A block holds per_block to 2 * per_block - 1 paths, or all
-n_paths when fewer, so none holds a single path unless n_paths == 1, and a
-run holds under 16 MiB of dWx (for n_steps <= 2**17) plus 80 bytes a path.
-dWy is never stored: _euler forms each step's slice as the signed copy of
-dWx's.
+alone, into the states it drives: step t's dWx is one contiguous
+(n_paths, 4) block at the head of slab t+1, its first 4 * n_paths floats,
+which step t reads before storing z_{t+1} over it, so a run peaks at about
+its states buffer. Each step adds its drift, then its noise, to the float
+view of the complex state through one (n, 4) complex scratch, made after the
+caller's turn and freed before the next policy call, so it is never held
+while a policy or Lagrangian runs.
+estimate_action and bellman_consistency store no states: their _run_paths
+steps the paths in max(1, n_paths // per_block) near-equal contiguous
+blocks, per_block = min(2**16, max(2, 2**23 // (n_steps * 32))) being the
+paths whose dWx fill 8 MiB, capped at 2**16 paths so that at few steps the
+block-wide temporaries (substream keys, policy output, Lagrangian terms) stay
+bounded too. Each block is drawn into one reused (n_steps, block, 4) dWx
+buffer and steps its rows of the final state and the action in place. A
+block holds per_block to 2 * per_block - 1 paths, or all n_paths when fewer,
+so none holds a single path unless n_paths == 1, and a run holds under 16 MiB
+of dWx (for n_steps <= 2**17) plus 80 bytes a path. dWy is never stored:
+_euler forms each step's slice as the signed copy of dWx's.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ _CSV_ROW = "%d,%d" + ",%.17g" * 9 + "\r\n"
 
 _NAN = complex(np.nan, np.nan)   # the state of a failed path
 _BLOCK_BYTES = 2**23              # dWx bytes that set per_block (module docstring)
+_BLOCK_PATHS = 2**16              # the most paths per_block may be, whatever n_steps is
 
 
 def constant_policy(w) -> PolicyFn:
@@ -179,37 +186,55 @@ def _euler(policy: PolicyFn, spec: DiffusionSpec, z: np.ndarray, d_tau: float,
 
     dW is the time-major dWx; each step's dWy is its slice's signed copy. Yields
     (t, tau, w) before each step moves the paths, so the caller sees z_t and
-    w_t; afterwards z holds the final state. x + v d_tau + sigma_x dWx (and
-    likewise y) keeps the order of operations of the stored states. A path
+    w_t; afterwards z holds the final state. Each step adds w d_tau, then
+    sigma dW, to the float view of z in two whole-array adds through one
+    complex scratch, so x + v d_tau + sigma_x dWx (and likewise y) keeps the
+    order of operations of the stored states, and w is only read. A path
     whose state turns non-finite is set to NaN and, NaN in NaN out, stays so.
     """
-    x, y = z.real, z.imag
-    sign = spec.sign_copy
+    zf = z.view(np.float64)   # x^0, y^0, x^1, y^1, ... of each path
+    # times +-1 is exact, so dx * sigma_y has the bits of sigma_y * (dx * sign)
+    sigma_y = spec.sigma_y * spec.sign_copy
     for t, dx in enumerate(dW):
         tau = tau0 + t * d_tau
         w = np.asarray(policy(tau, z), dtype=np.complex128)
         if w.shape != z.shape:
             raise DomainError(f"policy returned shape {w.shape}, expected {z.shape}")
         yield t, tau, w
-        x += w.real * d_tau
-        x += spec.sigma_x * dx
-        y += w.imag * d_tau
-        y += spec.sigma_y * (dx * sign)
+        step = w.copy()   # C order, as w may be broadcast, strided or read-only
+        step_f = step.view(np.float64)
+        step_f *= d_tau
+        zf += step_f
+        np.multiply(dx, spec.sigma_x, out=step.real)
+        np.multiply(dx, sigma_y, out=step.imag)
+        zf += step_f
+        del step, step_f
         if not np.isfinite(z).all():  # the row test costs ~4x this one
             z[~np.isfinite(z).all(axis=1)] = _NAN
 
 
+def _increment_slots(states: np.ndarray) -> np.ndarray:
+    """The (n_steps, n_paths, 4) view of states that holds dWx: step t's
+    increments are the contiguous head block of slab t+1, its first n_paths * 4
+    floats, where z_{t+1} is stored over them once step t has read them."""
+    n_steps, n_paths = states.shape[0] - 1, states.shape[1]
+    return states[1:].reshape(n_steps, 2, n_paths, 4)[:, 0]
+
+
 def _integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
                states: np.ndarray, tau0: float) -> TrajectoryEnsemble:
-    """Run _euler over the dWx in states[1:, :, 0:4], storing every state
+    """Run _euler over the dWx in _increment_slots(states), storing every state
     time-major in the (n_steps+1, n_paths, 8) buffer states. Step t stores z_t
     before it moves the paths, so its dWx may sit in states[t+1] until then."""
     n_steps, n_paths = states.shape[0] - 1, states.shape[1]
     z = _initial_state(z0, n_paths)
+    # each slab as (n_paths, 2, 4) sheets, z as (n_paths, 2, 4) real/imag pairs
+    slabs = states.reshape(n_steps + 1, n_paths, 2, 4)
+    pairs = z.view(np.float64).reshape(n_paths, 4, 2).swapaxes(1, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, _, _ in _euler(policy, spec, z, d_tau, states[1:, :, 0:4], tau0):
-            states[t, :, 0:4], states[t, :, 4:8] = z.real, z.imag
-    states[n_steps, :, 0:4], states[n_steps, :, 4:8] = z.real, z.imag
+        for t, _, _ in _euler(policy, spec, z, d_tau, _increment_slots(states), tau0):
+            slabs[t] = pairs
+    slabs[n_steps] = pairs
     states.flags.writeable = False
     failed = tuple(np.flatnonzero(~np.isfinite(z).all(axis=1)).tolist())
     return TrajectoryEnsemble(states=states.swapaxes(0, 1), d_tau=float(d_tau),
@@ -232,7 +257,7 @@ def integrate_with_increments(policy: PolicyFn, spec: DiffusionSpec, z0,
     n_paths, n_steps = dWx.shape[0], dWx.shape[1]
     _check_grid(d_tau, n_steps, n_paths, tau0)
     states = np.empty((n_steps + 1, n_paths, 8))
-    states[1:, :, 0:4] = dWx.swapaxes(0, 1)
+    _increment_slots(states)[...] = dWx.swapaxes(0, 1)
     return _integrate(policy, spec, z0, d_tau, states, tau0)
 
 
@@ -242,7 +267,7 @@ def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
     """Integrate the ensemble forward from a shared initial point."""
     _check_grid(d_tau, n_steps, n_paths, tau0)
     states = np.empty((n_steps + 1, n_paths, 8))
-    _draw_paths(states[1:, :, 0:4], d_tau, seed)
+    _draw_paths(_increment_slots(states), d_tau, seed)
     return _integrate(policy, spec, z0, d_tau, states, tau0)
 
 
@@ -253,7 +278,8 @@ def _run_paths(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: flo
     d_tau with w_t the same control used for stepping. The paths run in the
     contiguous blocks of the module docstring, one reused dWx buffer for all."""
     _check_grid(d_tau, n_steps, n_paths, tau0)
-    n_blocks = max(1, n_paths // max(2, _BLOCK_BYTES // (n_steps * 32)))
+    per_block = min(_BLOCK_PATHS, max(2, _BLOCK_BYTES // (n_steps * 32)))
+    n_blocks = max(1, n_paths // per_block)
     edges = [n_paths * b // n_blocks for b in range(n_blocks + 1)]
     dW = np.empty((n_steps, -(-n_paths // n_blocks), 4))
     z = _initial_state(z0, n_paths)

@@ -114,20 +114,26 @@ def _draw_paths(out: np.ndarray, d_tau: float, seed: int, first: int = 0) -> np.
     """Fill a time-major (n_steps, n, 4) view with the dWx of paths first ..
     first+n-1 and return it: column j is exactly path_generator(seed, first+j)'s
     normal(0.0, sqrt(d_tau), (n_steps, 4)). One Generator is re-keyed per path,
-    counter and buffer zeroed; each time-major copy moves _DRAW_CHUNK paths."""
+    counter and buffer zeroed, and fills its row of one reused
+    (_DRAW_CHUNK, n_steps, 4) buffer, which is scaled while in cache and then
+    copied time-major into out once per chunk."""
     n_steps, n_paths, _ = out.shape
     keys = _substream_keys(seed, np.arange(first, first + n_paths))
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
     zeros = np.zeros(4, dtype=np.uint64)
     scale = np.sqrt(d_tau)
+    buf = np.empty((min(_DRAW_CHUNK, n_paths), n_steps, 4))
     for p0 in range(0, n_paths, _DRAW_CHUNK):
-        chunk = []
-        for key in keys[p0:p0 + _DRAW_CHUNK]:
+        chunk = buf[:n_paths - p0]
+        for row, key in zip(chunk, keys[p0:]):
             bits.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
                           "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            chunk.append(rng.normal(0.0, scale, size=(n_steps, 4)))
-        out[:, p0:p0 + len(chunk)] = np.stack(chunk).swapaxes(0, 1)
+            rng.standard_normal(out=row)
+        # 0.0 + scale * z is how rng.normal forms each draw; + 0.0 turns -0.0 into +0.0
+        chunk *= scale
+        chunk += 0.0
+        out[:, p0:p0 + len(chunk)] = chunk.swapaxes(0, 1)
     return out
 
 

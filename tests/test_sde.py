@@ -24,6 +24,7 @@ from csoc.sde import (
     path_increments,
     pointwise_policy,
 )
+from csoc.spacetime import MOSTLY_MINUS
 from csoc.wiener import _DRAW_CHUNK, DiffusionSpec, _draw_paths
 
 ZERO4 = np.zeros(4, dtype=np.complex128)
@@ -42,6 +43,16 @@ def blow_up(tau, zp):
     if zp[1].real > 0.05:
         return np.array([np.nan, 0, 0, 0], dtype=np.complex128)
     return ZERO4
+
+
+def frozen_feedback(tau, z):
+    """MIX feedback returned read-only and non-contiguous: every other column
+    of a wider array, so its rows have no float view."""
+    wide = np.zeros((len(z), 8), dtype=np.complex128)
+    wide[:, ::2] = z @ MIX.T
+    w = wide[:, ::2]
+    w.flags.writeable = False
+    return w
 
 
 def gather_reference(policy, spec, z0, d_tau, dWx, tau0=0.0, lagrangian=None):
@@ -438,6 +449,12 @@ REFERENCE_CASES = {
     "seven-paths": (linear_policy(MIX), DiffusionSpec.natural(epsilon=-1),
                     np.array([0.1, 0.2j, 0.0, -0.3]), 0.02, 11, 7, 4),
     "one-path": (linear_policy(MIX), DiffusionSpec.natural(), ZERO4, 0.02, 5, 1, 9),
+    # a zero axis on each sheet, anticorrelated, mostly-minus, and a policy
+    # output the stepper can neither write nor view as floats
+    "zero-axes": (frozen_feedback,
+                  DiffusionSpec(sigma_x=[0.7, 1, 0, 1.3], sigma_y=[1, 0, 0.4, 2],
+                                epsilon=-1, metric=MOSTLY_MINUS),
+                  np.array([0.3 - 0.1j, 0.0, -0.2j, 0.5]), 0.02, 13, 9, 21),
 }
 
 
@@ -536,14 +553,41 @@ def test_action_memory_scales_with_paths_not_path_steps():
     # 7 blocks of 2,857-2,858 paths, whose one dWx buffer (9.1 MB) replaces
     # the whole ensemble's 64 MB; z and the action take 80 bytes a path
     n_paths, n_steps = 20_000, 100
+    args = (quadratic_lagrangian(), linear_policy(MIX), DiffusionSpec.natural(), ZERO4, 0.01)
+    estimate_action(*args, 3, 4, seed=8)   # numpy.random's lazy imports, untraced
     tracemalloc.start()
     try:
-        estimate_action(quadratic_lagrangian(), linear_policy(MIX), DiffusionSpec.natural(),
-                        ZERO4, 0.01, n_steps, n_paths, seed=8)
+        estimate_action(*args, n_steps, n_paths, seed=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2**23 + 100 * n_paths + 2**20
+
+
+def test_a_path_block_holds_at_most_2_16_paths():
+    # one step would let the dWx budget take 262,144 paths a block: the
+    # width cap splits 3 * 2**16 one-step paths into three blocks
+    n_paths = 3 * 2**16
+    est, widths = block_widths(STILL, lambda p: estimate_action(
+        zero_lagrangian(), p, DiffusionSpec.natural(), ZERO4, 0.01, 1, n_paths, seed=0), 1)
+    assert widths == [2**16] * 3
+    assert (est.mean, est.n_paths, est.n_failed) == (0j, n_paths, 0)
+
+
+def test_the_stepper_never_writes_into_a_policy_output():
+    returned = []
+
+    def recording(tau, z):
+        w = z @ MIX.T
+        returned.append((w, w.copy()))
+        return w
+
+    spec = DiffusionSpec(sigma_x=0.7, sigma_y=1.3, epsilon=-1)
+    integrate(recording, spec, ZERO4 + 0.1, 0.02, 6, 5, seed=3)
+    estimate_action(Z_AND_W, recording, spec, ZERO4 + 0.1, 0.02, 6, 5, seed=3)
+    assert len(returned) == 12
+    for w, copy in returned:
+        assert np.array_equal(w.view(np.uint64), copy.view(np.uint64))
 
 
 def test_pointwise_policy_never_sees_a_non_finite_point():
