@@ -16,15 +16,19 @@ exception is the Newton Jacobian in control, which takes all its points in
 one batched call. The stencil evaluates blocks, not points: it calls its
 field one way, f(tau, z + offsets[k]) once per offset of a block, with the
 probe's tau and the shape of z, and a difference is array arithmetic on the
-block's values. With leading axes on z a stencil covers many probes at
-once; _rows adapts a per-point field to such (N, 4) rows, which is how
-analyticity_scan differences all its probes as one block. Each block is
-evaluated once, and blocks that coincide (first and second differences at
-one explicit h, the probe itself) share one evaluation. Python complex
-values are divided as Python divides them, so the results are bit for bit
-those of scalar arithmetic at each point. The stencil sets its steps once,
-when it is built about a probe. An explicit h is every step, the tau step
-included; otherwise _step gives eps**(1/3) * scale for first differences and
+block's values. A caller names the blocks it will read, and they are taken
+in one sweep of the field. With leading axes on z a stencil covers many
+probes at once; _rows adapts a per-point field to such (N, 4) rows, which
+is how analyticity_scan differences all its probes as one block. Each block
+is evaluated once, and blocks that coincide (first and second differences
+at one explicit h, the probe itself) share one evaluation. A probe must be
+finite: tau and z are checked where a probe's stencil is built, so every
+derivative, residual and scan refuses a NaN or infinite probe with a
+DomainError before evaluating any point. Python complex values are divided
+as Python divides them, so the results are bit for bit those of scalar
+arithmetic at each point. The stencil sets its steps once, when it is built
+about a probe. An explicit h is every step, the tau step included;
+otherwise _step gives eps**(1/3) * scale for first differences and
 eps**(1/4) * scale for second differences, scale being max(1, max |z^mu|)
 (max(1, |tau|) in tau). _Stencil.map gives the stencil of g(f) about the same
 probe from the values already taken, so differences of g(f) evaluate no new
@@ -34,7 +38,6 @@ a stencil or any other caller evaluates is checked, not a margin around it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -51,10 +54,14 @@ _UNIT = np.eye(4, dtype=np.complex128)   # row mu is the unit vector e_mu
 # the offsets of each block at a unit step, as reals: h times them is the
 # block's offsets at step h, each zero signed as in h * e_mu, -(h * e_mu), ...
 _PATTERNS = {key: np.concatenate(rows).view(np.float64) for key, rows in (
-    (1, (_UNIT, -_UNIT)),
-    (1j, (1j * _UNIT, -(1j * _UNIT))),
+    ("x", (_UNIT, -_UNIT)),
+    ("y", (1j * _UNIT, -(1j * _UNIT))),
     ("mixed", (_UNIT + 1j * _UNIT, _UNIT - 1j * _UNIT, -_UNIT + 1j * _UNIT, -_UNIT - 1j * _UNIT)),
 )}
+# each shifted block's pattern and the order of the difference whose step it takes
+_SHIFTED = {"x1": (_PATTERNS["x"], 1), "y1": (_PATTERNS["y"], 1), "x2": (_PATTERNS["x"], 2),
+            "y2": (_PATTERNS["y"], 2), "mixed": (_PATTERNS["mixed"], 2)}
+_SIZES = {"center": 1, "tau": 2, "x1": 8, "y1": 8, "x2": 8, "y2": 8, "mixed": 16}
 
 
 def _step(scale, order: int = 1, h=None):
@@ -81,7 +88,9 @@ def _quot(num, d, pydiv: bool):
     if not pydiv:
         return num / d
     if not isinstance(d, np.ndarray) and num.ndim <= 1:   # one probe
-        return num.item() / d if num.ndim == 0 else np.array([x / d for x in num.tolist()])
+        if num.ndim == 0:
+            return num.item() / d
+        return np.array([x / d for x in num.tolist()], dtype=np.complex128)
     return _py_cdiv(num, d)
 
 
@@ -102,27 +111,33 @@ def _py_cdiv(a: np.ndarray, b) -> np.ndarray:
 
 
 def _rows(f):
-    """A per-point field f(tau, z) as a field on (N, 4) rows: f is called
-    once per row, at that row's tau as a Python float, and the values come
-    back as a list, so a stencil sees whether they are Python complex."""
+    """A per-point field f(tau, z) as a field on (N, 4) rows with one tau
+    per row, an (N,) array: f is called once per row, at that row's tau as
+    a Python float, and the values come back as a list, so a stencil sees
+    whether they are Python complex."""
     def rows(tau, z):
-        taus = np.broadcast_to(tau, z.shape[:-1]).tolist()
-        return [f(t, p) for t, p in zip(taus, z)]
+        return [f(t, p) for t, p in zip(tau.tolist(), z)]
     return rows
 
 
 class _Stencil:
     """A field around a probe (tau, z), each block of points evaluated once.
 
-    Each difference asks for all its points at once, as one block z + offsets
-    of shape (k, *lead, 4): diff1 and diff2 the +/- offsets on all four axes,
-    mixed the 16 diagonal corners, diff_tau the two tau-shifted points and
-    diff2 the probe itself. The field is called once per offset, f(tau,
-    z + offset), with the probe's tau (tau +/- h_tau in the tau block)
-    passed through unchanged, and the differences are array operations on
-    the block's values. Blocks are cached by what they hold, so first and
-    second differences at one explicit h share one block. Fields are
-    assumed deterministic.
+    A block is named by what it holds: "x1" and "y1" the +/- steps along
+    every axis in x and in y at the first-difference step, "x2" and "y2" the
+    same at the second-difference step, "mixed" the 16 diagonal corners,
+    "center" the probe itself and "tau" the probe's z at tau +/- h_tau. A
+    difference reads the blocks it needs, diff1 "x1" or "y1" (or "x2", "y2"
+    at order 2), diff2 "x2" or "y2" and "center", mixed "mixed", diff_tau
+    "tau", and is array arithmetic on their values. evaluate(*names) takes
+    the points of every named block not yet evaluated in one sweep of the
+    field, and a difference evaluates any block it reads that is still
+    missing. The field is called once per point, f(tau, z + offset), with
+    the probe's tau (tau +/- h_tau in the tau block) passed through
+    unchanged. The values of one sweep share one array, so a field gives
+    the same kind of value at every point. Blocks are cached by what they
+    hold, so first and second differences at one explicit h share one
+    block. Fields are assumed deterministic.
 
     The steps h1 (first differences), h2 (second differences) and h_tau are
     set here, from h when it is given and else by _step at the probe's scale.
@@ -130,17 +145,24 @@ class _Stencil:
     tau is a float or an array that broadcasts against them, and f maps such
     a z to a value per row (_rows adapts a per-point field). Python complex
     values, or lists of them, divide as CPython divides them. dtype, when
-    given, is the dtype of the values.
+    given, is the dtype of the values; the differences are complex, unless
+    dtype is float64, when they stay real.
     """
 
     def __init__(self, f, tau, z, h=None, dtype=None):
         self.f, self.tau, self.z, self.dtype = f, tau, z, dtype
-        scale = np.abs(z).max(axis=-1, initial=1.0)   # max(1, max |z^mu|) per row
-        self.h1, self.h2 = _step(scale, 1, h), _step(scale, 2, h)
-        tau_scale = (np.maximum(1.0, np.abs(tau)) if isinstance(tau, np.ndarray)
-                     else max(1.0, abs(tau)))
-        self.h_tau = _step(tau_scale, 1, h)
-        self._second = 1 if h is not None else 2   # one explicit step: one block
+        self._diff_dtype = np.float64 if dtype is np.float64 else np.complex128
+        # max(1, max |z^mu|) per row, NaN or inf when z is not finite
+        self.scale = scale = np.maximum.reduce(np.abs(z), axis=-1, initial=1.0)
+        if h is None:
+            tau_scale = (np.maximum(1.0, np.abs(tau)) if isinstance(tau, np.ndarray)
+                         else max(1.0, abs(tau)))
+            self.h1, self.h2 = _EPS_CBRT * scale, _EPS_QRT * scale
+            self.h_tau = _EPS_CBRT * tau_scale
+            self._alias = {}
+        else:   # one explicit step: a second-difference block is its first-difference block
+            self.h1 = self.h2 = self.h_tau = _step(scale, 1, h)
+            self._alias = {"x2": "x1", "y2": "y1"}
         self._blocks: dict = {}
         self._source = None   # (stencil, g) of a mapped stencil
 
@@ -155,24 +177,54 @@ class _Stencil:
         this stencil has evaluated when the mapped stencil first needs one,
         so no new point of f is evaluated.
         """
-        mapped = copy.copy(self)
-        mapped._blocks, mapped._source = {}, (self, g)
+        mapped = object.__new__(_Stencil)
+        mapped.__dict__.update(self.__dict__, _blocks={}, _source=(self, g))
         return mapped
 
-    def _block(self, key) -> tuple[np.ndarray, bool]:
+    def _block(self, name) -> tuple[np.ndarray, bool]:
         """(values, pydiv) of one block, evaluated on first use: values has a
         row per point of the block, pydiv says they are Python complex."""
-        hit = self._blocks.get(key)
+        name = self._alias.get(name, name)
+        hit = self._blocks.get(name)
         if hit is None:
-            if self._source is not None:
-                self._map_blocks(key)
-                return self._blocks[key]
-            hit = self._blocks[key] = self._evaluate(key)
+            self.evaluate(name)
+            hit = self._blocks[name]
         return hit
 
-    def _map_blocks(self, key) -> None:
+    def evaluate(self, *names) -> None:
+        """Evaluate the named blocks not evaluated yet, in one sweep of the
+        field (the tau block last); a mapped stencil maps them instead."""
+        todo = []
+        for n in names:
+            n = self._alias.get(n, n)
+            if n not in self._blocks and n not in todo:
+                todo.append(n)
+        if not todo:
+            return
+        if self._source is not None:
+            self._map_blocks(todo)
+            return
+        if "tau" in todo:
+            todo.remove("tau")
+            todo.append("tau")
+        f, tau, z = self.f, self.tau, self.z
+        vals = [f(tau, p) for n in todo if n != "tau"
+                for p in (z[None] if n == "center" else z + self._offsets(n))]
+        if todo[-1] == "tau":
+            vals += [f(tau + self.h_tau, z), f(tau - self.h_tau, z)]
+        # Python complex values make a complex array: say so and skip numpy's type search
+        dtype = np.complex128 if self.dtype is None and type(vals[0]) is complex else self.dtype
+        values = np.array(vals, dtype=dtype)
+        start = 0
+        for n in todo:
+            stop = start + _SIZES[n]
+            first = vals[start][0] if type(vals[start]) is list else vals[start]
+            self._blocks[n] = values[start:stop], type(first) is complex
+            start = stop
+
+    def _map_blocks(self, names) -> None:
         parent, g = self._source
-        parent._block(key)
+        parent.evaluate(*names)
         keys = [k for k in parent._blocks if k not in self._blocks]
         values = [parent._blocks[k][0] for k in keys]
         mapped = np.asarray(g(np.concatenate(values)))
@@ -181,55 +233,38 @@ class _Stencil:
             self._blocks[k] = (mapped[start:start + len(v)], False)
             start += len(v)
 
-    def _evaluate(self, key) -> tuple[np.ndarray, bool]:
-        """f once per offset of a block, at the probe's tau; the tau block
-        is the probe's z at tau + h_tau and tau - h_tau."""
-        f, tau, z = self.f, self.tau, self.z
-        if key == "tau":
-            vals = [f(tau + self.h_tau, z), f(tau - self.h_tau, z)]
-        else:
-            if key == "center":
-                points = z[None]
-            elif key == "mixed":
-                points = z + self._offsets(self.h2, "mixed")
-            else:
-                points = z + self._offsets(self.h1 if key[1] == 1 else self.h2, key[0])
-            vals = [f(tau, p) for p in points]
-        first = vals[0][0] if type(vals[0]) is list else vals[0]
-        return np.array(vals, dtype=self.dtype), type(first) is complex
-
-    def _offsets(self, h, key) -> np.ndarray:
-        """The offsets of a block at step h, (k, *lead, 4): with leading axes
+    def _offsets(self, name) -> np.ndarray:
+        """The offsets of a shifted block, (k, *lead, 4): with leading axes
         on z, each row of z is offset by its own step."""
-        pattern = _PATTERNS[key]
-        if self.z.ndim == 1:
-            return (h * pattern).view(np.complex128)
-        h = np.broadcast_to(h, self.z.shape[:-1])
-        pattern = pattern.reshape((len(pattern),) + (1,) * h.ndim + (8,))
-        return (h[None, ..., None] * pattern).view(np.complex128)
+        pattern, order = _SHIFTED[name]
+        h = self.h1 if order == 1 else self.h2
+        if self.z.ndim > 1:
+            h = np.broadcast_to(h, self.z.shape[:-1])[None, ..., None]
+            pattern = pattern.reshape((len(pattern),) + (1,) * (h.ndim - 2) + (8,))
+        return (h * pattern).view(np.complex128)
 
     def diff1(self, unit=1, order: int = 1) -> np.ndarray:
         """(f(z + v) - f(z - v)) / 2h along every axis, v = unit * h e_mu: the
         x-route for unit 1, the y-partial for unit 1j; h is the step of the
         given difference order."""
         h = self.h1 if order == 1 else self.h2
-        v, pydiv = self._block((unit, 1 if order == 1 else self._second))
-        return _quot(v[:4] - v[4:], 2 * h, pydiv).astype(np.complex128, copy=False)
+        v, pydiv = self._block(("x" if unit == 1 else "y") + ("1" if order == 1 else "2"))
+        return _quot(v[:4] - v[4:], 2 * h, pydiv).astype(self._diff_dtype, copy=False)
 
     def diff2(self, unit=1) -> np.ndarray:
         """(f(z + v) - 2 f(z) + f(z - v)) / h^2 along every axis, v = unit * h e_mu."""
-        v, pydiv = self._block((unit, self._second))
+        v, pydiv = self._block("x2" if unit == 1 else "y2")
         f0, pydiv0 = self._block("center")
         h = self.h2
         return _quot(v[:4] - 2 * f0 + v[4:], h * h,
-                     pydiv and pydiv0).astype(np.complex128, copy=False)
+                     pydiv and pydiv0).astype(self._diff_dtype, copy=False)
 
     def mixed(self) -> np.ndarray:
         """d2/dx^mu dy^mu along every axis from the four diagonal points."""
         v, pydiv = self._block("mixed")
         h = self.h2
         return _quot(v[0:4] - v[4:8] - v[8:12] + v[12:16], 4 * h * h,
-                     pydiv).astype(np.complex128, copy=False)
+                     pydiv).astype(self._diff_dtype, copy=False)
 
     def diff_tau(self):
         """(f(tau + h) - f(tau - h)) / 2h at the probe's z."""
@@ -274,9 +309,15 @@ class ScalarField:
         return self.f(tau, z)
 
 
-def _probe_stencil(f, tau: float, z, h: Optional[float] = None) -> _Stencil:
-    """The stencil of a field at a probe point."""
-    return _Stencil(f, tau, _vector(z), h)
+def _probe_stencil(f, tau: float, z, h: Optional[float] = None, dtype=None,
+                   blocks=()) -> _Stencil:
+    """The stencil of a field at a probe point, which must be finite, with
+    the named blocks evaluated in one sweep."""
+    st = _Stencil(f, tau, _vector(z), h, dtype)
+    if not (abs(tau) < np.inf and st.scale < np.inf):
+        raise DomainError(f"the probe must be finite, got tau={tau}, z={st.z}")
+    st.evaluate(*blocks)
+    return st
 
 
 @dataclass(frozen=True)
@@ -307,7 +348,7 @@ def _first_routes(st: _Stencil) -> tuple[np.ndarray, ...]:
 
 def complex_derivative(f, tau: float, z, h: Optional[float] = None) -> DerivativeReport:
     """Central-difference first derivatives along every axis, both routes."""
-    st = _probe_stencil(f, tau, z, h)
+    st = _probe_stencil(f, tau, z, h, blocks=("x1", "y1"))
     d_x, d_y, cr, cons = _first_routes(st)
     return DerivativeReport(d_x=d_x, d_y=d_y,
                             cr_residuals=cr, consistency_residuals=cons, h=float(st.h1))
@@ -334,7 +375,7 @@ class SecondDerivativeReport:
 
 def second_complex_derivative(f, tau: float, z, h: Optional[float] = None) -> SecondDerivativeReport:
     """Three-route second derivatives along every axis."""
-    st = _probe_stencil(f, tau, z, h)
+    st = _probe_stencil(f, tau, z, h, blocks=("x2", "y2", "center", "mixed"))
     xx, yy, xy = st.diff2(), -st.diff2(1j), -1j * st.mixed()
     disc = np.maximum(np.abs(xx - yy), np.maximum(np.abs(xx - xy), np.abs(yy - xy)))
     return SecondDerivativeReport(route_xx=xx, route_yy=yy, route_xy=xy,
@@ -391,19 +432,24 @@ def analyticity_scan(f, probes: Sequence[tuple[float, np.ndarray]],
     taus = [float(tau) for tau, _ in probes]
     zs = np.array([_vector(z) for _, z in probes])
     st = _Stencil(_rows(f), np.array(taus), zs, h)
+    finite = np.isfinite(st.tau) & (st.scale < np.inf)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DomainError(f"probe {i} must be finite, got tau={taus[i]}, z={zs[i]}")
+    st.evaluate("x1", "y1")
     d_x, d_y, cr, cons = _first_routes(st)     # (N, 4) each
     scale = np.maximum(1.0, np.abs(d_x))
     scaled = np.maximum(cr / scale, cons / scale).max(axis=1)
     cr_max, cons_max = cr.max(axis=1), cons.max(axis=1)
     raw = np.where(cons_max > cr_max, cons_max, cr_max)   # the builtin max of the two
-    steps = np.broadcast_to(st.h1, len(taus))
+    steps = np.broadcast_to(st.h1, len(taus)).tolist()
     results = tuple(
-        ProbeResult(tau=taus[i], z=zs[i], residual=float(raw[i]),
-                    scaled_residual=float(scaled[i]), passed=bool(scaled[i] < tol),
-                    derivatives=DerivativeReport(
-                        d_x=d_x[i], d_y=d_y[i], cr_residuals=cr[i],
-                        consistency_residuals=cons[i], h=float(steps[i])))
-        for i in range(len(taus)))
+        ProbeResult(tau=tau, z=z, residual=r, scaled_residual=sr, passed=ok,
+                    derivatives=DerivativeReport(d_x=dx, d_y=dy, cr_residuals=c,
+                                                 consistency_residuals=k, h=step))
+        for tau, z, r, sr, ok, dx, dy, c, k, step in zip(
+            taus, zs, raw.tolist(), scaled.tolist(), (scaled < tol).tolist(),
+            d_x, d_y, cr, cons, steps))
     worst = max(range(len(results)), key=lambda i: results[i].scaled_residual)
     return ScanReport(results=results, tol=float(tol),
                       passed=all(r.passed for r in results), worst_index=worst)

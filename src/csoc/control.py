@@ -17,11 +17,13 @@ with the field partials taken from separate x- and y-stencils of J_R and J_I
 Non-analytic value fields are refused up front.
 
 There is one Newton, _newton8, over R independent 8-real systems at once:
-one residual call on (R, 16, 8) for the Jacobians, one batched solve of
-(R, 8, 8), and step halving row by row. A row that converges stops moving,
-and a row that fails fails alone. solve_optimal_control is its one-row
-call; the audit solves the two condition sets of all N probes as 2N rows,
-which needs the Lagrangian to take one tau per row (see lagrangian).
+one residual call on (R, 17, 8) for each row's point and the 16 steps of
+its Jacobian (the first of them also gives the starting residuals), one
+batched solve of (R, 8, 8), and step halving row by row. A row that
+converges stops moving, and a row that fails fails alone.
+solve_optimal_control is its one-row call; the audit solves the two
+condition sets of all N probes as 2N rows, which needs the Lagrangian to
+take one tau per row (see lagrangian).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import AnalyticityError, NonConvergenceError
 from .spacetime import _vector
@@ -45,7 +48,16 @@ class StationarityResult:
     iterations: int
 
 
-_SHIFTS = np.concatenate([np.eye(8), -np.eye(8)])   # the Jacobian's 16 unit steps
+# the Jacobian's points: row 0 the point itself, rows 1-8 a step up and rows
+# 9-16 a step down each axis; adding the signed zeros elsewhere leaves theta,
+# which is never -0.0
+_SHIFTS = np.concatenate([np.zeros((1, 8)), np.eye(8), -np.eye(8)])
+# theta = (v, u) holds w = v + i u, and a residual (Re g, Im g) the complex g:
+# _INTERLEAVE orders theta as w's float view, _SPLIT orders g's float view as
+# (Re g, Im g), and _REAL_PAIR takes (Re g, Im g) to (Re g, -Im g)
+_INTERLEAVE = np.array([0, 4, 1, 5, 2, 6, 3, 7])
+_SPLIT = np.array([0, 2, 4, 6, 1, 3, 5, 7])
+_REAL_PAIR = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 _MAX_ITER = 100       # Newton iterations per solve
 _NEWTON_TOL = 1e-10   # solve_optimal_control's largest residual component at a root
 _AUDIT_TOL = 1e-8     # the audit's largest passing root disagreement
@@ -61,11 +73,12 @@ def _newton8(residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: f
 
     residual_fn(rows, thetas) maps thetas (len(rows), ..., 8) of the given
     rows to residuals of the same shape, or to rows that broadcast to it if
-    it ignores theta. Each iteration makes one (A, 16, 8) call for the
-    Jacobians of the A rows still iterating and solves them as one
-    (A, 8, 8) batch; every row damps on its own and stops once converged.
-    Returns the roots, the residuals there, the iterations per row, and a
-    NonConvergenceError for each row that failed, by row.
+    it ignores theta. Each iteration makes one (A, 17, 8) call for the
+    Jacobians of the A rows still iterating, each row's point and its 16
+    steps, and solves them as one (A, 8, 8) batch; the first call also
+    gives the residuals at the start. Every row damps on its own and stops
+    once converged. Returns the roots, the residuals there, the iterations
+    per row, and a NonConvergenceError for each row that failed, by row.
     """
     rows = np.arange(n_rows)
     roots, residuals = np.zeros((n_rows, 8)), np.zeros((n_rows, 8))
@@ -76,6 +89,12 @@ def _newton8(residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: f
         out = residual_fn(ids, thetas)
         return out if out.shape == thetas.shape else np.broadcast_to(out, thetas.shape)
 
+    def stepped(ids, thetas):
+        """The residuals (A, 17, 8) at each point, then a step up and a step
+        down each axis, and the steps taken."""
+        step = _step(np.maximum(1.0, np.abs(thetas)))
+        return residual(ids, thetas[:, None, :] + _SHIFTS * step[:, None, :]), step
+
     def accepted(n_trial, n_now):
         return np.isfinite(n_trial) & ((n_trial <= n_now) | (n_trial < tol))
 
@@ -84,24 +103,25 @@ def _newton8(residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: f
             message.format(float(norm[i])), residual=float(norm[i]), iterations=it)
 
     theta = roots.copy()
-    r = residual(rows, theta)
-    norm = np.abs(r).max(axis=1)
+    at_steps, step = stepped(rows, theta)
+    r = at_steps[:, 0]
+    norm = np.maximum.reduce(np.abs(r), axis=1)
     for it in range(1, _MAX_ITER + 1):
         done = norm < tol
-        if done.all():
+        n_done = np.count_nonzero(done)
+        if n_done == len(rows):
             roots[rows], residuals[rows], iterations[rows] = theta, r, it - 1
             break
-        if done.any():
+        if n_done:
             finished = rows[done]
             roots[finished], residuals[finished], iterations[finished] = theta[done], r[done], it - 1
             keep = ~done
             rows, theta, r, norm = rows[keep], theta[keep], r[keep], norm[keep]
-        step = _step(np.maximum(1.0, np.abs(theta)))
-        # rows 0-7 theta + step_k e_k, rows 8-15 theta - step_k e_k; adding
-        # the signed zeros elsewhere leaves theta, which is never -0.0
-        shifted = theta[:, None, :] + _SHIFTS * step[:, None, :]
-        rs = residual(rows, shifted)
-        jac = ((rs[:, :8] - rs[:, 8:]) / (2 * step)[:, :, None]).transpose(0, 2, 1)
+            if at_steps is not None:
+                at_steps, step = at_steps[keep], step[keep]
+        if at_steps is None:
+            at_steps, step = stepped(rows, theta)
+        jac = ((at_steps[:, 1:9] - at_steps[:, 9:]) / (2 * step)[:, :, None]).transpose(0, 2, 1)
         delta, singular = _solve(jac, -r)
         if singular is not None:
             for i in np.flatnonzero(singular):
@@ -114,10 +134,11 @@ def _newton8(residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: f
         # step halving on residual increase: a row keeps the first of theta +
         # delta, theta + delta/2, ... that does not raise its residual
         cand = theta + delta
+        at_steps = None
         rc = residual(rows, cand)
-        nc = np.abs(rc).max(axis=1)
+        nc = np.maximum.reduce(np.abs(rc), axis=1)
         ok = accepted(nc, norm)
-        if ok.all():
+        if np.count_nonzero(ok) == len(ok):
             theta, r, norm = cand, rc, nc
             continue
         search, scale = np.flatnonzero(~ok), 1.0
@@ -126,7 +147,7 @@ def _newton8(residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: f
             scale *= 0.5
             trial = theta[search] + scale * delta[search]
             r_trial = residual(rows[search], trial)
-            n_trial = np.abs(r_trial).max(axis=1)
+            n_trial = np.maximum.reduce(np.abs(r_trial), axis=1)
             hit = accepted(n_trial, norm[search])
             kept = search[hit]
             cand[kept], rc[kept], nc[kept], ok[kept] = trial[hit], r_trial[hit], n_trial[hit], True
@@ -149,22 +170,31 @@ def _newton8(residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: f
 
 def _solve(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Solutions of the (A, 8, 8) systems, and which of them are singular
-    (None when none is). np.linalg.solve refuses a whole batch for one
-    singular matrix, so then each system is solved on its own."""
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0], None
-    except np.linalg.LinAlgError:
+    (None when none is).
+
+    This is np.linalg.solve's own gufunc, called without the wrapper's
+    per-call type checks (the systems here are float64 by construction); it
+    flags a singular matrix as an invalid-value floating-point error, which
+    np.linalg.solve turns into LinAlgError. One singular matrix spoils the
+    whole batch, so then each system is solved on its own.
+    """
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            return _umath_linalg.solve(jac, rhs[..., None], signature="dd->d")[..., 0], None
+        except FloatingPointError:
+            pass
         delta, singular = np.zeros_like(rhs), np.zeros(len(rhs), dtype=bool)
         for i in range(len(rhs)):
             try:
-                delta[i] = np.linalg.solve(jac[i], rhs[i])
-            except np.linalg.LinAlgError:
+                delta[i] = _umath_linalg.solve1(jac[i], rhs[i], signature="dd->d")
+            except FloatingPointError:
                 singular[i] = True
         return delta, singular
 
 
 def _theta_to_w(theta: np.ndarray) -> np.ndarray:
-    return theta[..., :4] + 1j * theta[..., 4:]
+    """w = v + i u for theta = (v, u) along the last axis, each part copied."""
+    return theta.take(_INTERLEAVE, axis=-1).view(np.complex128)
 
 
 def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0,
@@ -174,17 +204,16 @@ def solve_optimal_control(lagrangian: Lagrangian, dJ, tau: float = 0.0,
     z = _vector(np.zeros(4) if z is None else z)
 
     def residual(rows, theta: np.ndarray) -> np.ndarray:
-        g_c = lagrangian.grad(tau, z, _theta_to_w(theta)) + dj
-        return np.concatenate([g_c.real, g_c.imag], axis=-1)
+        g_c = np.add(lagrangian.grad(tau, z, _theta_to_w(theta)), dj, order="C")
+        return g_c.view(np.float64).take(_SPLIT, axis=-1)   # (Re, Im)
 
     roots, residuals, iterations, failures = _newton8(residual, _NEWTON_TOL)
     if failures:
         raise failures[0]
     w = _theta_to_w(roots[0])
     w.flags.writeable = False
-    g_c = np.empty(4, dtype=np.complex128)   # dL/dw + dJ at the root, as the solve left it
-    g_c.real, g_c.imag = residuals[0, :4], residuals[0, 4:]
-    real_pair = np.concatenate([g_c.real, -g_c.imag])
+    g_c = _theta_to_w(residuals[0])   # dL/dw + dJ at the root, as the solve left it
+    real_pair = residuals[0] * _REAL_PAIR   # (Re, -Im), the finite residual's signs flipped
     return StationarityResult(
         w_star=w,
         residual_complex=g_c,

@@ -23,13 +23,14 @@ evaluates both routes by stencils and reports the discrepancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .spacetime import Metric, MOSTLY_PLUS, _vector, contract
-from .ccalc import _probe_stencil, _py_cdiv, _Stencil
+from .ccalc import _probe_stencil, _Stencil
 
 SpinorFieldFn = Callable[[float, np.ndarray], np.ndarray]
 PotentialFn = Callable[[float, np.ndarray], np.ndarray]
@@ -72,6 +73,11 @@ class GammaSet:
             raise DomainError(f"matrices must have shape (4, 4, 4), got {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "matrices", m)
+
+    @cached_property
+    def _by_component(self) -> np.ndarray:
+        """gamma^mu_rs indexed [r, s, mu], contiguous, built on first use."""
+        return np.ascontiguousarray(self.matrices.transpose(1, 2, 0))
 
     def slash(self, a) -> np.ndarray:
         """sum_mu gamma^mu a_mu for a lower-index four-vector a."""
@@ -153,9 +159,18 @@ class PlaneWave:
     eigen_residual: float
 
     def phi(self, tau: float, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        phase = 1j * complex((self.p * z).sum()) / self.hbar - 1j * self.lam * tau
-        return np.exp(phase) * self.chi
+        # p.z in Python arithmetic: a real p times a complex z rounds as numpy's
+        # product does, and the sum is paired as numpy reduces four complex
+        # values, so the phase has the bits of np.add.reduce(p * z)
+        p0, p1, p2, p3 = self._p_list
+        z0, z1, z2, z3 = np.asarray(z, dtype=np.complex128).tolist()
+        p_z = (p0 * z0 + p1 * z1) + (p2 * z2 + p3 * z3)
+        return np.exp(1j * p_z / self.hbar - 1j * self.lam * tau) * self.chi
+
+    @cached_property
+    def _p_list(self) -> list:
+        """p as Python floats, built on first use."""
+        return self.p.tolist()
 
     def potential(self) -> Optional[PotentialFn]:
         if self.q == 0.0 and not np.any(self.a_const):
@@ -168,7 +183,8 @@ def plane_wave(gammas: GammaSet, p, *, q: float = 0.0, a_const=None,
                hbar: float = 1.0, m: float = 1.0, c: float = 1.0,
                branch: str = "+") -> PlaneWave:
     """Build a plane-wave eigenmode from the numerical slash eigenproblem."""
-    p = np.asarray(p, dtype=float)
+    p = np.array(p, dtype=float)   # a read-only copy, as phi caches it as Python floats
+    p.flags.writeable = False
     if p.shape != (4,):
         raise DomainError(f"p must have 4 components, got shape {p.shape}")
     if a_const is None:
@@ -227,36 +243,43 @@ def linearized_residual(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     For a separable field exp(-i lam tau) chi(z) pass lam and the tau
     derivative is taken analytically instead of by stencil.
     """
-    return _linearized(gammas, _spinor_stencil(phi, tau, z, h), lam=lam, q=q, A=A,
+    st = _spinor_stencil(phi, tau, z, h, "x1", "x2", *(() if lam is not None else ("tau",)))
+    return _linearized(gammas, st, *_potential_terms(gammas, A, st), lam=lam, q=q,
                        hbar=hbar, m=m, c=c)
 
 
-def _spinor_stencil(phi: SpinorFieldFn, tau: float, z, h: Optional[float]) -> _Stencil:
-    st = _Stencil(phi, tau, _vector(z), h, dtype=np.complex128)
+def _spinor_stencil(phi: SpinorFieldFn, tau: float, z, h: Optional[float], *blocks) -> _Stencil:
+    """The spinor's stencil at the probe, the centre and the named blocks in
+    one sweep, refused unless phi gives four components."""
+    st = _probe_stencil(phi, tau, z, h, dtype=np.complex128, blocks=("center",) + blocks)
     if st().shape != (4,):
         raise DomainError(f"phi must return 4 components, got {st().shape}")
     return st
 
 
-def _linearized(gammas: GammaSet, st: _Stencil, *, lam, q, A, hbar, m, c) -> np.ndarray:
+def _potential_terms(gammas: GammaSet, A: Optional[PotentialFn], st: _Stencil) -> tuple:
+    """A_mu at the probe, zeros without a potential, and sum eta A A."""
+    a_val = np.zeros(4, dtype=np.complex128)
+    if A is not None:
+        a_val = np.asarray(A(st.tau, st.z), dtype=np.complex128)
+        if a_val.shape != (4,):
+            raise DomainError(f"A must return 4 components, got {a_val.shape}")
+    return a_val, complex(np.add.reduce(gammas.metric.eta * a_val * a_val))
+
+
+def _linearized(gammas: GammaSet, st: _Stencil, a_val: np.ndarray, a_sq: complex, *,
+                lam, q, hbar, m, c) -> np.ndarray:
     """linearized_residual on a spinor stencil that route_consistency shares."""
-    tau, z, phi0 = st.tau, st.z, st()
+    phi0 = st()
     eta = gammas.metric.eta
     dphi = st.diff1()     # [mu, component]
     d2phi = st.diff2()
     dtau_phi = -1j * lam * phi0 if lam is not None else st.diff_tau()
 
-    a_val = np.zeros(4, dtype=np.complex128)
-    if A is not None:
-        a_val = np.asarray(A(tau, z), dtype=np.complex128)
-        if a_val.shape != (4,):
-            raise DomainError(f"A must return 4 components, got {a_val.shape}")
-
     gamma_d = np.einsum("mij,mj->i", gammas.matrices, dphi)
-    gamma_a = gammas.slash(a_val) @ phi0
+    gamma_a = np.einsum("m,mij->ij", a_val, gammas.matrices) @ phi0   # slash(A) phi
     box = np.einsum("m,mj->j", eta, d2phi)
     a_dot_d = np.einsum("m,m,mj->j", eta, a_val, dphi)
-    a_sq = complex((eta * a_val * a_val).sum())
 
     return (1j * hbar * m * dtau_phi
             - 1j * hbar * m * c * gamma_d
@@ -322,7 +345,7 @@ class RouteReport:
 
     @property
     def max_discrepancy(self) -> float:
-        return float(self.discrepancies.max())
+        return float(np.maximum.reduce(self.discrepancies))
 
 
 def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
@@ -338,71 +361,70 @@ def route_consistency(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
     for exact derivatives; the report shows the stencil-level discrepancy on
     each of the requested components, a nonempty selection of 0..3.
     """
-    comps = tuple(int(r) for r in components)
-    if not comps or any(r not in (0, 1, 2, 3) for r in comps):
+    comps = tuple(map(int, components))
+    if not comps or not set(comps) <= {0, 1, 2, 3}:
         raise DomainError(f"components must be a nonempty choice of 0..3, got {components!r}")
     # one stencil for both routes: every component's log map reads the same
     # spinor values, and the linear operator reuses them
-    st = _spinor_stencil(phi, tau, z, h)
-    z, phi0 = st.z, st()
-    eta = gammas.metric.eta
-    eps = _SIGNS
+    st = _spinor_stencil(phi, tau, z, h, "x1", "x2", "tau")
+    phi0 = st()
+    modulus = np.abs(phi0)
+    top = float(np.maximum.reduce(modulus))
+    if not top < np.inf:
+        raise DomainError(f"phi values at the probe are not finite: {phi0}")
     # components this small are treated as structural zeros: their rho factor
     # kills the coupling term and their own value field is rejected
-    live = np.abs(phi0) > 1e-12 * float(np.abs(phi0).max())
+    live = modulus > 1e-12 * top
     for r in comps:
         if not live[r]:
             raise DomainError(f"phi component {r} vanishes at the probe; "
                               "its value field is undefined there")
-    cols = np.flatnonzero(live)
-    anchor = phi0[cols].tolist()
+    cols = live.nonzero()[0]
+    eps = _SIGNS
+    coef = -1j * eps[cols] * hbar
+    values = phi0.tolist()
+    anchor = [values[s] for s in cols.tolist()]
 
     # value fields of the live components (zero elsewhere), the log anchored at
-    # the probe so no point straddles the cut; the ratios round as Python's
-    # complex division rounds them, which dominates the reported discrepancy
-    coef = np.array([-1j * eps[s] * hbar for s in cols])
-
-    def log_map(values):
-        out = np.zeros(values.shape, dtype=np.complex128)
-        out[:, cols] = coef * np.log(_py_cdiv(values[:, cols], phi0[cols]))
+    # the probe so no point straddles the cut; the ratios are Python's complex
+    # divisions, whose rounding dominates the reported discrepancy
+    def log_map(block):
+        live_values = block[:, cols]
+        ratios = [v / a for v, a in zip(live_values.ravel().tolist(), anchor * len(block))]
+        ratios = np.array(ratios, dtype=np.complex128).reshape(live_values.shape)
+        out = np.zeros(block.shape, dtype=np.complex128)
+        out[:, cols] = coef * np.log(ratios)
         return out
 
-    # the linear operator evaluates every block the log map then reads
-    lin = _linearized(gammas, st, lam=None, q=q, A=A, hbar=hbar, m=m, c=c)
+    # the log map reads the blocks the linear operator reads
+    a_val, a_sq = _potential_terms(gammas, A, st)
+    lin = _linearized(gammas, st, a_val, a_sq, lam=None, q=q, hbar=hbar, m=m, c=c)
     jst = st.map(log_map)
-    dj = jst.diff1().T       # [component, mu]
-    d2j = jst.diff2()        # [mu, component]
-    dtau_j = jst.diff_tau()
+    dj = np.ascontiguousarray(jst.diff1().T)   # [component, mu]
+    d2j = jst.diff2()                          # [mu, component]
+    dtau_j = jst.diff_tau().tolist()
 
-    a_val = np.zeros(4, dtype=np.complex128)
-    if A is not None:
-        a_val = np.asarray(A(tau, z), dtype=np.complex128)
-
-    # every requested component r at once, each term in the order and with
-    # the rounding of the scalar expression it stands for
-    rs = list(comps)
-    d2 = eta[:, None] * d2j[:, rs]
-    box_j = (((0 + d2[0]) + d2[1]) + d2[2]) + d2[3]   # the builtin sum, in axis order
+    # each requested component r with the rounding of the scalar expression it
+    # stands for: the sums over mu stay numpy reductions over contiguous rows
+    # (taken for every component, the dead ones zero), the rest is Python
+    # arithmetic on Python complex values
+    eta = gammas.metric.eta
+    grad_sq = np.add.reduce(eta * dj * dj, axis=-1).tolist()
+    a_grad = np.add.reduce(eta * a_val * dj, axis=-1).tolist()
     grad = eps[cols, None] * dj[cols]                          # [s, mu]
-    gam = gammas.matrices.transpose(1, 2, 0)[rs][:, cols]      # [r, s, mu]
-    terms = (gam * (grad + q * a_val)).sum(axis=-1).tolist()   # [r][s]
-    # the coupling of component r sums gamma-term times rho = phi_s / phi_r
-    # over the live s, in Python, so each product and sum rounds as scalars do
-    coupling = np.array([sum((t * (p / complex(phi0[r])) for t, p in zip(row, anchor)),
-                             0.0 + 0.0j) for r, row in zip(rs, terms)])
-    dj_r = np.ascontiguousarray(dj[rs])
-    grad_sq = (eta * dj_r * dj_r).sum(axis=-1)
-    a_grad = (eta * a_val * dj_r).sum(axis=-1)
-    a_sq = complex((eta * a_val * a_val).sum())
+    # sum_mu gamma^mu_rs (grad_s + q A)_mu for every r and live s
+    terms = np.add.reduce(gammas._by_component[:, cols] * (grad + q * a_val), axis=-1).tolist()
+    box = (eta[:, None] * d2j).T.tolist()                      # [r, mu]
+    route_a = []
+    for r in comps:
+        e, phi_r, b = COMPONENT_SIGNS[r], values[r], box[r]
+        # the coupling sums the gamma-term times rho = phi_s / phi_r over the live s
+        coupling = sum((t * (p / phi_r) for t, p in zip(terms[r], anchor)), 0.0 + 0.0j)
+        box_j = (((0 + b[0]) + b[1]) + b[2]) + b[3]             # the builtin sum, in axis order
+        route_a.append(-dtau_j[r] + e * c * coupling - 1j * hbar / m * box_j
+                       + e / m * grad_sq[r] + 2.0 * q / m * a_grad[r] + e * q * q / m * a_sq)
+    rs = np.array(comps)
+    route_b = eps[rs] * lin[rs] / (m * phi0[rs])
 
-    eps_r = eps[rs]
-    route_a = (-dtau_j[rs]
-               + eps_r * c * coupling
-               - 1j * hbar / m * box_j
-               + eps_r / m * grad_sq
-               + 2.0 * q / m * a_grad
-               + eps_r * q * q / m * a_sq)
-    route_b = eps_r * lin[rs] / (m * phi0[rs])
-
-    return RouteReport(components=comps, route_a=route_a, route_b=route_b)
-
+    return RouteReport(components=comps, route_a=np.array(route_a, dtype=np.complex128),
+                       route_b=route_b)

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError
 from .spacetime import Metric, _vector
 from .wiener import DiffusionSpec, complex_sigma_squared
-from .ccalc import DomainBox, _probe_stencil, _Stencil
+from .ccalc import DomainBox, _probe_stencil
 from .lagrangian import Lagrangian
 from .control import solve_optimal_control
 
@@ -92,7 +92,7 @@ def optimal_control_at(problem: HJBProblem, dJ: np.ndarray, tau: float, z) -> tu
     em = problem.lagrangian.em
     if em is not None:
         p = em._momentum(tau, z, dJ)
-        if float(np.abs(p).max()) < _DEGENERATE_TOL * em.m * em.c:
+        if float(np.maximum.reduce(np.abs(p))) < _DEGENERATE_TOL * em.m * em.c:
             return rest_shell_velocity(em.c), "shell-degenerate"
         return em._control(p), "closed-form"
     result = solve_optimal_control(problem.lagrangian, dJ, tau=tau, z=z)
@@ -127,15 +127,16 @@ class ResidualProbe:
 def hjb_residual_probe(problem: HJBProblem, value_field, tau: float, z,
                        h: Optional[float] = None) -> ResidualProbe:
     """Complex-route residual with its ingredients at one interior probe."""
-    st = _probe_stencil(value_field, tau, z, h)   # one stencil, so routes share points
+    # one stencil, so routes share points
+    st = _probe_stencil(value_field, tau, z, h, blocks=("x1", "x2", "center", "tau"))
     z = st.z
     dj = st.diff1()     # the x-route, as complex_derivative's d_x
     d2j = st.diff2()    # the xx-route, as second_complex_derivative's route_xx
     w_star, method = optimal_control_at(problem, dj, tau, z)
     lval = complex(np.asarray(problem.lagrangian.value(tau, z, w_star)))
-    bracket = lval + complex((w_star * dj).sum())
+    bracket = lval + complex(np.add.reduce(w_star * dj))
     dtau_j = st.diff_tau()
-    second = 0.5 * complex((problem._sigma_squared * d2j).sum())
+    second = 0.5 * complex(np.add.reduce(problem._sigma_squared * d2j))
     residual = -dtau_j - bracket - second
     return ResidualProbe(tau=float(tau), z=z, residual=residual, w_star=w_star,
                          control_method=method, dJ=dj, d2J=d2j)
@@ -154,24 +155,27 @@ def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFi
     y = np.asarray(y, dtype=float)
     if x.shape != (4,) or y.shape != (4,):
         raise DomainError("x and y must each have 4 components")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):   # before 1j * y meets an inf
+        raise DomainError(f"the probe must be finite, got x={x}, y={y}")
 
     def pair(t, p):
         x, y = p.real, p.imag
         return field_r(t, x, y), field_i(t, x, y)
 
     z = x + 1j * y
-    st = _Stencil(pair, tau, z, h)
-    # rows J_R and J_I, columns the axes
-    dx, dy, dxx, dyy, dxy = (part.real.T.copy() for part in (
-        st.diff1(), st.diff1(1j), st.diff2(), st.diff2(1j), st.mixed()))
+    st = _probe_stencil(pair, tau, z, h, dtype=np.float64,
+                        blocks=("x1", "y1", "x2", "y2", "center", "mixed", "tau"))
+    # each part with rows J_R and J_I and columns the axes, rows contiguous
+    parts = np.array([st.diff1(), st.diff1(1j), st.diff2(), st.diff2(1j), st.mixed()])
+    dx, dy, dxx, dyy, dxy = parts.transpose(0, 2, 1).copy()
     dtau = st.diff_tau()
 
     w_star, _ = optimal_control_at(problem, dx[0] + 1j * dx[1], tau, z)
     lval = complex(np.asarray(problem.lagrangian.value(tau, z, w_star)))
     sx2, mix, sy2 = problem._pair_weights
-    bracket = (np.array([lval.real, lval.imag]) + (w_star.real * dx).sum(axis=-1)
-               + (w_star.imag * dy).sum(axis=-1))
-    second = 0.5 * (sx2 * dxx + mix * dxy + sy2 * dyy).sum(axis=-1)
+    bracket = (np.array([lval.real, lval.imag]) + np.add.reduce(w_star.real * dx, axis=-1)
+               + np.add.reduce(w_star.imag * dy, axis=-1))
+    second = 0.5 * np.add.reduce(sx2 * dxx + mix * dxy + sy2 * dyy, axis=-1)
     residual = -dtau - bracket - second
     return float(residual[0]), float(residual[1])
 
@@ -179,7 +183,8 @@ def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFi
 def dalembertian(value_field, tau: float, z, metric: Metric,
                  h: Optional[float] = None) -> complex:
     """sum eta^{mumu} d2J/dz^mu dz^mu via the xx-route stencils."""
-    return complex(np.sum(metric.eta * _probe_stencil(value_field, tau, z, h).diff2()))
+    st = _probe_stencil(value_field, tau, z, h, blocks=("x2", "center"))
+    return complex(np.sum(metric.eta * st.diff2()))
 
 
 def covariance_check(value_field, metric: Metric, rapidity: float, axis: int,

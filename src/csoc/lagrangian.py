@@ -106,14 +106,14 @@ class EMFieldConfig:
 
     def _momentum(self, tau: float, z, dJ) -> np.ndarray:
         """dJ_mu + q A_mu, the lower-index momentum the control balances."""
-        return np.asarray(dJ, dtype=np.complex128) + self.q * self.potential(tau, np.asarray(z, dtype=np.complex128))
+        return np.asarray(dJ, dtype=np.complex128) + self.q * self.potential(tau, z)
 
     def _control(self, p: np.ndarray) -> np.ndarray:
         return self.metric.eta * (-p / self.m)
 
 
 def _sum_ww(metric: Metric, w: np.ndarray) -> np.ndarray:
-    return (metric.eta * w * w).sum(axis=-1)
+    return np.add.reduce(metric.eta * w * w, axis=-1)
 
 
 def em_lagrangian(cfg: EMFieldConfig) -> Lagrangian:
@@ -126,14 +126,14 @@ def em_lagrangian(cfg: EMFieldConfig) -> Lagrangian:
         core = st * cfg.m * cfg.c * np.sqrt(st * _sum_ww(cfg.metric, w) + 0j)
         if cfg.q == 0.0 and cfg.A is None:
             return core
-        a = cfg.potential(tau, np.asarray(z, dtype=np.complex128))
-        return core + cfg.q * (a * w).sum(axis=-1)
+        a = cfg.potential(tau, z)
+        return core + cfg.q * np.add.reduce(a * w, axis=-1)
 
     def gradient_w(tau, z, w):
         w = np.asarray(w, dtype=np.complex128)
         g = cfg.m * (eta * w)  # m w_mu, the weak-equation-simplified gradient
         if cfg.q != 0.0 or cfg.A is not None:
-            g = g + cfg.q * cfg.potential(tau, np.asarray(z, dtype=np.complex128))
+            g = g + cfg.q * cfg.potential(tau, z)
         return g
 
     return Lagrangian(value=value, gradient_w=gradient_w, em=cfg)
@@ -201,7 +201,7 @@ def vector_potential_preset(text: str) -> tuple[Optional[AFn], dict]:
         a = np.array(args, dtype=np.complex128)
 
         def const_potential(tau, z):
-            out = np.empty(np.shape(z), dtype=np.complex128)
+            out = np.empty_like(z, dtype=np.complex128)
             out[...] = a
             return out
 

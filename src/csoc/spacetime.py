@@ -14,6 +14,7 @@ p and P are lower.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,10 +45,13 @@ class Metric:
         """Sign of the shell, sum w^mu w_mu = sigma_tilde c^2."""
         return self.diag[0]
 
-    @property
+    @cached_property
     def eta(self) -> np.ndarray:
-        """Diagonal entries as a float array. eta^{mumu} == eta_{mumu} here."""
-        return np.array(self.diag, dtype=float)
+        """Diagonal entries as a read-only float array, built on first use.
+        eta^{mumu} == eta_{mumu} here."""
+        eta = np.array(self.diag, dtype=float)
+        eta.flags.writeable = False
+        return eta
 
 
 MOSTLY_PLUS = Metric(diag=(-1, 1, 1, 1))

@@ -1,4 +1,4 @@
-"""The layer timer in bench/ still finds every routine it times."""
+"""The layer timers in bench/ still find every routine they time."""
 
 import importlib.util
 from pathlib import Path
@@ -8,6 +8,7 @@ import numpy as np
 import csoc
 
 BENCH = Path(__file__).resolve().parent.parent / "bench" / "sde_layers.py"
+PROBE_BENCH = BENCH.with_name("probe_layers.py")
 
 
 def test_every_timed_layer_runs_at_its_smallest_size():
@@ -20,3 +21,22 @@ def test_every_timed_layer_runs_at_its_smallest_size():
         ("moment_check", "wiener")]
     for *_, call in entries:
         assert call(10**9) is not None   # one path, or 10,000 samples
+
+
+def test_every_timed_probe_call_runs_at_its_smallest_size():
+    # one probe, one timed sweep of each kind; the filling sweep counts the
+    # field and spinor calls the probe sweep makes per probe
+    spec = importlib.util.spec_from_file_location("probe_layers", PROBE_BENCH)
+    probe_layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe_layers)
+    sweep = probe_layers.load_workloads().ProbeSweep(probe_layers.SEED, 1)
+    counts = {}
+    for name, layer, run in probe_layers.calls(sweep, csoc):
+        got = probe_layers.measure(sweep, run, repeats=1)
+        assert all(len(t) == 1 and t[0] > 0 for t in got["times"].values())
+        counts[f"{layer}.{name}"] = (got["field_calls_per_probe"], got["spinor_calls_per_probe"])
+    assert counts == {
+        "ccalc.analyticity_scan": (32, 0), "control.equivalence_audit": (16, 0),
+        "hjb.hjb_residual_probe.em": (19, 0), "hjb.hjb_residual_probe.newton": (19, 0),
+        "hjb.hjb_residual_pair": (70, 0), "dirac.route_consistency": (0, 19),
+        "dirac.linearized_residual": (0, 17)}

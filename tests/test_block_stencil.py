@@ -15,7 +15,7 @@ import pytest
 
 from csoc.ccalc import (_EPS_CBRT, _EPS_QRT, analyticity_scan, complex_derivative,
                         second_complex_derivative, tau_derivative)
-from csoc.control import equivalence_audit
+from csoc.control import equivalence_audit, solve_optimal_control
 from csoc.dirac import (COMPONENT_SIGNS, build_gammas, hopf_cole_check, linearized_residual,
                         plane_wave, route_consistency)
 from csoc.hjb import (HJBProblem, dalembertian, hjb_residual_pair, hjb_residual_probe,
@@ -374,3 +374,98 @@ def test_a_field_gets_the_callers_tau_or_a_python_float_per_row():
     seen.clear()
     analyticity_scan(f, [(0.3, z), (np.float64(0.4), z)], tol=1.0)
     assert set(seen) == {float}
+
+
+# ------------------------------------------- the callables the probe sweep passes
+
+@pytest.mark.parametrize("metric_name, h", CASES)
+def test_plane_wave_phi_itself_matches_the_per_point_stencil(metric_name, h):
+    # the bound method PlaneWave.phi, as the probe sweep passes it, not a wrapper
+    gammas, wave, _ = spinor(METRICS[metric_name])
+    A = wave.potential()
+    common = dict(q=0.5, A=A, hbar=1.0, m=1.0, c=1.0)
+    for tau, z in probes(metric_name, n=4):
+        for lam in (None, wave.lam):
+            got = linearized_residual(gammas, wave.phi, tau, z, lam=lam, h=h, **common)
+            want = ref_linearized(gammas, spinor_stencil(wave.phi, tau, z, h), lam, **common)
+            assert bits(got) == bits(want)
+        rep = route_consistency(gammas, wave.phi, tau, z, components=(0, 2), h=h, **common)
+        route_a, route_b = ref_route(gammas, wave.phi, tau, z, comps=(0, 2), h=h, **common)
+        assert bits(rep.route_a) == bits(route_a) and bits(rep.route_b) == bits(route_b)
+
+
+def ref_newton(residual, tol=1e-10, max_iter=100):
+    """The damped Newton of solve_optimal_control, one point at a time: the
+    Jacobian column by column from central differences at eps**(1/3) *
+    max(1, |theta_k|), the step from np.linalg.solve, halved up to 11 times
+    until the largest residual component does not grow (or is below tol).
+    Returns the root, the residual there and the iterations taken."""
+    theta = np.zeros(8)
+    r = residual(theta)
+    for it in range(max_iter):
+        norm = np.abs(r).max()
+        if norm < tol:
+            return theta, r, it
+        step = _EPS_CBRT * np.maximum(1.0, np.abs(theta))
+        jac = np.empty((8, 8))
+        for k in range(8):
+            e = np.zeros(8)
+            e[k] = step[k]
+            jac[:, k] = (residual(theta + e) - residual(theta - e)) / (2 * step[k])
+        delta = np.linalg.solve(jac, -r)
+        scale = 1.0
+        for _ in range(12):
+            cand = theta + scale * delta if scale != 1.0 else theta + delta
+            r_cand = residual(cand)
+            n_cand = np.abs(r_cand).max()
+            if np.isfinite(n_cand) and (n_cand <= norm or n_cand < tol):
+                theta, r = cand, r_cand
+                break
+            scale *= 0.5
+        else:
+            raise AssertionError("the reference Newton stalled")
+    assert np.abs(r).max() < tol
+    return theta, r, max_iter
+
+
+def newton_lagrangians(metric):
+    eta = metric.eta
+
+    def value(tau, z, w):   # no closed-form gradient: central differences in w
+        return 0.5 * np.sum(eta * w * w, axis=-1) + 0.1 * np.sum(w * w * w, axis=-1)
+
+    return {"quadratic": quadratic_lagrangian(1.1, metric), "cubic": Lagrangian(value=value)}
+
+
+@pytest.mark.parametrize("metric_name", METRICS)
+def test_one_row_newton_matches_the_per_iteration_reference(metric_name):
+    metric = METRICS[metric_name]
+    iterations = set()
+    for name, lag in newton_lagrangians(metric).items():
+        for tau, z in probes(metric_name, n=4):
+            for dj in (0.3 * z + 0.1, 1.5 * z * z - 0.4j):
+                got = solve_optimal_control(lag, dj, tau, z)
+
+                def residual(theta):
+                    g = lag.grad(tau, z, theta[:4] + 1j * theta[4:]) + dj
+                    return np.concatenate([g.real, g.imag])
+
+                theta, r, its = ref_newton(residual)
+                g = lag.grad(tau, z, theta[:4] + 1j * theta[4:]) + dj
+                assert bits(got.w_star) == bits(theta[:4] + 1j * theta[4:]), name
+                assert bits(got.residual_complex) == bits(g), name
+                assert got.residual_real_pair.tobytes() == np.concatenate(
+                    [g.real, -g.imag]).tobytes(), name
+                assert got.iterations == its, name
+                iterations.add((name, its))
+    # the cubic needs more than one step, the quadratic exactly one
+    assert {its for name, its in iterations if name == "quadratic"} == {1}
+    assert max(its for name, its in iterations if name == "cubic") > 1
+
+
+@pytest.mark.parametrize("metric_name", METRICS)
+def test_a_quadratic_lagrangian_probe_goes_through_newton(metric_name):
+    _, quadratic = problems(METRICS[metric_name])
+    f = python_field(METRICS[metric_name].eta)
+    for tau, z in probes(metric_name, n=2):
+        assert hjb_residual_probe(quadratic, f, tau, z).control_method == "newton"

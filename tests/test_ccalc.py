@@ -17,8 +17,8 @@ from csoc.control import equivalence_audit, solve_optimal_control
 from csoc.dirac import (build_gammas, hopf_cole_check, linearized_residual,
                         plane_wave, route_consistency)
 from csoc.errors import DomainError
-from csoc.hjb import (HJBProblem, boundary_residual, covariance_check, hjb_residual_pair,
-                      hjb_residual_probe, optimal_control_at)
+from csoc.hjb import (HJBProblem, boundary_residual, covariance_check, dalembertian,
+                      hjb_residual_pair, hjb_residual_probe, optimal_control_at)
 from csoc.lagrangian import Lagrangian, free_particle_lagrangian, quadratic_lagrangian
 from csoc.sde import bellman_consistency, constant_policy, integrate
 from csoc.spacetime import MOSTLY_PLUS
@@ -308,3 +308,49 @@ def test_a_point_must_be_four_upper_components(entry):
     for bad in (z[:3], z[None, :]):
         with pytest.raises(DomainError, match="4 components"):
             call(bad)
+
+
+def _probe_entry_points():
+    spec = DiffusionSpec.natural()
+    closed_form = HJBProblem(lagrangian=free_particle_lagrangian(), diffusion=spec, tau_f=1.0)
+    newton = HJBProblem(lagrangian=quadratic_lagrangian(), diffusion=spec, tau_f=1.0)
+    gammas = build_gammas(MOSTLY_PLUS)
+    wave = plane_wave(gammas, [0.3, 0.2, -0.1, 0.4])
+    real = lambda tau, x, y: float(np.sum(x * x - y * y)) + tau
+    good = (0.4, np.array([0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.4j, 0.5 + 0.3j]))
+    return {
+        "complex_derivative": lambda tau, z: complex_derivative(quad_form, tau, z),
+        "second_complex_derivative": lambda tau, z: second_complex_derivative(quad_form, tau, z),
+        "tau_derivative": lambda tau, z: tau_derivative(quad_form, tau, z),
+        "analyticity_scan": lambda tau, z: analyticity_scan(quad_form, [good, (tau, z)]),
+        "dalembertian": lambda tau, z: dalembertian(quad_form, tau, z, MOSTLY_PLUS),
+        "hopf_cole_check": lambda tau, z: hopf_cole_check(quad_form, tau, z),
+        "hjb_residual_probe.closed-form": lambda tau, z: hjb_residual_probe(
+            closed_form, quad_form, tau, z),
+        "hjb_residual_probe.newton": lambda tau, z: hjb_residual_probe(newton, quad_form, tau, z),
+        "hjb_residual_pair": lambda tau, z: hjb_residual_pair(closed_form, real, real, tau,
+                                                              z.real, z.imag, h=1e-3),
+        "route_consistency": lambda tau, z: route_consistency(gammas, wave.phi, tau, z),
+        "linearized_residual": lambda tau, z: linearized_residual(gammas, wave.phi, tau, z),
+        "linearized_residual.separable": lambda tau, z: linearized_residual(
+            gammas, wave.phi, tau, z, lam=wave.lam),
+    }
+
+
+@pytest.mark.parametrize("where", ["tau", "z.real", "z.imag"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("entry", sorted(_probe_entry_points()))
+def test_a_probe_must_be_finite(entry, value, where):
+    # refused where the probe's stencil is built: no NaN result, no numpy
+    # warning (an error in this suite) and no Newton failure first
+    call = _probe_entry_points()[entry]
+    tau, z = 0.3, np.array([0.11 + 0.07j, -0.23 + 0.13j, 0.17 - 0.19j, 0.05 + 0.02j])
+    call(tau, z)
+    if where == "tau":
+        tau = value
+    else:
+        x, y = z[2].real, z[2].imag
+        z = z.copy()
+        z[2] = complex(value, y) if where == "z.real" else complex(x, value)
+    with pytest.raises(DomainError, match="must be finite"):
+        call(tau, z)

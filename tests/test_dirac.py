@@ -287,3 +287,33 @@ def test_route_consistency_evaluates_each_spinor_point_once():
     route_consistency(gammas, phi, 0.3, PROBE_Z, q=0.5, A=wave.potential(),
                       components=(0, 2))
     assert len(calls) == 19
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_route_consistency_refuses_non_finite_spinor_values(value):
+    # a NaN or infinite spinor value at the probe is named as such, not
+    # taken for a vanishing component
+    gammas = build_gammas(MOSTLY_PLUS)
+    wave = plane_wave(gammas, P_LOWER)
+
+    def phi(tau, z):
+        out = wave.phi(tau, z).copy()
+        out[1] = value
+        return out
+
+    with pytest.raises(DomainError, match="not finite"):
+        route_consistency(gammas, phi, 0.3, PROBE_Z, components=(0,))
+
+
+def test_plane_wave_phase_has_the_bits_of_numpys_reduction():
+    # phi sums p.z in Python, paired as numpy reduces four complex values;
+    # it must return what the numpy expression of the phase returns
+    gammas = build_gammas(MOSTLY_PLUS)
+    wave = plane_wave(gammas, P_LOWER, q=0.5, a_const=A_CONST)
+    rng = np.random.default_rng(11)
+    zs = rng.uniform(-2, 2, (300, 4)) + 1j * rng.uniform(-2, 2, (300, 4))
+    zs[0] = [complex(-0.0, 0.3), complex(0.2, -0.0), 0j, complex(-0.0, -0.0)]
+    for tau, z in zip(rng.uniform(0, 1, 300).tolist(), zs):
+        p_z = complex(np.add.reduce(wave.p * z))
+        want = np.exp(1j * p_z / wave.hbar - 1j * wave.lam * tau) * wave.chi
+        assert wave.phi(tau, z).tobytes() == want.tobytes()
