@@ -19,9 +19,12 @@ probe's tau and the shape of z, and a difference is array arithmetic on the
 block's values. A caller names the blocks it will read, and they are taken
 in one sweep of the field. With leading axes on z a stencil covers many
 probes at once; _rows adapts a per-point field to such (N, 4) rows, which
-is how analyticity_scan differences all its probes as one block. Each block
-is evaluated once, and blocks that coincide (first and second differences
-at one explicit h, the probe itself) share one evaluation. A probe must be
+is how analyticity_scan differences all its probes as one block. A field
+already defined on rows goes to the scan's core, _scan_rows, directly and
+is called once per offset of a block, not once per point: the cr-scan and
+audit presets of `csoc run` are such fields. Each block is evaluated once,
+and blocks that coincide (first and second differences at one explicit h,
+the probe itself) share one evaluation. A probe must be
 finite: tau and z are checked where a probe's stencil is built, so every
 derivative, residual and scan refuses a NaN or infinite probe with a
 DomainError before evaluating any point. Python complex values are divided
@@ -427,11 +430,19 @@ def analyticity_scan(f, probes: Sequence[tuple[float, np.ndarray]],
     probe come from (N, 4) arrays, equal bit for bit to complex_derivative
     at each probe.
     """
+    return _scan_rows(_rows(f), probes, h, tol)
+
+
+def _scan_rows(f, probes: Sequence[tuple[float, np.ndarray]],
+               h: Optional[float] = None, tol: float = 1e-6) -> ScanReport:
+    """analyticity_scan of a field on (N, 4) rows with an (N,) tau, as _rows
+    makes of a per-point field: one call per offset of a route's block, all
+    probes at once."""
     if not probes:
         raise DomainError("probe list is empty")
     taus = [float(tau) for tau, _ in probes]
     zs = np.array([_vector(z) for _, z in probes])
-    st = _Stencil(_rows(f), np.array(taus), zs, h)
+    st = _Stencil(f, np.array(taus), zs, h)
     finite = np.isfinite(st.tau) & (st.scale < np.inf)
     if not finite.all():
         i = int(np.argmin(finite))

@@ -30,10 +30,10 @@ from .errors import CsocError, DomainError
 from .spacetime import MOSTLY_MINUS, MOSTLY_PLUS, Metric
 from .wiener import RNG_ALGORITHM, DiffusionSpec, moment_check
 from .sde import constant_policy, integrate
-from .ccalc import DomainBox, analyticity_scan
+from .ccalc import DomainBox, _scan_rows
 from .lagrangian import (EMFieldConfig, em_lagrangian, free_particle_lagrangian,
                          vector_potential_preset)
-from .control import equivalence_audit, solve_optimal_control
+from .control import _audit_rows, solve_optimal_control
 from .hjb import (HJBProblem, boundary_residual, covariance_check,
                   dalembertian, hjb_residual_probe, probe_points)
 from .dirac import (build_gammas, hopf_cole_check, hopf_cole_order,
@@ -330,14 +330,22 @@ def run_sde_demo(cfg: ScenarioConfig) -> dict:
     }
 
 
+# The presets of cr-scan and equivalence-audit are fields on (..., 4) rows
+# with a tau per row, so a scan takes one call per offset of a stencil block.
+# Each returns one Python complex per row: the stencil divides Python complex
+# values as CPython does, and numpy's own arithmetic here rounds as a
+# per-point field's Python arithmetic would, so every artifact keeps its bits.
 def _cr_fields(metric: Metric):
     eta = metric.eta
 
+    def values(tau, z):
+        return np.add.reduce(eta * z * z, axis=-1) + 0.1 * np.exp(z[..., 0]) + tau * z[..., 1]
+
     def analytic(tau, z):
-        return complex(np.sum(eta * z * z)) + 0.1 * complex(np.exp(z[0])) + tau * complex(z[1])
+        return values(tau, z).tolist()
 
     def twisted(tau, z):
-        return analytic(tau, z) + 0.5 * complex(np.conj(z[0]))
+        return (values(tau, z) + 0.5 * np.conj(z[..., 0])).tolist()
 
     return analytic, twisted
 
@@ -345,8 +353,8 @@ def _cr_fields(metric: Metric):
 def run_cr_scan(cfg: ScenarioConfig) -> dict:
     pts = probe_points(cfg.box(), cfg.probes)
     analytic, twisted = _cr_fields(cfg.metric_object)
-    good = analyticity_scan(analytic, pts)
-    bad = analyticity_scan(twisted, pts)
+    good = _scan_rows(analytic, pts)
+    bad = _scan_rows(twisted, pts)
     worst_good = good.results[good.worst_index].scaled_residual
     worst_bad = bad.results[bad.worst_index].scaled_residual
     return {
@@ -382,14 +390,15 @@ def _audit_value_field(metric: Metric):
     eta = metric.eta
 
     def field(tau, z):
-        return 0.1 * complex(np.sum(eta * z * z)) + 0.3 * complex(z[0]) + 0.05 * tau
+        return (0.1 * np.add.reduce(eta * z * z, axis=-1) + 0.3 * z[..., 0]
+                + 0.05 * tau).tolist()
     return field
 
 
 def run_equivalence_audit(cfg: ScenarioConfig) -> dict:
     lag = em_lagrangian(cfg.em_config())
     pts = probe_points(cfg.box(), cfg.probes)
-    report = equivalence_audit(lag, _audit_value_field(cfg.metric_object), pts)
+    report = _audit_rows(lag, _audit_value_field(cfg.metric_object), pts)
     disagreement = report.max_disagreement
     return {
         "verifies": ["real-pair-imag-pair-equivalence",
@@ -416,7 +425,8 @@ def run_hjb_residual(cfg: ScenarioConfig) -> dict:
 
     pts = probe_points(cfg.box(), cfg.probes)
     records = [hjb_residual_probe(problem, value, tau, z).to_record() for tau, z in pts]
-    worst = max(np.hypot(r["residual_re"], r["residual_im"]) for r in records)
+    # np.max, unlike the builtin, propagates a NaN residual
+    worst = np.max([np.hypot(r["residual_re"], r["residual_im"]) for r in records])
     boundary = boundary_residual(problem, value, [z for _, z in pts])
     json_path = os.path.join(cfg.out_dir, "hjb-probes.json")
     write_json(json_path, {"probes": records})

@@ -23,7 +23,10 @@ batched solve of (R, 8, 8), and step halving row by row. A row that
 converges stops moving, and a row that fails fails alone.
 solve_optimal_control is its one-row call; the audit solves the two
 condition sets of all N probes as 2N rows, which needs the Lagrangian to
-take one tau per row (see lagrangian).
+take one tau per row (see lagrangian). Its core, _audit_rows, takes the
+value field on (N, 4) rows with an (N,) tau, as ccalc._scan_rows does;
+equivalence_audit feeds it a per-point field through ccalc._rows, and the
+audit preset of `csoc run` is a rows field that goes to the core directly.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import AnalyticityError, NonConvergenceError
 from .spacetime import _vector
-from .ccalc import _step, analyticity_scan
+from .ccalc import _rows, _scan_rows, _step
 from .lagrangian import Lagrangian
 
 
@@ -271,7 +274,15 @@ def equivalence_audit(lagrangian: Lagrangian, value_field,
     probe where either Newton solve fails is not singular: it fails the
     audit with an infinite disagreement.
     """
-    scan = analyticity_scan(value_field, probes, h=h, tol=_SCAN_TOL)
+    return _audit_rows(lagrangian, _rows(value_field), probes, h)
+
+
+def _audit_rows(lagrangian: Lagrangian, value_field,
+                probes: Sequence[tuple[float, np.ndarray]],
+                h: Optional[float] = None) -> AuditReport:
+    """equivalence_audit of a value field on (N, 4) rows with an (N,) tau,
+    its scan made by ccalc._scan_rows."""
+    scan = _scan_rows(value_field, probes, h=h, tol=_SCAN_TOL)
     if not scan.passed:
         worst = scan.worst
         raise AnalyticityError(

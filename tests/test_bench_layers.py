@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 
 import csoc
+from csoc import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench" / "sde_layers.py"
 PROBE_BENCH = BENCH.with_name("probe_layers.py")
+CLI_BENCH = BENCH.with_name("cli_layers.py")
 
 
 def test_every_timed_layer_runs_at_its_smallest_size():
@@ -40,3 +42,17 @@ def test_every_timed_probe_call_runs_at_its_smallest_size():
         "hjb.hjb_residual_probe.em": (19, 0), "hjb.hjb_residual_probe.newton": (19, 0),
         "hjb.hjb_residual_pair": (70, 0), "dirac.route_consistency": (0, 19),
         "dirac.linearized_residual": (0, 17)}
+
+
+def test_every_timed_runner_runs_at_a_small_config(tmp_path):
+    # one round of every runner at a config small enough for a test
+    spec = importlib.util.spec_from_file_location("cli_layers", CLI_BENCH)
+    cli_layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_layers)
+    small = {"probes": "2", "n_paths": "10000", "demo_paths": "2", "n_steps": "3"}
+    calls = cli_layers.runners(cli, {"small": small}, tmp_path)
+    assert [(name, config) for name, config, _ in calls] == [(s, "small") for s in cli.SCENARIOS]
+    got = cli_layers.measure(calls, cli_layers.yardstick(np, 8), repeats=1)
+    assert all(len(t) == 1 and t[0] > 0 for t in got["times"].values())
+    for report in got["reports"].values():
+        assert report["checks"] and len(cli_layers.report_sha256(cli, report)) == 64

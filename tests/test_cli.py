@@ -441,7 +441,8 @@ def test_run_all_honours_scenario_sections(tmp_path):
 
 def test_audit_scenario_fails_when_no_probe_is_evaluated(tmp_path, monkeypatch):
     # a zero value field puts every free-particle root on the branch point
-    monkeypatch.setattr(cli, "_audit_value_field", lambda metric: lambda tau, z: 0j)
+    # the preset is a field on (N, 4) rows: one value per row
+    monkeypatch.setattr(cli, "_audit_value_field", lambda metric: lambda tau, z: [0j] * len(z))
     out = tmp_path / "run"
     assert main(["run", "equivalence-audit", "--out-dir", str(out), "--probes", "4"]) == 1
     report = json.loads(read_bytes(out / "equivalence-audit.json"))
@@ -449,6 +450,24 @@ def test_audit_scenario_fails_when_no_probe_is_evaluated(tmp_path, monkeypatch):
     assert report["max_disagreement"] == "Infinity"
     assert report["checks"][0]["passed"] is False
 
+
+
+def test_a_nan_hjb_residual_after_the_first_probe_fails_the_check(tmp_path, monkeypatch):
+    # the builtin max keeps a finite maximum over a later NaN; np.max does not
+    probe = cli.hjb_residual_probe
+    calls = []
+
+    def nan_at_the_second_probe(*args, **kwargs):
+        r = probe(*args, **kwargs)
+        calls.append(r)
+        return dataclasses.replace(r, residual=complex("nan+nanj")) if len(calls) == 2 else r
+
+    monkeypatch.setattr(cli, "hjb_residual_probe", nan_at_the_second_probe)
+    out = tmp_path / "run"
+    assert main(["run", "hjb-residual", "--probes", "4", "--out-dir", str(out)]) == 1
+    report = json.loads(read_bytes(out / "hjb-residual.json"))
+    assert report["max_abs_residual"] == "NaN"
+    assert report["checks"][0]["passed"] is False
 
 
 def test_one_path_regenerated_alone_matches_the_sde_demo_trajectory(tmp_path):

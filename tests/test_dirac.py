@@ -5,6 +5,7 @@ import pytest
 
 from csoc.dirac import (
     COMPONENT_SIGNS,
+    GammaSet,
     build_gammas,
     hopf_cole_check,
     hopf_cole_order,
@@ -46,6 +47,17 @@ def test_gamma_pairs_anticommute():
 def test_clifford_residual_both_conventions():
     assert build_gammas(MOSTLY_PLUS).anticommutator_residual() < 1e-14
     assert build_gammas(MOSTLY_MINUS).anticommutator_residual() < 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("metric", [MOSTLY_PLUS, MOSTLY_MINUS], ids=lambda m: str(m.diag))
+def test_a_gamma_set_that_is_not_finite_is_refused(metric, bad):
+    # the anticommutator and linearization residuals of such a set would read
+    # 0.0, a pass: a builtin max over a NaN residual keeps the finite maximum
+    matrices = build_gammas(metric).matrices.copy()
+    matrices[2, 1, 3] = bad
+    with pytest.raises(DomainError, match="finite"):
+        GammaSet(matrices, metric, "standard")
 
 
 def test_representation_labels():
