@@ -97,19 +97,14 @@ def _quot(num, d, pydiv: bool):
     return _py_cdiv(num, d)
 
 
-def _py_cdiv(a: np.ndarray, b) -> np.ndarray:
-    """a / b elementwise, rounded as CPython divides complex numbers (Smith's
-    method, dividing by the larger part of b first); numpy's complex division
-    differs in the last bit for about half of all operands. b, a scalar or
-    an array, must not be 0."""
-    ar, ai, br, bi = a.real, a.imag, np.real(b), np.imag(b)
-    real_first = np.abs(br) >= np.abs(bi)
-    num, den = np.where(real_first, bi, br), np.where(real_first, br, bi)
-    ratio = num / den
-    denom = den + num * ratio
-    out = np.empty(np.broadcast_shapes(a.shape, np.shape(b)), dtype=np.complex128)
-    out.real = np.where(real_first, ar + ai * ratio, ar * ratio + ai) / denom
-    out.imag = np.where(real_first, ai - ar * ratio, ai * ratio - ar) / denom
+def _py_cdiv(a: np.ndarray, d) -> np.ndarray:
+    """a / d elementwise for a positive real d, a float or an array, rounded
+    as CPython divides a complex by a float (Smith's method with a zero
+    ratio); numpy's complex division differs in the last bit for about half
+    of all operands."""
+    out = np.empty(np.broadcast_shapes(a.shape, np.shape(d)), dtype=np.complex128)
+    out.real = (a.real + a.imag * 0.0) / d
+    out.imag = (a.imag - a.real * 0.0) / d
     return out
 
 
@@ -461,6 +456,6 @@ def _scan_rows(f, probes: Sequence[tuple[float, np.ndarray]],
         for tau, z, r, sr, ok, dx, dy, c, k, step in zip(
             taus, zs, raw.tolist(), scaled.tolist(), (scaled < tol).tolist(),
             d_x, d_y, cr, cons, steps))
-    worst = max(range(len(results)), key=lambda i: results[i].scaled_residual)
+    worst = int(np.argmax(scaled))   # the first maximum, or the first NaN
     return ScanReport(results=results, tol=float(tol),
                       passed=all(r.passed for r in results), worst_index=worst)

@@ -1,6 +1,7 @@
-"""The layer timers in bench/ still find every routine they time."""
+"""The layer timer bench/layers.py still finds every routine it times."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,35 +9,35 @@ import numpy as np
 import csoc
 from csoc import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench" / "sde_layers.py"
-PROBE_BENCH = BENCH.with_name("probe_layers.py")
-CLI_BENCH = BENCH.with_name("cli_layers.py")
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "bench" / "layers.py")
+layers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(layers)
+
+SMALL = {"probes": "2", "n_paths": "10000", "demo_paths": "2", "n_steps": "3"}
 
 
 def test_every_timed_layer_runs_at_its_smallest_size():
-    spec = importlib.util.spec_from_file_location("sde_layers", BENCH)
-    sde_layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sde_layers)
-    entries = sde_layers.layers(csoc, np)
-    assert [(name, layer) for name, layer, *_ in entries] == [
-        ("_draw_paths", "wiener"), ("integrate", "sde"), ("estimate_action", "sde"),
-        ("moment_check", "wiener")]
-    for *_, call in entries:
-        assert call(10**9) is not None   # one path, or 10,000 samples
+    entries = layers.stochastic(csoc, np, 10**9)   # one path, or 10,000 samples
+    assert [(r["layer"], r["name"]) for r, _ in entries] == [
+        ("wiener", "_draw_paths"), ("sde", "integrate"), ("sde", "estimate_action"),
+        ("wiener", "moment_check")]
+    for record, timed in entries:
+        assert record["peak_traced_bytes"] > 0
+        assert timed["call"]() is not None
 
 
 def test_every_timed_probe_call_runs_at_its_smallest_size():
-    # one probe, one timed sweep of each kind; the filling sweep counts the
-    # field and spinor calls the probe sweep makes per probe
-    spec = importlib.util.spec_from_file_location("probe_layers", PROBE_BENCH)
-    probe_layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe_layers)
-    sweep = probe_layers.load_workloads().ProbeSweep(probe_layers.SEED, 1)
+    # one probe; the filling sweep counts the field and spinor calls the
+    # probe sweep makes per probe
+    sweep = layers.load_workloads().ProbeSweep(layers.SEED, 1)
     counts = {}
-    for name, layer, run in probe_layers.calls(sweep, csoc):
-        got = probe_layers.measure(sweep, run, repeats=1)
-        assert all(len(t) == 1 and t[0] > 0 for t in got["times"].values())
-        counts[f"{layer}.{name}"] = (got["field_calls_per_probe"], got["spinor_calls_per_probe"])
+    for record, timed in layers.probe(csoc, np, sweep):
+        assert sorted(timed) == ["fields", "live", "lookups", "memo"]
+        for call in timed.values():
+            call()
+        counts[f"{record['layer']}.{record['name']}"] = (
+            record["field_calls_per_probe"], record["spinor_calls_per_probe"])
     assert counts == {
         "ccalc.analyticity_scan": (32, 0), "control.equivalence_audit": (16, 0),
         "hjb.hjb_residual_probe.em": (19, 0), "hjb.hjb_residual_probe.newton": (19, 0),
@@ -45,14 +46,32 @@ def test_every_timed_probe_call_runs_at_its_smallest_size():
 
 
 def test_every_timed_runner_runs_at_a_small_config(tmp_path):
-    # one round of every runner at a config small enough for a test
-    spec = importlib.util.spec_from_file_location("cli_layers", CLI_BENCH)
-    cli_layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli_layers)
-    small = {"probes": "2", "n_paths": "10000", "demo_paths": "2", "n_steps": "3"}
-    calls = cli_layers.runners(cli, {"small": small}, tmp_path)
-    assert [(name, config) for name, config, _ in calls] == [(s, "small") for s in cli.SCENARIOS]
-    got = cli_layers.measure(calls, cli_layers.yardstick(np, 8), repeats=1)
-    assert all(len(t) == 1 and t[0] > 0 for t in got["times"].values())
-    for report in got["reports"].values():
-        assert report["checks"] and len(cli_layers.report_sha256(cli, report)) == 64
+    entries = layers.runners(cli, {"small": SMALL}, tmp_path)
+    assert [(r["name"], r["config"]) for r, _ in entries] == [(s, "small") for s in cli.SCENARIOS]
+    for record, timed in entries:
+        assert record["passed"] and len(record["report_sha256"]) == 64
+        assert timed["call"]()["checks"]
+
+
+def test_one_run_records_every_entry_against_the_yardstick():
+    # the whole measurement path at its smallest sizes, one round
+    src = ROOT / "src"
+    record = layers.bench(src, "test", scale=10**9, probes=1, configs={"small": SMALL},
+                          points=8, repeats=1)
+    assert record["label"] == "test" and record["src_sha256"] == layers.src_sha256(src)
+    json.dumps(record, allow_nan=False)
+    assert len(record["yardstick"]["times_s"]) == 1 and record["yardstick"]["quartiles_s"][1] > 0
+    families = {}
+    for entry in record["entries"]:
+        families.setdefault(entry["family"], []).append(entry["name"])
+        assert np.isfinite(entry["per_yardstick"])   # a probe's csoc = memo - lookups may be < 0
+        assert entry["median_s"] == entry["quartiles_s"][
+            "csoc" if entry["family"] == "probe" else "call"][1]
+        assert all(len(q) == 3 for q in entry["quartiles_s"].values())
+        assert all(len(t) == 1 for t in entry["times_s"].values())
+    assert families == {
+        "stochastic": ["_draw_paths", "integrate", "estimate_action", "moment_check"],
+        "probe": ["analyticity_scan", "equivalence_audit", "hjb_residual_probe.em",
+                  "hjb_residual_probe.newton", "hjb_residual_pair", "route_consistency",
+                  "linearized_residual"],
+        "cli": list(cli.SCENARIOS)}

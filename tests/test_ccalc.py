@@ -143,6 +143,20 @@ def test_scan_rejects_modulus_square_off_real_axis():
     assert report.worst.residual > 0.1
 
 
+def test_a_nan_probe_is_the_scans_worst():
+    # probe 3's field is NaN; the worst is that probe, not the largest finite residual
+    def field(tau, z):
+        return complex("nan") if tau == 0.3 else quad_form(tau, z) + tau * z[1]
+
+    rng = np.random.default_rng(2)
+    probes = [(i / 10, rng.uniform(-0.5, 0.5, 4) + 1j * rng.uniform(-0.5, 0.5, 4))
+              for i in range(8)]
+    report = analyticity_scan(field, probes, h=1e-4)
+    assert not report.passed
+    assert report.worst_index == 3
+    assert np.isnan(report.worst.scaled_residual)
+
+
 def test_scan_zero_field_has_zero_residual():
     probes = [(0.0, np.zeros(4, dtype=np.complex128))]
     report = analyticity_scan(lambda tau, z: 0j, probes)
