@@ -27,15 +27,15 @@ and blocks that coincide (first and second differences at one explicit h,
 the probe itself) share one evaluation. A probe must be
 finite: tau and z are checked where a probe's stencil is built, so every
 derivative, residual and scan refuses a NaN or infinite probe with a
-DomainError before evaluating any point. Python complex values are divided
-as Python divides them, so the results are bit for bit those of scalar
-arithmetic at each point. The stencil sets its steps once, when it is built
-about a probe. An explicit h is every step, the tau step included;
-otherwise _step gives eps**(1/3) * scale for first differences and
-eps**(1/4) * scale for second differences, scale being max(1, max |z^mu|)
-(max(1, |tau|) in tau). _Stencil.map gives the stencil of g(f) about the same
-probe from the values already taken, so differences of g(f) evaluate no new
-point of f. A ScalarField checks its box at every evaluation, so every point
+DomainError before evaluating any point. A stencil's first sweep sets its
+rounding: Python complex values divide as Python divides them, so the
+results are bit for bit those of scalar arithmetic at each point. The
+stencil sets its steps once, when it is built about a probe. An explicit h
+is every step, the tau step included; otherwise _step gives eps**(1/3) *
+scale for first differences and eps**(1/4) * scale for second differences,
+scale being max(1, max |z^mu|) (max(1, |tau|) in tau). _Stencil.map applies
+g once to every block taken and gives the stencil of g(f), which evaluates
+nothing. A ScalarField checks its box at every evaluation, so every point
 a stencil or any other caller evaluates is checked, not a margin around it.
 """
 
@@ -67,15 +67,15 @@ _SHIFTED = {"x1": (_PATTERNS["x"], 1), "y1": (_PATTERNS["y"], 1), "x2": (_PATTER
 _SIZES = {"center": 1, "tau": 2, "x1": 8, "y1": 8, "x2": 8, "y2": 8, "mixed": 16}
 
 
-def _step(scale, order: int = 1, h=None):
+def _step(scale, h=None):
     """h when given, else the step balancing truncation against roundoff for
-    differences of the given order; scale may be an array of scales. A given
-    h must be positive with a finite, nonzero square."""
+    first differences; scale may be an array of scales. A given h must be
+    positive with a finite, nonzero square."""
     if h is not None:
         if not (h > 0 and 0 < h * h < np.inf):
             raise DomainError(f"h must be positive with a finite, nonzero square, got {h}")
         return h
-    return (_EPS_CBRT if order == 1 else _EPS_QRT) * scale
+    return _EPS_CBRT * scale
 
 
 def _quot(num, d, pydiv: bool):
@@ -141,10 +141,11 @@ class _Stencil:
     set here, from h when it is given and else by _step at the probe's scale.
     z may carry leading axes, each row a probe with steps of its own scale;
     tau is a float or an array that broadcasts against them, and f maps such
-    a z to a value per row (_rows adapts a per-point field). Python complex
-    values, or lists of them, divide as CPython divides them. dtype, when
-    given, is the dtype of the values; the differences are complex, unless
-    dtype is float64, when they stay real.
+    a z to a value per row (_rows adapts a per-point field). The first sweep
+    sets one rounding flag: after Python complex values, or lists of them,
+    every difference divides as CPython divides. dtype, when given, is the
+    dtype of the values; the differences are complex, unless dtype is
+    float64, when they stay real.
     """
 
     def __init__(self, f, tau, z, h=None, dtype=None):
@@ -159,39 +160,42 @@ class _Stencil:
             self.h_tau = _EPS_CBRT * tau_scale
             self._alias = {}
         else:   # one explicit step: a second-difference block is its first-difference block
-            self.h1 = self.h2 = self.h_tau = _step(scale, 1, h)
+            self.h1 = self.h2 = self.h_tau = _step(scale, h)
             self._alias = {"x2": "x1", "y2": "y1"}
         self._blocks: dict = {}
-        self._source = None   # (stencil, g) of a mapped stencil
+        self._pydiv = False   # the first sweep sets it when the values are Python complex
 
     def __call__(self):
         """The field at the probe (one value per row of z)."""
-        return self._block("center")[0][0]
+        return self._block("center")[0]
 
     def map(self, g) -> "_Stencil":
         """The stencil of g(f) about the same probe, with the same steps.
 
-        g maps values of f row by row; it is applied once to every block
-        this stencil has evaluated when the mapped stencil first needs one,
-        so no new point of f is evaluated.
+        g maps values of f row by row, once, over every block taken so far.
+        The mapped stencil has no field and divides as numpy divides: a block
+        its source never took is a DomainError, as is a map of no block.
         """
-        mapped = object.__new__(_Stencil)
-        mapped.__dict__.update(self.__dict__, _blocks={}, _source=(self, g))
-        return mapped
+        if not self._blocks:
+            raise DomainError("a stencil that has taken no block has nothing to map")
+        values = list(self._blocks.values())
+        mapped = np.split(np.asarray(g(np.concatenate(values))),
+                          np.cumsum([len(v) for v in values[:-1]]))
+        stencil = object.__new__(_Stencil)
+        stencil.__dict__.update(self.__dict__, f=None, _pydiv=False,
+                                _blocks=dict(zip(self._blocks, mapped)))
+        return stencil
 
-    def _block(self, name) -> tuple[np.ndarray, bool]:
-        """(values, pydiv) of one block, evaluated on first use: values has a
-        row per point of the block, pydiv says they are Python complex."""
+    def _block(self, name) -> np.ndarray:
+        """The values of one block, a row per point, evaluated on first use."""
         name = self._alias.get(name, name)
-        hit = self._blocks.get(name)
-        if hit is None:
+        if name not in self._blocks:
             self.evaluate(name)
-            hit = self._blocks[name]
-        return hit
+        return self._blocks[name]
 
     def evaluate(self, *names) -> None:
         """Evaluate the named blocks not evaluated yet, in one sweep of the
-        field (the tau block last); a mapped stencil maps them instead."""
+        field (the tau block last); a mapped stencil refuses them."""
         todo = []
         for n in names:
             n = self._alias.get(n, n)
@@ -199,9 +203,8 @@ class _Stencil:
                 todo.append(n)
         if not todo:
             return
-        if self._source is not None:
-            self._map_blocks(todo)
-            return
+        if self.f is None:
+            raise DomainError(f"a mapped stencil has no {todo[0]!r} block and evaluates none")
         if "tau" in todo:
             todo.remove("tau")
             todo.append("tau")
@@ -213,23 +216,12 @@ class _Stencil:
         # Python complex values make a complex array: say so and skip numpy's type search
         dtype = np.complex128 if self.dtype is None and type(vals[0]) is complex else self.dtype
         values = np.array(vals, dtype=dtype)
+        if not self._blocks:   # the first sweep decides how every difference rounds
+            self._pydiv = type(vals[0][0] if type(vals[0]) is list else vals[0]) is complex
         start = 0
         for n in todo:
-            stop = start + _SIZES[n]
-            first = vals[start][0] if type(vals[start]) is list else vals[start]
-            self._blocks[n] = values[start:stop], type(first) is complex
-            start = stop
-
-    def _map_blocks(self, names) -> None:
-        parent, g = self._source
-        parent.evaluate(*names)
-        keys = [k for k in parent._blocks if k not in self._blocks]
-        values = [parent._blocks[k][0] for k in keys]
-        mapped = np.asarray(g(np.concatenate(values)))
-        start = 0
-        for k, v in zip(keys, values):
-            self._blocks[k] = (mapped[start:start + len(v)], False)
-            start += len(v)
+            self._blocks[n] = values[start:start + _SIZES[n]]
+            start += _SIZES[n]
 
     def _offsets(self, name) -> np.ndarray:
         """The offsets of a shifted block, (k, *lead, 4): with leading axes
@@ -246,28 +238,25 @@ class _Stencil:
         x-route for unit 1, the y-partial for unit 1j; h is the step of the
         given difference order."""
         h = self.h1 if order == 1 else self.h2
-        v, pydiv = self._block(("x" if unit == 1 else "y") + ("1" if order == 1 else "2"))
+        v, pydiv = self._block(("x" if unit == 1 else "y") + str(order)), self._pydiv
         return _quot(v[:4] - v[4:], 2 * h, pydiv).astype(self._diff_dtype, copy=False)
 
     def diff2(self, unit=1) -> np.ndarray:
         """(f(z + v) - 2 f(z) + f(z - v)) / h^2 along every axis, v = unit * h e_mu."""
-        v, pydiv = self._block("x2" if unit == 1 else "y2")
-        f0, pydiv0 = self._block("center")
-        h = self.h2
+        v, f0, h = self._block("x2" if unit == 1 else "y2"), self._block("center"), self.h2
         return _quot(v[:4] - 2 * f0 + v[4:], h * h,
-                     pydiv and pydiv0).astype(self._diff_dtype, copy=False)
+                     self._pydiv).astype(self._diff_dtype, copy=False)
 
     def mixed(self) -> np.ndarray:
         """d2/dx^mu dy^mu along every axis from the four diagonal points."""
-        v, pydiv = self._block("mixed")
-        h = self.h2
+        v, h = self._block("mixed"), self.h2
         return _quot(v[0:4] - v[4:8] - v[8:12] + v[12:16], 4 * h * h,
-                     pydiv).astype(self._diff_dtype, copy=False)
+                     self._pydiv).astype(self._diff_dtype, copy=False)
 
     def diff_tau(self):
         """(f(tau + h) - f(tau - h)) / 2h at the probe's z."""
-        v, pydiv = self._block("tau")
-        return _quot(v[0] - v[1], 2 * self.h_tau, pydiv)
+        v = self._block("tau")
+        return _quot(v[0] - v[1], 2 * self.h_tau, self._pydiv)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import AnalyticityError, NonConvergenceError
 from .spacetime import _vector
@@ -172,27 +171,20 @@ def _newton8(residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: f
 
 
 def _solve(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Solutions of the (A, 8, 8) systems, and which of them are singular
-    (None when none is).
-
-    This is np.linalg.solve's own gufunc, called without the wrapper's
-    per-call type checks (the systems here are float64 by construction); it
-    flags a singular matrix as an invalid-value floating-point error, which
-    np.linalg.solve turns into LinAlgError. One singular matrix spoils the
-    whole batch, so then each system is solved on its own.
-    """
-    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-        try:
-            return _umath_linalg.solve(jac, rhs[..., None], signature="dd->d")[..., 0], None
-        except FloatingPointError:
-            pass
+    """Solutions of the (A, 8, 8) systems by np.linalg.solve, and which of
+    them are singular (None when none is). A singular matrix raises
+    LinAlgError and spoils the whole batch, so then each system is solved
+    on its own."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
         delta, singular = np.zeros_like(rhs), np.zeros(len(rhs), dtype=bool)
-        for i in range(len(rhs)):
-            try:
-                delta[i] = _umath_linalg.solve1(jac[i], rhs[i], signature="dd->d")
-            except FloatingPointError:
-                singular[i] = True
-        return delta, singular
+    for i in range(len(rhs)):
+        try:
+            delta[i] = np.linalg.solve(jac[i], rhs[i])
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return delta, singular
 
 
 def _theta_to_w(theta: np.ndarray) -> np.ndarray:
@@ -243,15 +235,16 @@ class AuditReport:
     tol: float
     passed: bool
 
+    # np.max, unlike the builtin, propagates a NaN disagreement
     @property
     def max_disagreement(self) -> float:
         vals = [p.disagreement for p in self.probes if not p.singular]
-        return max(vals) if vals else float("inf")
+        return float(np.max(vals)) if vals else float("inf")
 
     @property
     def max_closed_form_disagreement(self) -> float:
         vals = [p.closed_form_disagreement for p in self.probes if not p.singular]
-        return max(vals) if vals else float("inf")
+        return float(np.max(vals)) if vals else float("inf")
 
     @property
     def singular_probes(self) -> tuple[int, ...]:

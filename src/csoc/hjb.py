@@ -68,6 +68,7 @@ class HJBProblem:
     def _pair_weights(self) -> tuple:
         """The weights of d2/dx2, d2/dx dy and d2/dy2 in the paired second-order term."""
         spec = self.diffusion
+        # epsilon * eta, not sign_copy: these weights stay independent of the draw
         return (spec.sigma_x * spec.sigma_x,
                 2.0 * spec.epsilon * self.metric.eta * spec.sigma_x * spec.sigma_y,
                 spec.sigma_y * spec.sigma_y)

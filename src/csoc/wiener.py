@@ -186,6 +186,7 @@ class DiffusionSpec:
 def complex_sigma_squared(spec: DiffusionSpec) -> np.ndarray:
     """Per-axis product sigma^mu sigma^mu (4 complex values)."""
     sx, sy = spec.sigma_x, spec.sigma_y
+    # epsilon * eta, not sign_copy: the coefficient stays independent of the draw
     return sx * sx - sy * sy + 2j * spec.epsilon * spec.metric.eta * sx * sy
 
 
@@ -237,7 +238,8 @@ class MomentReport:
 
     @property
     def worst(self) -> MomentLine:
-        return max(self.lines, key=lambda ln: abs(ln.zscore))
+        """The line of largest |z-score|, the first of them, or the first NaN one."""
+        return self.lines[int(np.argmax([abs(ln.zscore) for ln in self.lines]))]
 
     @property
     def passed(self) -> bool:
@@ -325,6 +327,7 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
             add(f"dy{mu}dy{nu}", np.multiply(dy[mu], dy[nu], out=scratch), target)
     for mu in range(4):
         for nu in range(4):
+            # epsilon * eta, not sign_copy: a target that moved with the draw could not flag it
             target = spec.epsilon * eta[mu] * sx[mu] * sy[mu] * d_tau if mu == nu else 0.0
             add(f"dx{mu}dy{nu}", np.multiply(dx[mu], dy[nu], out=scratch), target)
 

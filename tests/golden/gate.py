@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import platform
 import subprocess
@@ -50,7 +49,6 @@ CONFIGS = {
 }
 VALUE_RTOL = 1e-6    # relative tolerance of a check value under the value comparison
 FLOOR_SHARE = 0.05   # plus this share of the check's limit, as an absolute floor
-UNPINNED = ("manifest.json",)
 
 
 def environment() -> dict:
@@ -60,10 +58,11 @@ def environment() -> dict:
             "platform": f"{platform.system()}-{platform.machine()}-{libc}"}
 
 
-def run_config(name: str, out_dir: Path, src: Path = SRC) -> None:
-    """Run config name's commands into out_dir, warnings as errors; each must exit 0."""
+def run_config(name: str, out_dir: Path) -> None:
+    """Run config name's commands on this tree's src into out_dir, warnings
+    as errors; each must exit 0."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     for args in CONFIGS[name]:
         cmd = [sys.executable, "-W", "error", "-m", "csoc.cli", "run", *args,
                "--out-dir", str(out_dir)]
@@ -77,7 +76,7 @@ def digest(out_dir: Path) -> dict:
     """The SHA-256 of every pinned artifact in out_dir, and every report's checks."""
     sha, checks = {}, {}
     for path in sorted(Path(out_dir).iterdir()):
-        if path.name in UNPINNED:
+        if path.name == "manifest.json":
             continue
         data = path.read_bytes()
         sha[path.name] = hashlib.sha256(data).hexdigest()
@@ -95,8 +94,8 @@ def _close(value, recorded, limit) -> bool:
     (written as strings) must be equal."""
     if isinstance(value, str) or isinstance(recorded, str):
         return value == recorded
-    floor = FLOOR_SHARE * abs(limit) if math.isfinite(limit) else 0.0
-    return abs(value - recorded) <= VALUE_RTOL * max(abs(value), abs(recorded)) + floor
+    return (abs(value - recorded)
+            <= VALUE_RTOL * max(abs(value), abs(recorded)) + FLOOR_SHARE * abs(limit))
 
 
 def compare(name: str, out_dir: Path, golden: dict | None = None) -> tuple[str, list[str]]:

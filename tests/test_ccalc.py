@@ -8,6 +8,7 @@ import pytest
 from csoc.ccalc import (
     DomainBox,
     ScalarField,
+    _probe_stencil,
     analyticity_scan,
     complex_derivative,
     second_complex_derivative,
@@ -368,3 +369,52 @@ def test_a_probe_must_be_finite(entry, value, where):
         z[2] = complex(value, y) if where == "z.real" else complex(x, value)
     with pytest.raises(DomainError, match="must be finite"):
         call(tau, z)
+
+
+PROBE_Z = np.array([0.3 + 0.1j, -0.2 + 0.4j, 0.15 - 0.05j, 0.5j])
+
+
+def counted(fn):
+    """fn with a count of its calls."""
+    def counting(*args):
+        counting.calls += 1
+        return fn(*args)
+    counting.calls = 0
+    return counting
+
+
+@pytest.mark.parametrize("map_name", ["exp", "log"])
+@pytest.mark.parametrize("h", [None, 1e-3])
+def test_a_map_applies_g_once_and_evaluates_no_point(map_name, h):
+    f = counted(lambda tau, z: complex(np.sum(ETA * z * z)) + 0.5 * tau)
+    st = _probe_stencil(f, 0.2, PROBE_Z, h, blocks=("center", "x1", "x2", "tau"))
+    anchor = st()   # the log map is anchored at the probe, as route_consistency's is
+    g = np.exp if map_name == "exp" else lambda v: np.log(v / anchor)
+    calls, g_calls = f.calls, counted(g)
+    mapped = st.map(g_calls)
+    assert g_calls.calls == 1   # at the map, not at first use
+    for name, values in st._blocks.items():
+        assert np.array_equal(mapped._blocks[name], g(values), equal_nan=True)
+    mapped.diff1(), mapped.diff1(order=2), mapped.diff2(), mapped.diff_tau(), mapped()
+    assert (f.calls, g_calls.calls) == (calls, 1)
+
+
+@pytest.mark.parametrize("read", ["mixed", "y1", "diff_tau"])
+def test_a_mapped_stencil_refuses_a_block_its_source_never_took(read):
+    f = counted(quad_form)
+    st = _probe_stencil(f, 0.2, PROBE_Z, blocks=("center", "x1", "x2"))
+    mapped, calls = st.map(np.exp), f.calls
+    with pytest.raises(DomainError, match="mapped stencil"):
+        {"mixed": mapped.mixed, "y1": lambda: mapped.diff1(1j),
+         "diff_tau": mapped.diff_tau}[read]()
+    assert f.calls == calls
+    st.diff_tau()   # the source still evaluates what it lacks
+    assert f.calls == calls + 2
+
+
+def test_a_stencil_with_no_block_has_nothing_to_map():
+    f = counted(quad_form)
+    st = _probe_stencil(f, 0.2, PROBE_Z)
+    with pytest.raises(DomainError, match="nothing to map"):
+        st.map(np.exp)
+    assert f.calls == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csoc.control import equivalence_audit, solve_optimal_control
+from csoc.control import AuditProbe, AuditReport, equivalence_audit, solve_optimal_control
 from csoc.errors import AnalyticityError, DomainError, NonConvergenceError
 from csoc.lagrangian import (
     EMFieldConfig,
@@ -251,3 +251,20 @@ def test_a_gradient_that_ignores_w_still_broadcasts_over_rows():
     report = equivalence_audit(stuck, quadratic_value_field, random_probes(5, seed=13), h=1e-4)
     assert [p.note for p in report.probes] == [
         "stationarity solve failed: singular Jacobian after 0 iterations"] * 5
+
+
+def hand_built_audit(*disagreements):
+    z = np.zeros(4, dtype=np.complex128)
+    probes = tuple(AuditProbe(0.0, z, z, z, disagreement=d, closed_form_disagreement=d,
+                              singular=False) for d in disagreements)
+    return AuditReport(probes=probes, tol=1e-8,
+                       passed=all(d < 1e-8 for d in disagreements))
+
+
+@pytest.mark.parametrize("disagreements", [(1e-12, float("nan")), (float("nan"), 1e-12),
+                                           (1e-12, float("nan"), 3e-12)])
+def test_a_nan_disagreement_is_the_audits_maximum(disagreements):
+    report = hand_built_audit(*disagreements)
+    assert not report.passed
+    assert np.isnan(report.max_disagreement)
+    assert np.isnan(report.max_closed_form_disagreement)

@@ -12,6 +12,7 @@ from csoc.spacetime import MOSTLY_MINUS, MOSTLY_PLUS
 from csoc.wiener import (
     DiffusionSpec,
     MomentLine,
+    MomentReport,
     _draw_paths,
     _substream_keys,
     _zscore,
@@ -302,3 +303,13 @@ NEGATIVE_SEED_CALLS = {
 def test_a_negative_seed_or_path_is_a_domain_error(call):
     with pytest.raises(DomainError, match="must be nonnegative"):
         NEGATIVE_SEED_CALLS[call]()
+
+
+@pytest.mark.parametrize("zscores, worst", [((0.5, float("nan"), 7.0), 1),
+                                            ((float("nan"), 7.0), 0),
+                                            ((1.0, -3.0, 3.0), 1)])
+def test_the_worst_moment_line_is_the_first_nan_or_the_first_largest(zscores, worst):
+    lines = tuple(MomentLine(f"line{i}", 0.0, 0.0, 1.0, z, not abs(z) <= 5.0)
+                  for i, z in enumerate(zscores))
+    report = MomentReport(lines=lines, n=10, d_tau=0.01, z_max=5.0)
+    assert report.worst is lines[worst]
