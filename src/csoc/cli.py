@@ -419,6 +419,8 @@ def run_hjb_residual(cfg: ScenarioConfig) -> dict:
     problem = HJBProblem(lagrangian=lag, diffusion=cfg.diffusion(), tau_f=cfg.tau_f)
     sigma_tilde = metric.sigma_tilde
     scale = sigma_tilde * cfg.m * cfg.c * cfg.c
+    if not math.isfinite(scale):
+        raise DomainError(f"the value field's scale sigma_tilde m c^2 must be finite, got {scale}")
 
     def value(tau, z):
         return complex(scale * (cfg.tau_f - tau))
@@ -512,7 +514,8 @@ def run_clifford(cfg: ScenarioConfig) -> dict:
 
 def run_dirac_planewave(cfg: ScenarioConfig) -> dict:
     gammas = build_gammas(cfg.metric_object)
-    p = np.array([0.3, 0.2, -0.1, 0.4]) * cfg.m * cfg.c
+    with np.errstate(over="ignore"):   # plane_wave refuses a p that overflowed
+        p = np.array([0.3, 0.2, -0.1, 0.4]) * cfg.m * cfg.c
     common = dict(hbar=cfg.hbar, m=cfg.m, c=cfg.c)
 
     free = plane_wave(gammas, p, branch=cfg.branch, **common)

@@ -74,28 +74,24 @@ def _newton8(residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: f
     independent 8-real systems at once.
 
     residual_fn(rows, thetas) maps thetas (len(rows), ..., 8) of the given
-    rows to residuals of the same shape, or to rows that broadcast to it if
-    it ignores theta. Each iteration makes one (A, 17, 8) call for the
-    Jacobians of the A rows still iterating, each row's point and its 16
-    steps, and solves them as one (A, 8, 8) batch; the first call also
-    gives the residuals at the start. Every row damps on its own and stops
-    once converged. Returns the roots, the residuals there, the iterations
-    per row, and a NonConvergenceError for each row that failed, by row.
+    rows to a new array of residuals of the same shape. Each iteration
+    makes one (A, 17, 8) call for the Jacobians of the A rows still
+    iterating, each row's point and its 16 steps, and solves them as one
+    (A, 8, 8) batch; the first call also gives the residuals at the start.
+    Every row damps on its own and stops once converged. Returns the roots,
+    the residuals there, the iterations per row, and a NonConvergenceError
+    for each row that failed, by row.
     """
     rows = np.arange(n_rows)
     roots, residuals = np.zeros((n_rows, 8)), np.zeros((n_rows, 8))
     iterations = np.zeros(n_rows, dtype=int)
     failures: dict[int, NonConvergenceError] = {}
 
-    def residual(ids, thetas):
-        out = residual_fn(ids, thetas)
-        return out if out.shape == thetas.shape else np.broadcast_to(out, thetas.shape)
-
     def stepped(ids, thetas):
         """The residuals (A, 17, 8) at each point, then a step up and a step
         down each axis, and the steps taken."""
         step = _step(np.maximum(1.0, np.abs(thetas)))
-        return residual(ids, thetas[:, None, :] + _SHIFTS * step[:, None, :]), step
+        return residual_fn(ids, thetas[:, None, :] + _SHIFTS * step[:, None, :]), step
 
     def accepted(n_trial, n_now):
         return np.isfinite(n_trial) & ((n_trial <= n_now) | (n_trial < tol))
@@ -110,15 +106,13 @@ def _newton8(residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: f
     norm = np.maximum.reduce(np.abs(r), axis=1)
     for it in range(1, _MAX_ITER + 1):
         done = norm < tol
-        n_done = np.count_nonzero(done)
-        if n_done == len(rows):
-            roots[rows], residuals[rows], iterations[rows] = theta, r, it - 1
-            break
-        if n_done:
+        if done.any():
             finished = rows[done]
             roots[finished], residuals[finished], iterations[finished] = theta[done], r[done], it - 1
             keep = ~done
             rows, theta, r, norm = rows[keep], theta[keep], r[keep], norm[keep]
+            if not rows.size:
+                break
             if at_steps is not None:
                 at_steps, step = at_steps[keep], step[keep]
         if at_steps is None:
@@ -137,18 +131,17 @@ def _newton8(residual_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: f
         # delta, theta + delta/2, ... that does not raise its residual
         cand = theta + delta
         at_steps = None
-        rc = residual(rows, cand)
+        rc = residual_fn(rows, cand)
         nc = np.maximum.reduce(np.abs(rc), axis=1)
         ok = accepted(nc, norm)
         if np.count_nonzero(ok) == len(ok):
             theta, r, norm = cand, rc, nc
             continue
         search, scale = np.flatnonzero(~ok), 1.0
-        rc = rc.copy()   # a residual that ignores theta comes back read-only
         for _ in range(11):
             scale *= 0.5
             trial = theta[search] + scale * delta[search]
-            r_trial = residual(rows[search], trial)
+            r_trial = residual_fn(rows[search], trial)
             n_trial = np.maximum.reduce(np.abs(r_trial), axis=1)
             hit = accepted(n_trial, norm[search])
             kept = search[hit]
@@ -297,7 +290,6 @@ def _audit_rows(lagrangian: Lagrangian, value_field,
     def condition_sets(rows, theta):
         lead = (slice(None),) + (None,) * (theta.ndim - 2)   # rows, then theta's extra axes
         g = lagrangian.grad(row_tau[rows][lead], row_z[rows][lead], _theta_to_w(theta))
-        g = np.broadcast_to(g, theta.shape[:-1] + (4,))
         real_set = real_rows[rows][lead + (None,)]
         return np.concatenate([np.where(real_set, g.real, g.imag) + shift_v[rows][lead],
                                np.where(real_set, -g.imag, g.real) + shift_u[rows][lead]],

@@ -65,10 +65,13 @@ class Lagrangian:
         """Closed-form gradient when available, else central differences in w.
 
         w may carry leading axes; without an explicit h each row of w gets
-        the step of its own scale, so a batch equals its rows one by one.
+        the step of its own scale, so a batch equals its rows one by one. A
+        closed-form gradient that comes back smaller than w, as one that
+        ignores w does, is broadcast to w's shape (a read-only view).
         """
         if self.gradient_w is not None:
-            return np.asarray(self.gradient_w(tau, z, w), dtype=np.complex128)
+            g = np.asarray(self.gradient_w(tau, z, w), dtype=np.complex128)
+            return g if g.size >= np.size(w) else np.broadcast_to(g, np.shape(w))
         st = _Stencil(lambda t, v: self.value(t, z, v), tau, np.asarray(w, dtype=np.complex128), h)
         return np.moveaxis(st.diff1(), 0, -1)
 

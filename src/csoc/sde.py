@@ -289,7 +289,11 @@ def _run_paths(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: flo
             zb, ab = z[p0:p1], action[p0:p1]
             dWb = _draw_paths(dW[:, :p1 - p0], d_tau, seed, first=p0)
             for _, tau, w in _euler(policy, spec, zb, d_tau, dWb, tau0):
-                ab += np.asarray(lagrangian.value(tau, zb, w), dtype=np.complex128) * d_tau
+                value = np.asarray(lagrangian.value(tau, zb, w), dtype=np.complex128)
+                if value.shape not in ((), ab.shape):
+                    raise DomainError(f"lagrangian returned shape {value.shape}, "
+                                      f"expected () or {ab.shape}")
+                ab += value * d_tau
             del w   # the block's last control, not kept through the next draw
     return z, action
 

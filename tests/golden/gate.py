@@ -6,6 +6,7 @@ run writes except manifest.json (whose timestamp changes every run), the
 version, Python version and platform the digests were recorded on.
 
     python tests/golden/gate.py record             # rerun every config, rewrite digests.json
+    python tests/golden/gate.py check              # rerun every config, compare each
     python tests/golden/gate.py compare NAME DIR   # check a finished run of config NAME in DIR
 
 A comparison made on the recording's numpy, Python and platform compares
@@ -58,9 +59,10 @@ def environment() -> dict:
             "platform": f"{platform.system()}-{platform.machine()}-{libc}"}
 
 
-def run_config(name: str, out_dir: Path) -> None:
+def run_config(name: str, out_dir: Path) -> list[str]:
     """Run config name's commands on this tree's src into out_dir, warnings
-    as errors; each must exit 0."""
+    as errors: what each command that did not exit 0 printed."""
+    failures = []
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     for args in CONFIGS[name]:
@@ -68,8 +70,8 @@ def run_config(name: str, out_dir: Path) -> None:
                "--out-dir", str(out_dir)]
         done = subprocess.run(cmd, env=env, capture_output=True, text=True)
         if done.returncode != 0:
-            raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}:\n"
-                               f"{done.stdout}{done.stderr}")
+            failures.append(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stdout}{done.stderr}")
+    return failures
 
 
 def digest(out_dir: Path) -> dict:
@@ -123,13 +125,20 @@ def compare(name: str, out_dir: Path, golden: dict | None = None) -> tuple[str, 
     return "values", problems
 
 
-def record() -> None:
-    """Run every config on this tree and rewrite digests.json."""
-    configs = {}
+def runs():
+    """(name, directory, failures) of each config run into a temporary directory."""
     for name in CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
-            run_config(name, Path(tmp))
-            configs[name] = {"commands": [list(a) for a in CONFIGS[name]], **digest(Path(tmp))}
+            yield name, Path(tmp), run_config(name, Path(tmp))
+
+
+def record() -> None:
+    """Rewrite digests.json from a run of every config, unless a command fails."""
+    configs = {}
+    for name, out_dir, failures in runs():
+        if failures:
+            raise RuntimeError("\n".join(failures))
+        configs[name] = {"commands": [list(a) for a in CONFIGS[name]], **digest(out_dir)}
         print(f"recorded {name}: {len(configs[name]['sha256'])} artifacts")
     payload = {"environment": environment(), "configs": configs}
     GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -139,15 +148,22 @@ def main(argv: list[str]) -> int:
     if argv == ["record"]:
         record()
         return 0
-    if len(argv) == 3 and argv[0] == "compare" and argv[1] in CONFIGS:
-        mode, problems = compare(argv[1], Path(argv[2]))
-        print(f"golden gate {argv[1]}: compared {mode}, "
-              f"{'no difference' if not problems else f'{len(problems)} differences'}")
-        for p in problems:
-            print(f"  {p}")
-        return 1 if problems else 0
-    print(f"usage: gate.py record | gate.py compare {{{','.join(CONFIGS)}}} DIR", file=sys.stderr)
-    return 2
+    if argv == ["check"]:   # a command that did not exit 0 is one of its config's problems
+        golden = json.loads(GOLDEN.read_text())
+        results = ((name, *compare(name, out_dir, golden), failures)
+                   for name, out_dir, failures in runs())
+    elif len(argv) == 3 and argv[0] == "compare" and argv[1] in CONFIGS:
+        results = [(argv[1], *compare(argv[1], Path(argv[2])), [])]
+    else:
+        print(f"usage: gate.py record | check | compare {{{','.join(CONFIGS)}}} DIR", file=sys.stderr)
+        return 2
+    failed = 0
+    for name, mode, problems, failures in results:
+        problems = failures + problems
+        head = f"{len(problems)} differences" if problems else "no difference"
+        print("\n  ".join([f"golden gate {name}: compared {mode}, {head}", *problems]))
+        failed += bool(problems)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ def test_every_timed_runner_runs_at_a_small_config(tmp_path):
     entries = layers.runners(cli, {"small": SMALL}, tmp_path)
     assert [(r["name"], r["config"]) for r, _ in entries] == [(s, "small") for s in cli.SCENARIOS]
     for record, timed in entries:
-        assert record["passed"] and len(record["report_sha256"]) == 64
+        assert record["passed"]
         assert timed["call"]()["checks"]
 
 

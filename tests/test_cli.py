@@ -217,6 +217,20 @@ def test_a_horizon_that_overflows_is_a_domain_error(tmp_path):
     assert main(ok) == 0
 
 
+@pytest.mark.parametrize("scenario, error", [
+    ("dirac-planewave", "p, a_const, q, hbar, m and c must all be finite"),
+    ("hjb-residual", "the value field's scale sigma_tilde m c^2 must be finite, got -inf")])
+def test_a_mass_and_light_speed_whose_product_overflows_is_a_domain_error(tmp_path, scenario,
+                                                                          error):
+    # m and c finite, m c (and m c^2) not: one error line, no warning
+    out = tmp_path / "run"
+    proc = run_fresh("run", scenario, "--out-dir", str(out), "--m", "1e200", "--c", "1e200",
+                     PYTHONWARNINGS="error")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [f"domain error: {scenario}: {error}"]
+    assert proc.stdout == f"{scenario}: FAIL\n"
+
+
 @pytest.mark.parametrize("flags", [("--box-half-width", "1e308"),
                                    ("--tau-lo=-1e308", "--tau-hi", "1e308")])
 def test_a_probe_box_whose_span_overflows_is_a_domain_error(tmp_path, flags):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from csoc.control import AuditProbe, AuditReport, equivalence_audit, solve_optimal_control
+from csoc.control import (AuditProbe, AuditReport, _newton8, equivalence_audit,
+                          solve_optimal_control)
 from csoc.errors import AnalyticityError, DomainError, NonConvergenceError
 from csoc.lagrangian import (
     EMFieldConfig,
@@ -251,6 +252,29 @@ def test_a_gradient_that_ignores_w_still_broadcasts_over_rows():
     report = equivalence_audit(stuck, quadratic_value_field, random_probes(5, seed=13), h=1e-4)
     assert [p.note for p in report.probes] == [
         "stationarity solve failed: singular Jacobian after 0 iterations"] * 5
+
+
+def test_each_row_of_a_newton_batch_ends_as_it_would_alone():
+    # per row r = a theta + b theta^3 - c: rows converging after 0, 1 and
+    # several iterations, and one (a = b = 0) whose Jacobian is singular
+    a = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
+    b = np.array([0.0, 0.0, 1.0, 0.0, 5.0])
+    c = np.array([0.0, 0.3, 2.0, 1.0, 10.0])[:, None] * np.linspace(0.5, 1.5, 8)
+
+    def system(ids):
+        def residual(rows, theta):
+            lead = (ids[rows],) + (None,) * (theta.ndim - 2)   # rows, then theta's extra axes
+            return a[lead][..., None] * theta + b[lead][..., None] * theta ** 3 - c[lead]
+        return residual
+
+    roots, residuals, iterations, failures = _newton8(system(np.arange(5)), 1e-12, 5)
+    assert sorted(failures) == [3] and len(set(iterations[[0, 1, 2, 4]].tolist())) == 4
+    for k in range(5):
+        alone = _newton8(system(np.array([k])), 1e-12)
+        assert roots[k].tobytes() == alone[0][0].tobytes()
+        assert residuals[k].tobytes() == alone[1][0].tobytes()
+        assert iterations[k] == alone[2][0]
+        assert str(failures.get(k)) == str(alone[3].get(0))
 
 
 def hand_built_audit(*disagreements):

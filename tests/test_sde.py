@@ -263,6 +263,21 @@ def test_csv_matches_the_csv_writer_byte_for_byte(tmp_path):
     assert got == (tmp_path / "reference.csv").read_bytes()
 
 
+def test_a_lagrangian_of_the_wrong_shape_is_a_domain_error():
+    # the action adds a scalar or one value per path, and no other shape that
+    # numpy would broadcast
+    spec = DiffusionSpec.natural()
+
+    def action(shape):
+        lag = Lagrangian(value=lambda tau, z, w: np.ones(shape, dtype=np.complex128))
+        return estimate_action(lag, STILL, spec, ZERO4, 0.02, 3, 8, seed=0)
+
+    assert action(()).mean == action((8,)).mean == pytest.approx(0.06)
+    for shape in ((8, 4), (1,)):
+        with pytest.raises(DomainError, match=rf"lagrangian returned shape \({shape[0]},"):
+            action(shape)
+
+
 def test_action_of_constant_lagrangian_is_the_time_span():
     unit = Lagrangian(value=lambda tau, z, w: np.ones(
         np.asarray(w).shape[:-1], dtype=np.complex128))
