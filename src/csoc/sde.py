@@ -21,9 +21,9 @@ see them. The stepping runs with numpy's overflow and invalid warnings off,
 so a path that overflows is counted as failed, not warned about.
 
 Each path draws its increments from an independent substream keyed by
-(seed, path index) alone, so an ensemble is reproducible and any path can be
-regenerated in isolation (path_increments). An ensemble, or a block of its
-paths, draws through wiener._draw_paths, the one draw routine.
+(seed, path index) alone, so an ensemble is reproducible, any path can be
+regenerated alone (path_increments), and wiener._draw_paths, the one draw,
+can split the paths into shares on up to 4 threads without moving a bit.
 
 Arrays are time-major: trajectories are stored in one (n_steps+1, n_paths, 8)
 buffer, so each step reads and writes contiguous slabs; TrajectoryEnsemble.states

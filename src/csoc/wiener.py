@@ -15,14 +15,17 @@ Batch sampling uses SeedSequence(seed); ensemble integration elsewhere draws
 path k from the substream keyed by SeedSequence(entropy=seed, spawn_key=(k,)),
 a pure function of (seed, k). path_generator builds that stream for one path;
 _draw_paths, the one draw of an ensemble or of a block of its paths, computes
-the keys of all those paths in one vectorized pass and re-keys a single
-generator per path, drawing the same numbers. The algorithm name is recorded
-in CLI run manifests as RNG_ALGORITHM.
+all their keys in one vectorized pass and re-keys a generator per path,
+drawing the same numbers in contiguous shares on up to 4 threads (numpy fills
+normals outside the GIL); a path's numbers depend on its key alone, so no
+split moves a bit. CLI run manifests record the algorithm as RNG_ALGORITHM.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -63,7 +66,7 @@ _POOL = 4   # SeedSequence's default pool size, in 32-bit words
 
 def _substream_keys(seed: int, paths: np.ndarray) -> np.ndarray:
     """Philox keys of SeedSequence(entropy=seed, spawn_key=(k,)) for every path
-    index k < 2**32 in paths, shape (len(paths), 2) uint64.
+    index k in paths, shape (len(paths), 2) uint64; DomainError unless 0 <= k < 2**32.
 
     A uint32 port of SeedSequence's entropy assembly, hashmix/mix pool and
     generate_state(2, uint64), run on arrays over k. Everything stays in
@@ -73,9 +76,11 @@ def _substream_keys(seed: int, paths: np.ndarray) -> np.ndarray:
     seed = _check_index(seed, "seed")
     n_words = max(_POOL, -(-seed.bit_length() // 32))  # zero-padded to the pool
     words = [(seed >> (32 * i)) & 0xFFFFFFFF for i in range(n_words)]
-    paths = np.asarray(paths, dtype=np.uint32)
+    paths = np.asarray(paths)
+    if paths.size and not (paths.min() >= 0 and paths.max() < 2**32):
+        raise DomainError(f"path indices must lie in [0, 2**32), got {paths.min()} .. {paths.max()}")
     entropy = [np.full(paths.shape, w, dtype=np.uint32) for w in words]
-    entropy.append(paths)   # the spawn key
+    entropy.append(paths.astype(np.uint32))   # the spawn key
     const = np.array(_INIT_A, dtype=np.uint32)
 
     def hashmix(v):
@@ -110,30 +115,59 @@ def _substream_keys(seed: int, paths: np.ndarray) -> np.ndarray:
 _DRAW_CHUNK = 64   # paths drawn contiguous before one time-major copy
 
 
+def _draw_workers(n_paths: int) -> int:
+    """Threads of one draw: the CPUs this process may run on, at most 4, with
+    at least one chunk of paths each, so a draw under two chunks is serial."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, 4, n_paths // _DRAW_CHUNK))
+
+
+def _draw_share(out, keys, scale: float, lo: int, hi: int, width: int, failures: list) -> None:
+    """Draw paths lo .. hi-1 of out, appending any failure to failures: one
+    Generator, re-keyed per path with counter and buffer zeroed, fills its row of
+    a reused (width, n_steps, 4) buffer, scaled in cache and copied time-major."""
+    try:
+        bits = np.random.Philox(0)
+        rng = np.random.Generator(bits)
+        zeros = np.zeros(4, dtype=np.uint64)
+        buf = np.empty((min(width, hi - lo), out.shape[0], 4))
+        for p0 in range(lo, hi, width):
+            chunk = buf[:hi - p0]
+            for row, key in zip(chunk, keys[p0:]):
+                bits.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                              "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+                rng.standard_normal(out=row)
+            # 0.0 + scale * z is how rng.normal forms each draw; + 0.0 turns -0.0 into +0.0
+            chunk *= scale
+            chunk += 0.0
+            out[:, p0:p0 + len(chunk)] = chunk.swapaxes(0, 1)
+    except BaseException as exc:
+        failures.append(exc)
+
+
 def _draw_paths(out: np.ndarray, d_tau: float, seed: int, first: int = 0) -> np.ndarray:
     """Fill a time-major (n_steps, n, 4) view with the dWx of paths first ..
     first+n-1 and return it: column j is exactly path_generator(seed, first+j)'s
-    normal(0.0, sqrt(d_tau), (n_steps, 4)). One Generator is re-keyed per path,
-    counter and buffer zeroed, and fills its row of one reused
-    (_DRAW_CHUNK, n_steps, 4) buffer, which is scaled while in cache and then
-    copied time-major into out once per chunk."""
-    n_steps, n_paths, _ = out.shape
+    normal(0.0, sqrt(d_tau), (n_steps, 4)). With all keys computed here,
+    _draw_workers(n) contiguous shares are drawn at once, the first on this
+    thread, in chunk buffers of 2 * _DRAW_CHUNK paths in all (as on 2 CPUs);
+    every thread is joined before a share's failure is raised."""
+    n_paths = out.shape[1]
     keys = _substream_keys(seed, np.arange(first, first + n_paths))
-    bits = np.random.Philox(0)
-    rng = np.random.Generator(bits)
-    zeros = np.zeros(4, dtype=np.uint64)
-    scale = np.sqrt(d_tau)
-    buf = np.empty((min(_DRAW_CHUNK, n_paths), n_steps, 4))
-    for p0 in range(0, n_paths, _DRAW_CHUNK):
-        chunk = buf[:n_paths - p0]
-        for row, key in zip(chunk, keys[p0:]):
-            bits.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                          "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-            rng.standard_normal(out=row)
-        # 0.0 + scale * z is how rng.normal forms each draw; + 0.0 turns -0.0 into +0.0
-        chunk *= scale
-        chunk += 0.0
-        out[:, p0:p0 + len(chunk)] = chunk.swapaxes(0, 1)
+    n, failures, started = _draw_workers(n_paths), [], []
+    width = min(_DRAW_CHUNK, 2 * _DRAW_CHUNK // n)
+    shares = [(out, keys, np.sqrt(d_tau), n_paths * i // n, n_paths * (i + 1) // n, width,
+               failures) for i in range(n)]
+    try:
+        for args in shares[1:]:
+            (t := threading.Thread(target=_draw_share, args=args)).start()
+            started.append(t)
+        _draw_share(*shares[0])
+    finally:
+        for t in started:
+            t.join()
+    if failures:
+        raise failures[0]
     return out
 
 

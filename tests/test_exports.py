@@ -23,17 +23,29 @@ def test_every_export_resolves_once():
         getattr(csoc, name)
 
 
-def test_importing_the_cli_loads_only_numpy_and_the_standard_library():
+def fresh_interpreter(probe: str) -> str:
+    """What probe prints in a new interpreter that imports csoc from src."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, numpy; before = set(sys.modules); import csoc.cli; "
-             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
-             "print(sorted(new - set(sys.stdlib_module_names) - {'csoc', 'numpy'}))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_importing_the_cli_loads_only_numpy_and_the_standard_library():
+    probe = ("import sys, numpy; before = set(sys.modules); import csoc.cli; "
+             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+             "print(sorted(new - set(sys.stdlib_module_names) - {'csoc', 'numpy'}))")
+    assert fresh_interpreter(probe) == "[]"
+
+
+def test_importing_the_cli_loads_no_concurrent_futures():
+    # the ensemble draw starts plain threading.Threads; concurrent.futures
+    # would add its import to every csoc run
+    probe = "import sys, csoc.cli; print('concurrent.futures' in sys.modules)"
+    assert fresh_interpreter(probe) == "False"
 
 
 def _calls_without_removed_keywords():

@@ -33,6 +33,8 @@ def test_ci_runs_the_check_and_runs_csoc_only_where_it_expects_exit_3():
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text().splitlines()
     steps = [line.split("run: ", 1)[1] for line in workflow if line.strip().startswith("run: ")]
     assert steps.count("python tests/golden/gate.py check") == 1
+    # on one CPU every ensemble draw takes the one-share path
+    assert steps.count("taskset -c 0 python tests/golden/gate.py check") == 1
     assert all(step.endswith('test "$code" -eq 3') for step in steps if "csoc.cli run" in step)
 
 

@@ -1,18 +1,23 @@
 """Paired Wiener increments: sign-copy rule, complex variance, moment targets."""
 
+import threading
+import time
 import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from csoc import wiener
 from csoc.errors import DomainError
-from csoc.sde import constant_policy, integrate, path_increments
+from csoc.lagrangian import quadratic_lagrangian
+from csoc.sde import constant_policy, estimate_action, integrate, linear_policy, path_increments
 from csoc.spacetime import MOSTLY_MINUS, MOSTLY_PLUS
 from csoc.wiener import (
     DiffusionSpec,
     MomentLine,
     MomentReport,
+    _DRAW_CHUNK,
     _draw_paths,
     _substream_keys,
     _zscore,
@@ -287,6 +292,96 @@ def test_rekeyed_generator_draws_each_path_substream():
     assert part_used
     with pytest.raises(DomainError):
         _draw_paths(np.empty((n_steps, 3, 4)), 0.01, -1)
+
+
+def test_substream_keys_refuse_a_path_index_outside_uint32():
+    # SeedSequence keys path 2**32 + 1 apart from path 1, so a wrapped index
+    # would draw another path's stream
+    for paths in ([2**32], [5, 2**32 + 1], [-1]):
+        with pytest.raises(DomainError, match="path indices"):
+            _substream_keys(7, paths)
+    with pytest.raises(DomainError, match="path indices"):
+        _draw_paths(np.empty((3, 2, 4)), 0.01, 7, first=2**32 - 1)
+
+
+def draw_shares(monkeypatch, workers):
+    """Force workers shares and log the (lo, hi, thread) of each one drawn."""
+    log, real = [], wiener._draw_share
+
+    def logged(out, keys, scale, lo, hi, width, failures):
+        log.append((lo, hi, threading.get_ident()))
+        real(out, keys, scale, lo, hi, width, failures)
+
+    monkeypatch.setattr(wiener, "_draw_workers", lambda n_paths: workers)
+    monkeypatch.setattr(wiener, "_draw_share", logged)
+    return log
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_split_draw_equals_each_path_substream(workers, monkeypatch):
+    seed, n_steps, n_paths, first, d_tau = 2**40 + 5, 7, 3 * _DRAW_CHUNK + 5, 7, 0.01
+    log = draw_shares(monkeypatch, workers)
+    dWx = _draw_paths(np.empty((n_steps, n_paths, 4)), d_tau, seed, first=first)
+    for j in range(n_paths):
+        want = path_generator(seed, first + j).normal(0.0, np.sqrt(d_tau), (n_steps, 4))
+        assert np.array_equal(dWx[:, j].view(np.uint64), want.view(np.uint64)), j
+    # contiguous shares covering every path, the first drawn by the caller
+    assert [(lo, hi) for lo, hi, _ in sorted(log)] == [
+        (n_paths * i // workers, n_paths * (i + 1) // workers) for i in range(workers)]
+    assert [ident == threading.get_ident() for *_, ident in sorted(log)] == [
+        True] + [False] * (workers - 1)
+
+
+def test_ensembles_are_bit_equal_on_one_and_four_workers(monkeypatch):
+    mix = np.array([[0.3j, 0.2, 0, 0], [0.2, -0.1j, 0, 0], [0, 0, 0.1, 0.05], [0, 0, 0.05, -0.1]])
+    args = (linear_policy(mix), DiffusionSpec.natural(), np.zeros(4, dtype=complex), 0.01, 20)
+    results = []
+    for workers in (1, 4):
+        draw_shares(monkeypatch, workers)
+        ens = integrate(*args, 3 * _DRAW_CHUNK + 5, seed=9)
+        act = estimate_action(quadratic_lagrangian(), *args, 300, seed=9)
+        results.append((ens.states.copy().view(np.uint64), repr(act)))
+    (states1, action1), (states4, action4) = results
+    assert np.array_equal(states1, states4)
+    assert action1 == action4   # repr writes every float's shortest round-trip digits
+
+
+def test_a_failing_share_is_raised_after_every_thread_is_joined(monkeypatch):
+    real_philox = np.random.Philox
+
+    def philox(seed):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)   # fails after the caller's share is done
+            raise MemoryError("no room for this share")
+        return real_philox(seed)
+
+    monkeypatch.setattr(wiener, "_draw_workers", lambda n_paths: 3)
+    monkeypatch.setattr(np.random, "Philox", philox)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no room"):
+        _draw_paths(np.empty((5, 3 * _DRAW_CHUNK, 4)), 0.01, 3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_split_draw_holds_two_chunk_buffers_at_most(workers, monkeypatch):
+    # four 64-path buffers would break _run_paths's block budget on 4 CPUs
+    n_steps, n_paths = 100, 8 * _DRAW_CHUNK
+    out = np.empty((n_steps, n_paths, 4))
+    monkeypatch.setattr(wiener, "_draw_workers", lambda n: workers)
+    _draw_paths(out, 0.01, 1)
+    tracemalloc.start()
+    try:
+        _draw_paths(out, 0.01, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * _DRAW_CHUNK * n_steps * 4 * 8 + 64 * 1024, peak
+
+
+def test_a_draw_under_two_chunks_stays_on_the_calling_thread():
+    assert wiener._draw_workers(2 * _DRAW_CHUNK - 1) == 1
+    assert 1 <= wiener._draw_workers(10**6) <= 4
 
 
 NEGATIVE_SEED_CALLS = {
