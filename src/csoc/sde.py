@@ -23,7 +23,7 @@ so a path that overflows is counted as failed, not warned about.
 Each path draws its increments from an independent substream keyed by
 (seed, path index) alone, so an ensemble is reproducible, any path can be
 regenerated alone (path_increments), and wiener._draw_paths, the one draw,
-can split the paths into shares on up to 4 threads without moving a bit.
+can split the paths into shares on up to 2 threads without moving a bit.
 
 Arrays are time-major: trajectories are stored in one (n_steps+1, n_paths, 8)
 buffer, so each step reads and writes contiguous slabs; TrajectoryEnsemble.states

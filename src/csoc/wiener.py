@@ -16,9 +16,10 @@ path k from the substream keyed by SeedSequence(entropy=seed, spawn_key=(k,)),
 a pure function of (seed, k). path_generator builds that stream for one path;
 _draw_paths, the one draw of an ensemble or of a block of its paths, computes
 all their keys in one vectorized pass and re-keys a generator per path,
-drawing the same numbers in contiguous shares on up to 4 threads (numpy fills
-normals outside the GIL); a path's numbers depend on its key alone, so no
-split moves a bit. CLI run manifests record the algorithm as RNG_ALGORITHM.
+drawing paths of _SPLIT_STEPS steps or more in contiguous shares on up to 2
+threads (numpy fills normals outside the GIL, a re-key holds it); a path's
+numbers depend on its key alone, so no split moves a bit. CLI run manifests
+record the algorithm as RNG_ALGORITHM.
 """
 
 from __future__ import annotations
@@ -113,25 +114,26 @@ def _substream_keys(seed: int, paths: np.ndarray) -> np.ndarray:
 
 
 _DRAW_CHUNK = 64   # paths drawn contiguous before one time-major copy
+_SPLIT_STEPS = 192  # fewest steps a path's fill needs to outlast a GIL hand-off (2 vCPUs)
 
 
-def _draw_workers(n_paths: int) -> int:
-    """Threads of one draw: the CPUs this process may run on, at most 4, with
-    at least one chunk of paths each, so a draw under two chunks is serial."""
+def _draw_workers(n_steps: int, n_paths: int) -> int:
+    """Threads of one draw: the CPUs this process may run on, at most 2, with a
+    chunk of paths each; one for paths too short to outlast the re-keys' GIL."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, 4, n_paths // _DRAW_CHUNK))
+    return 1 if n_steps < _SPLIT_STEPS else max(1, min(cpus, 2, n_paths // _DRAW_CHUNK))
 
 
-def _draw_share(out, keys, scale: float, lo: int, hi: int, width: int, failures: list) -> None:
+def _draw_share(out, keys, scale: float, lo: int, hi: int, failures: list) -> None:
     """Draw paths lo .. hi-1 of out, appending any failure to failures: one
     Generator, re-keyed per path with counter and buffer zeroed, fills its row of
-    a reused (width, n_steps, 4) buffer, scaled in cache and copied time-major."""
+    a reused (_DRAW_CHUNK, n_steps, 4) buffer, scaled in cache and copied time-major."""
     try:
         bits = np.random.Philox(0)
         rng = np.random.Generator(bits)
         zeros = np.zeros(4, dtype=np.uint64)
-        buf = np.empty((min(width, hi - lo), out.shape[0], 4))
-        for p0 in range(lo, hi, width):
+        buf = np.empty((min(_DRAW_CHUNK, hi - lo), out.shape[0], 4))
+        for p0 in range(lo, hi, _DRAW_CHUNK):
             chunk = buf[:hi - p0]
             for row, key in zip(chunk, keys[p0:]):
                 bits.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
@@ -149,15 +151,13 @@ def _draw_paths(out: np.ndarray, d_tau: float, seed: int, first: int = 0) -> np.
     """Fill a time-major (n_steps, n, 4) view with the dWx of paths first ..
     first+n-1 and return it: column j is exactly path_generator(seed, first+j)'s
     normal(0.0, sqrt(d_tau), (n_steps, 4)). With all keys computed here,
-    _draw_workers(n) contiguous shares are drawn at once, the first on this
-    thread, in chunk buffers of 2 * _DRAW_CHUNK paths in all (as on 2 CPUs);
-    every thread is joined before a share's failure is raised."""
+    _draw_workers(n_steps, n) contiguous shares are drawn at once, the first
+    on this thread; every thread is joined before a share's failure is raised."""
     n_paths = out.shape[1]
     keys = _substream_keys(seed, np.arange(first, first + n_paths))
-    n, failures, started = _draw_workers(n_paths), [], []
-    width = min(_DRAW_CHUNK, 2 * _DRAW_CHUNK // n)
-    shares = [(out, keys, np.sqrt(d_tau), n_paths * i // n, n_paths * (i + 1) // n, width,
-               failures) for i in range(n)]
+    n, failures, started = _draw_workers(out.shape[0], n_paths), [], []
+    shares = [(out, keys, np.sqrt(d_tau), n_paths * i // n, n_paths * (i + 1) // n, failures)
+              for i in range(n)]
     try:
         for args in shares[1:]:
             (t := threading.Thread(target=_draw_share, args=args)).start()

@@ -308,16 +308,16 @@ def draw_shares(monkeypatch, workers):
     """Force workers shares and log the (lo, hi, thread) of each one drawn."""
     log, real = [], wiener._draw_share
 
-    def logged(out, keys, scale, lo, hi, width, failures):
+    def logged(out, keys, scale, lo, hi, failures):
         log.append((lo, hi, threading.get_ident()))
-        real(out, keys, scale, lo, hi, width, failures)
+        real(out, keys, scale, lo, hi, failures)
 
-    monkeypatch.setattr(wiener, "_draw_workers", lambda n_paths: workers)
+    monkeypatch.setattr(wiener, "_draw_workers", lambda n_steps, n_paths: workers)
     monkeypatch.setattr(wiener, "_draw_share", logged)
     return log
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("workers", [1, 2])
 def test_split_draw_equals_each_path_substream(workers, monkeypatch):
     seed, n_steps, n_paths, first, d_tau = 2**40 + 5, 7, 3 * _DRAW_CHUNK + 5, 7, 0.01
     log = draw_shares(monkeypatch, workers)
@@ -332,18 +332,18 @@ def test_split_draw_equals_each_path_substream(workers, monkeypatch):
         True] + [False] * (workers - 1)
 
 
-def test_ensembles_are_bit_equal_on_one_and_four_workers(monkeypatch):
+def test_ensembles_are_bit_equal_on_one_and_two_workers(monkeypatch):
     mix = np.array([[0.3j, 0.2, 0, 0], [0.2, -0.1j, 0, 0], [0, 0, 0.1, 0.05], [0, 0, 0.05, -0.1]])
     args = (linear_policy(mix), DiffusionSpec.natural(), np.zeros(4, dtype=complex), 0.01, 20)
     results = []
-    for workers in (1, 4):
+    for workers in (1, 2):
         draw_shares(monkeypatch, workers)
         ens = integrate(*args, 3 * _DRAW_CHUNK + 5, seed=9)
         act = estimate_action(quadratic_lagrangian(), *args, 300, seed=9)
         results.append((ens.states.copy().view(np.uint64), repr(act)))
-    (states1, action1), (states4, action4) = results
-    assert np.array_equal(states1, states4)
-    assert action1 == action4   # repr writes every float's shortest round-trip digits
+    (states1, action1), (states2, action2) = results
+    assert np.array_equal(states1, states2)
+    assert action1 == action2   # repr writes every float's shortest round-trip digits
 
 
 def test_a_failing_share_is_raised_after_every_thread_is_joined(monkeypatch):
@@ -355,20 +355,18 @@ def test_a_failing_share_is_raised_after_every_thread_is_joined(monkeypatch):
             raise MemoryError("no room for this share")
         return real_philox(seed)
 
-    monkeypatch.setattr(wiener, "_draw_workers", lambda n_paths: 3)
+    monkeypatch.setattr(wiener, "_draw_workers", lambda n_steps, n_paths: 2)
     monkeypatch.setattr(np.random, "Philox", philox)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="no room"):
-        _draw_paths(np.empty((5, 3 * _DRAW_CHUNK, 4)), 0.01, 3)
+        _draw_paths(np.empty((5, 2 * _DRAW_CHUNK, 4)), 0.01, 3)
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_a_split_draw_holds_two_chunk_buffers_at_most(workers, monkeypatch):
-    # four 64-path buffers would break _run_paths's block budget on 4 CPUs
-    n_steps, n_paths = 100, 8 * _DRAW_CHUNK
+def test_a_split_draw_holds_two_chunk_buffers_at_most():
+    # more chunk buffers would break _run_paths's block budget
+    n_steps, n_paths = wiener._SPLIT_STEPS, 8 * _DRAW_CHUNK
     out = np.empty((n_steps, n_paths, 4))
-    monkeypatch.setattr(wiener, "_draw_workers", lambda n: workers)
     _draw_paths(out, 0.01, 1)
     tracemalloc.start()
     try:
@@ -379,9 +377,12 @@ def test_a_split_draw_holds_two_chunk_buffers_at_most(workers, monkeypatch):
     assert peak <= 2 * _DRAW_CHUNK * n_steps * 4 * 8 + 64 * 1024, peak
 
 
-def test_a_draw_under_two_chunks_stays_on_the_calling_thread():
-    assert wiener._draw_workers(2 * _DRAW_CHUNK - 1) == 1
-    assert 1 <= wiener._draw_workers(10**6) <= 4
+def test_short_paths_and_draws_under_two_chunks_stay_on_the_calling_thread():
+    # a one-step draw, as bellman_consistency makes, is all re-keys, which hold the GIL
+    assert wiener._draw_workers(1, 10**6) == 1
+    assert wiener._draw_workers(wiener._SPLIT_STEPS - 1, 10**6) == 1
+    assert wiener._draw_workers(wiener._SPLIT_STEPS, 2 * _DRAW_CHUNK - 1) == 1
+    assert 1 <= wiener._draw_workers(wiener._SPLIT_STEPS, 10**6) <= 2
 
 
 NEGATIVE_SEED_CALLS = {
