@@ -5,17 +5,18 @@ workloads they come from.
 
 stochastic (those of `ensemble`):
 
-    wiener._draw_paths        34,236 paths x 200 steps, into one (STEPS, n, 4) buffer
-    sde.integrate             34,236 paths x 200 steps, whole trajectory stored
-    sde.estimate_action        4,096 paths x 200 steps, action only, in path blocks
-    wiener.moment_check       1e6 increment samples
+    wiener._draw_paths            34,236 paths x 200 steps, into one (STEPS, n, 4) buffer
+    wiener._draw_paths.one_step   200,000 paths x 1 step, the serial side of _SPLIT_STEPS
+    sde.integrate                 34,236 paths x 200 steps, whole trajectory stored
+    sde.estimate_action            4,096 paths x 200 steps, action only, in path blocks
+    wiener.moment_check           1e6 increment samples, streamed from stepped path blocks
 
 An entry also holds the throughput (path-steps/s, or samples/s for
 moment_check), the array bytes computed from the sizes (the one dWx buffer
 filled, the stored states, the action's one dWx block buffer plus its final
-states and actions, the (9, n) sample block of moment_check) and the peak
-bytes numpy allocated during one call, traced with tracemalloc outside the
-timed rounds.
+states and actions, moment_check's one dWx block buffer plus its one batch)
+and the peak bytes numpy allocated during one call, traced with tracemalloc
+outside the timed rounds.
 
 probe (those of `probe-sweep`, seed 1, 1,024 probes, its own inputs):
 
@@ -89,6 +90,7 @@ STEPS = 200
 D_TAU = 1e-3
 INTEGRATE_PATHS = 34_236
 ACTION_PATHS = 4_096
+ONE_STEP_PATHS = 200_000
 MOMENT_SAMPLES = 1_000_000
 F64 = 8
 SEED = 1
@@ -109,11 +111,15 @@ def stochastic(csoc, np, scale: int = 1) -> list:
     policy = csoc.linear_policy(matrix)
     lagrangian = csoc.quadratic_lagrangian(1.0, spec.metric)
     paths = max(1, INTEGRATE_PATHS // scale)
+    one_step_paths = max(1, ONE_STEP_PATHS // scale)
     action_paths = max(1, ACTION_PATHS // scale)
     samples = max(10_000, MOMENT_SAMPLES // scale)
 
     def increments(k):
         return csoc.wiener._draw_paths(np.empty((STEPS, max(1, paths // k), 4)), D_TAU, 11)
+
+    def one_step(k):
+        return csoc.wiener._draw_paths(np.empty((1, max(1, one_step_paths // k), 4)), D_TAU, 15)
 
     def integrate(k):
         return csoc.sde.integrate(policy, spec, z0, D_TAU, STEPS, max(1, paths // k), 12)
@@ -126,21 +132,27 @@ def stochastic(csoc, np, scale: int = 1) -> list:
         return csoc.wiener.moment_check(spec, np.zeros(4), np.zeros(4), D_TAU,
                                         max(10_000, samples // k), 14)
 
-    # estimate_action's dWx buffer holds its widest path block (sde's block rule)
-    per_block = min(csoc.sde._BLOCK_PATHS, max(2, csoc.sde._BLOCK_BYTES // (STEPS * 32)))
-    n_blocks = max(1, action_paths // per_block)
-    action_bytes = (STEPS * -(-action_paths // n_blocks) * 4 * F64
-                    + action_paths * 5 * 2 * F64)   # complex z (4 a path) and action
+    def block_bytes(n_paths):
+        """The dWx buffer of sde._path_blocks: its widest block of STEPS-step paths."""
+        per_block = min(csoc.sde._BLOCK_PATHS, max(2, csoc.sde._BLOCK_BYTES // (STEPS * 32)))
+        return STEPS * -(-n_paths // max(1, n_paths // per_block)) * 4 * F64
+
+    action_bytes = block_bytes(action_paths) + action_paths * 5 * 2 * F64   # z and action
+    wiener = csoc.wiener
+    moment_bytes = (block_bytes(-(-samples // wiener._TABLE_STEPS))
+                    + len(wiener._ROWS) * wiener._BATCH * F64)
     path_sizes = {"paths": paths, "steps": STEPS}
     layers = [
         ("wiener", "_draw_paths", path_sizes, paths * STEPS, "path-steps",
          paths * STEPS * 4 * F64, increments),
+        ("wiener", "_draw_paths.one_step", {"paths": one_step_paths, "steps": 1}, one_step_paths,
+         "path-steps", one_step_paths * 4 * F64, one_step),
         ("sde", "integrate", path_sizes, paths * STEPS, "path-steps",
          paths * (STEPS + 1) * 8 * F64, integrate),
         ("sde", "estimate_action", {"paths": action_paths, "steps": STEPS},
          action_paths * STEPS, "path-steps", action_bytes, action),
         ("wiener", "moment_check", {"samples": samples}, samples, "samples",
-         9 * samples * F64, moments),
+         moment_bytes, moments),
     ]
     out = []
     for layer, name, sizes, work, unit, array_bytes, call in layers:

@@ -11,7 +11,7 @@ from .errors import (AnalyticityError, CsocError, DomainError,
 from .spacetime import (MOSTLY_MINUS, MOSTLY_PLUS, Metric, boost_matrix,
                         contract, weak_equation_residual)
 from .wiener import (RNG_ALGORITHM, DiffusionSpec, MomentLine, MomentReport,
-                     complex_sigma_squared, moment_check, sample_increments)
+                     complex_sigma_squared, moment_check)
 from .sde import (ActionEstimate, BellmanResidual, TrajectoryEnsemble,
                   bellman_consistency, constant_policy, estimate_action,
                   integrate, integrate_with_increments, linear_policy,
@@ -39,7 +39,7 @@ __all__ = [
     "MOSTLY_MINUS", "MOSTLY_PLUS", "Metric", "boost_matrix", "contract",
     "weak_equation_residual",
     "RNG_ALGORITHM", "DiffusionSpec", "MomentLine", "MomentReport",
-    "complex_sigma_squared", "moment_check", "sample_increments",
+    "complex_sigma_squared", "moment_check",
     "ActionEstimate", "BellmanResidual", "TrajectoryEnsemble",
     "bellman_consistency", "constant_policy", "estimate_action", "integrate",
     "integrate_with_increments", "linear_policy", "pointwise_policy",

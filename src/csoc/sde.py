@@ -35,8 +35,8 @@ its states buffer. Each step adds its drift, then its noise, to the float
 view of the complex state through one (n, 4) complex scratch, made after the
 caller's turn and freed before the next policy call, so it is never held
 while a policy or Lagrangian runs.
-estimate_action and bellman_consistency store no states: their _run_paths
-steps the paths in max(1, n_paths // per_block) near-equal contiguous
+estimate_action, bellman_consistency and moment_check store no states: they
+step in _path_blocks, max(1, n_paths // per_block) near-equal contiguous
 blocks, per_block = min(2**16, max(2, 2**23 // (n_steps * 32))) being the
 paths whose dWx fill 8 MiB, capped at 2**16 paths so that at few steps the
 block-wide temporaries (substream keys, policy output, Lagrangian terms) stay
@@ -271,24 +271,33 @@ def integrate(policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float,
     return _integrate(policy, spec, z0, d_tau, states, tau0)
 
 
-def _run_paths(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float, n_steps: int,
-               n_paths: int, seed: int, tau0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each path's final state, (n_paths, 4), and action, (n_paths,), from z0 at
-    tau0, by Ito (left endpoint) quadrature: each step adds L(tau_t, z_t, w_t)
-    d_tau with w_t the same control used for stepping. The paths run in the
-    contiguous blocks of the module docstring, one reused dWx buffer for all."""
-    _check_grid(d_tau, n_steps, n_paths, tau0)
+def _path_blocks(policy: PolicyFn, spec: DiffusionSpec, z: np.ndarray, d_tau: float,
+                 n_steps: int, seed: int, tau0: float):
+    """The paths of z, (n_paths, 4), in the blocks of the module docstring: per
+    block its rows and _euler's steps over z[rows], with dWx drawn into one
+    reused buffer once the caller, holding no control of the last, asks."""
+    n_paths = len(z)
     per_block = min(_BLOCK_PATHS, max(2, _BLOCK_BYTES // (n_steps * 32)))
     n_blocks = max(1, n_paths // per_block)
     edges = [n_paths * b // n_blocks for b in range(n_blocks + 1)]
     dW = np.empty((n_steps, -(-n_paths // n_blocks), 4))
+    for p0, p1 in zip(edges, edges[1:]):
+        dWb = _draw_paths(dW[:, :p1 - p0], d_tau, seed, first=p0)
+        yield slice(p0, p1), _euler(policy, spec, z[p0:p1], d_tau, dWb, tau0)
+
+
+def _run_paths(lagrangian, policy: PolicyFn, spec: DiffusionSpec, z0, d_tau: float, n_steps: int,
+               n_paths: int, seed: int, tau0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each path's final state, (n_paths, 4), and action, (n_paths,), from z0 at
+    tau0, by Ito (left endpoint) quadrature over _path_blocks: each step adds
+    L(tau_t, z_t, w_t) d_tau with w_t the same control used for stepping."""
+    _check_grid(d_tau, n_steps, n_paths, tau0)
     z = _initial_state(z0, n_paths)
     action = np.zeros(n_paths, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        for p0, p1 in zip(edges, edges[1:]):
-            zb, ab = z[p0:p1], action[p0:p1]
-            dWb = _draw_paths(dW[:, :p1 - p0], d_tau, seed, first=p0)
-            for _, tau, w in _euler(policy, spec, zb, d_tau, dWb, tau0):
+        for rows, steps in _path_blocks(policy, spec, z, d_tau, n_steps, seed, tau0):
+            zb, ab = z[rows], action[rows]
+            for _, tau, w in steps:
                 value = np.asarray(lagrangian.value(tau, zb, w), dtype=np.complex128)
                 if value.shape not in ((), ab.shape):
                     raise DomainError(f"lagrangian returned shape {value.shape}, "

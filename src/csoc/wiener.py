@@ -10,10 +10,10 @@ product is
 per axis; only this product is exposed, never an individual complex factor.
 Defaults are natural units, hbar = m = c = 1.
 
-RNG: counter-based Philox (4x64, 10 rounds) seeded through numpy SeedSequence.
-Batch sampling uses SeedSequence(seed); ensemble integration elsewhere draws
-path k from the substream keyed by SeedSequence(entropy=seed, spawn_key=(k,)),
-a pure function of (seed, k). path_generator builds that stream for one path;
+RNG: counter-based Philox (4x64, 10 rounds), one stream per path: path k of a
+run draws from the substream keyed by SeedSequence(entropy=seed,
+spawn_key=(k,)), a pure function of (seed, k), and the moment table
+tabulates paths stepped so. path_generator builds that stream for one path;
 _draw_paths, the one draw of an ensemble or of a block of its paths, computes
 all their keys in one vectorized pass and re-keys a generator per path,
 drawing paths of _SPLIT_STEPS steps or more in contiguous shares on up to 2
@@ -24,6 +24,7 @@ record the algorithm as RNG_ALGORITHM.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import os
 import threading
@@ -43,12 +44,6 @@ def _check_index(value: int, name: str) -> int:
     if (value := operator.index(value)) < 0:
         raise DomainError(f"{name} must be nonnegative, got {value}")
     return value
-
-
-def generator(seed: int) -> np.random.Generator:
-    """Deterministic generator for a flat batch."""
-    seed = _check_index(seed, "seed")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def path_generator(seed: int, path: int) -> np.random.Generator:
@@ -229,27 +224,9 @@ def _check_d_tau(d_tau: float) -> None:
         raise DomainError(f"d_tau must be finite and positive, got {d_tau}")
 
 
-def sample_increments(spec: DiffusionSpec, d_tau: float, n: int,
-                      seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n paired Wiener increments (dWx, dWy), each (n, 4), over one step.
-
-    dWx^mu ~ N(0, d_tau) i.i.d. per axis; dWy^mu = epsilon eta^{mumu} dWx^mu
-    exactly (sign copy of the same floats). Both arrays are read-only.
-    """
-    _check_d_tau(d_tau)
-    if n < 1:
-        raise DomainError(f"n must be at least 1, got {n}")
-    rng = generator(seed)
-    dWx = rng.normal(0.0, np.sqrt(d_tau), size=(n, 4))
-    dWy = dWx * spec.sign_copy  # multiplication by +-1 is exact
-    dWx.flags.writeable = False
-    dWy.flags.writeable = False
-    return dWx, dWy
-
-
 @dataclass(frozen=True)
 class MomentLine:
-    """One estimated moment against its order-d_tau target."""
+    """One estimated moment against its target."""
 
     name: str
     estimate: float
@@ -287,28 +264,54 @@ def _zscore(estimate: float, target: float, stderr: float) -> float:
 
 
 _Z_MAX = 5.0   # the largest |z-score| of an unflagged moment line
+_TABLE_STEPS = 200   # steps of each path whose differences the moment table takes
+_BATCH = 2**13       # differences folded into the running moments at once
+_ROWS = [f"dx{mu}" for mu in range(4)] + [f"dy{mu}" for mu in range(4)]
+# the second-moment lines as pairs of rows: dx dx, dy dy, then dx dy
+_PAIRS = ([(mu, nu) for mu in range(4) for nu in range(mu, 4)]
+          + [(4 + mu, 4 + nu) for mu in range(4) for nu in range(mu, 4)]
+          + [(mu, 4 + nu) for mu in range(4) for nu in range(4)])
+
+
+def _fold(acc: list, block: np.ndarray) -> None:
+    """Fold a batch of differences, (8, m) rows dx^0..dx^3, dy^0..dy^3, into
+    acc = [count, mean, M2] of each line (M2: sum of squared deviations) by
+    the pairwise update of Chan, Golub and LeVeque (1979); a product line's
+    part comes from the batch's centered co-moments (Pebay, SAND2008-6212)."""
+    m, (i, j) = block.shape[1], np.array(_PAIRS).T
+    mu = np.add.reduce(block, axis=1) / m
+    block -= mu[:, None]
+    sq = block * block
+    s, t, q = block @ block.T, block @ sq.T, sq @ sq.T   # sums of a a, a a^2, a^2 a^2
+    # x_i x_j - its mean = (a_i a_j - c / m) + mu_i a_j + mu_j a_i, as sum a = 0
+    c = s[i, j]
+    mean = np.concatenate([mu, mu[i] * mu[j] + c / m])
+    m2 = np.concatenate([s.diagonal(), q[i, j] - c * c / m + 2 * (mu[i] * t[i, j] + mu[j] * t[j, i])
+                         + mu[i] ** 2 * s[j, j] + mu[j] ** 2 * s[i, i] + 2 * mu[i] * mu[j] * c])
+    count, total, delta = acc[0], acc[0] + m, mean - acc[1]
+    acc[:] = (total, acc[1] + delta * (m / total),
+              acc[2] + m2 + delta * delta * (count * m / total))
 
 
 def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
                  d_tau: float, n: int, seed: int) -> MomentReport:
     """Estimate all first and second increment moments and flag outliers.
 
-    Targets are the order-d_tau values: <dx^mu> = v^mu d_tau,
-    <dy^mu> = u^mu d_tau, <dx dx> and <dy dy> diagonal sigma^2 d_tau
-    (off-diagonal 0), and <dx^mu dy^nu> = epsilon eta^{mumu} sigma_x sigma_y
-    d_tau on the diagonal (0 off it). Standard errors are sample standard
-    deviations over the batch divided by sqrt(n); a line is flagged unless
-    |z| <= _Z_MAX, so a NaN z-score is flagged.
+    Targets are the moments of an Euler increment under the constant drift:
+    <dx^mu> = v^mu d_tau, <dy^mu> = u^mu d_tau, and each second moment the
+    product of its two means plus the covariance: sigma^2 d_tau on the
+    diagonal of <dx dx> and <dy dy>, epsilon eta^{mumu} sigma_x sigma_y d_tau
+    on that of <dx dy>, 0 off them. Standard errors are sample standard
+    deviations divided by sqrt(n); a line is flagged unless |z| <= _Z_MAX,
+    so a NaN z-score is flagged.
 
-    The samples are those of sample_increments(spec, d_tau, n, seed), held
-    in one (9, n) float64 block, 72 MB at 1e6 samples, half of what a
-    separate draw, sign copy, per-axis tables and per-line temporaries take:
-    rows 0-3 are dx, rows 4-7 dy, and row 8 holds each line's product and
-    deviations. dy is the sign copy of the raw draw, formed before dx is
-    scaled, so each sheet carries its own amplitude only. Each line sums
-    and divides as ndarray.mean() and ndarray.std(ddof=1) do, in numpy's
-    order, so every estimate and standard error keeps its bits.
+    The samples are the increments the stepper takes: the first n state
+    differences z_{t+1} - z_t, path by path, of ceil(n / _TABLE_STEPS) paths
+    from z0 = 0 under constant_policy(v + iu), stepped in sde._path_blocks.
+    They stream through one (8, _BATCH) batch, folded (_fold) before a step
+    overfills it, so the table holds one path block's dWx and one batch.
     """
+    from . import sde
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
     if v.shape != (4,) or u.shape != (4,):
@@ -316,53 +319,38 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
     if n < 10_000:
         raise DomainError(f"n must be at least 10000 for stable moments, got {n}")
     _check_d_tau(d_tau)
-    rng = generator(seed)
-    block = np.empty((9, n))
-    dx, dy, scratch = block[0:4], block[4:8], block[8]
-    # the (n, 4) draw lands in dy's rows; 0.0 + sqrt(d_tau) z is how
-    # rng.normal forms dWx, and the + 0.0 turns a -0.0 into +0.0
-    draw = dy.reshape(n, 4)
-    rng.standard_normal(out=draw)
-    draw *= np.sqrt(d_tau)
-    draw += 0.0
-    dx[...] = draw.T
-    # per-axis rows: dy[mu] is sigma_y^mu dWy^mu + u^mu d_tau with the exact
-    # dWy^mu = epsilon eta^{mumu} dWx^mu, dx[mu] is sigma_x^mu dWx^mu + v^mu d_tau
-    np.multiply(dx, spec.sign_copy[:, None], out=dy)
-    dx *= spec.sigma_x[:, None]
-    dx += (v * d_tau)[:, None]
-    dy *= spec.sigma_y[:, None]
-    dy += (u * d_tau)[:, None]
-
-    lines: list[MomentLine] = []
-
-    def add(name: str, samples: np.ndarray, target: float):
-        mean = np.add.reduce(samples) / n
-        np.subtract(samples, mean, out=scratch)
-        np.square(scratch, out=scratch)
-        se = float(np.sqrt(np.add.reduce(scratch) / (n - 1)) / np.sqrt(n))
-        est = float(mean)
-        z = _zscore(est, target, se)
-        lines.append(MomentLine(name, est, float(target), se, z, not abs(z) <= _Z_MAX))
-
-    for mu in range(4):
-        add(f"dx{mu}", dx[mu], v[mu] * d_tau)
-    for mu in range(4):
-        add(f"dy{mu}", dy[mu], u[mu] * d_tau)
+    z = np.zeros((-(-n // _TABLE_STEPS), 4), dtype=np.complex128)
+    batch = np.empty((len(_ROWS), _BATCH))
+    coords = batch.reshape(2, 4, _BATCH)   # dx^mu, then dy^mu
+    acc, fill = [0, 0.0, 0.0], 0
+    policy = sde.constant_policy(v + 1j * u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, steps in sde._path_blocks(policy, spec, z, d_tau, _TABLE_STEPS, seed, 0.0):
+            now = z[rows].view(np.float64)   # x^0, y^0, x^1, y^1, ... of each path
+            before = np.empty(now.shape)
+            # each step yields z_t before it moves the paths; t = _TABLE_STEPS ends them
+            for t, *_ in itertools.chain(steps, [(_TABLE_STEPS,)]):
+                if t:   # batch step t-1's differences of the paths among the first n
+                    k = min(rows.stop, -(-(n - t + 1) // _TABLE_STEPS)) - rows.start
+                    if fill + k > _BATCH:
+                        _fold(acc, batch[:, :fill])
+                        fill = 0
+                    diff = np.subtract(now[:k], before[:k], out=before[:k])
+                    coords[..., fill:fill + k] = diff.reshape(k, 4, 2).T
+                    fill += k
+                np.copyto(before, now)
+        _fold(acc, batch[:, :fill])
+    _, mean, m2 = acc
     sx, sy = spec.sigma_x, spec.sigma_y
-    eta = spec.metric.eta
-    for mu in range(4):
-        for nu in range(mu, 4):
-            target = sx[mu] * sx[mu] * d_tau if mu == nu else 0.0
-            add(f"dx{mu}dx{nu}", np.multiply(dx[mu], dx[nu], out=scratch), target)
-    for mu in range(4):
-        for nu in range(mu, 4):
-            target = sy[mu] * sy[mu] * d_tau if mu == nu else 0.0
-            add(f"dy{mu}dy{nu}", np.multiply(dy[mu], dy[nu], out=scratch), target)
-    for mu in range(4):
-        for nu in range(4):
-            # epsilon * eta, not sign_copy: a target that moved with the draw could not flag it
-            target = spec.epsilon * eta[mu] * sx[mu] * sy[mu] * d_tau if mu == nu else 0.0
-            add(f"dx{mu}dy{nu}", np.multiply(dx[mu], dy[nu], out=scratch), target)
-
+    first = np.concatenate([v, u]) * d_tau
+    cov = np.diag(np.concatenate([sx * sx, sy * sy]))
+    # epsilon * eta, not sign_copy: a target that moved with the draw could not flag it
+    cov[range(4), range(4, 8)] = spec.epsilon * spec.metric.eta * sx * sy
+    targets = [*first, *(cov[i, j] * d_tau + first[i] * first[j] for i, j in _PAIRS)]
+    names = _ROWS + [_ROWS[i] + _ROWS[j] for i, j in _PAIRS]
+    lines = []
+    for name, est, sq, target in zip(names, mean.tolist(), m2.tolist(), targets):
+        se = float(np.sqrt(sq / (n - 1)) / np.sqrt(n))
+        z_line = _zscore(est, float(target), se)
+        lines.append(MomentLine(name, est, float(target), se, z_line, not abs(z_line) <= _Z_MAX))
     return MomentReport(lines=tuple(lines), n=n, d_tau=float(d_tau), z_max=_Z_MAX)

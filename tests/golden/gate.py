@@ -3,19 +3,24 @@
 digests.json holds, for each config in CONFIGS, the SHA-256 of every file a
 run writes except manifest.json (whose timestamp changes every run), the
 `passed` flag and `value` of every check in its reports, and the numpy
-version, Python version and platform the digests were recorded on.
+version, Python version, platform and SIMD dispatch targets the digests were
+recorded on.
 
     python tests/golden/gate.py record             # rerun every config, rewrite digests.json
     python tests/golden/gate.py check              # rerun every config, compare each
     python tests/golden/gate.py compare NAME DIR   # check a finished run of config NAME in DIR
 
-A comparison made on the recording's numpy, Python and platform compares
-bytes: every artifact must have its recorded digest. Elsewhere numpy's or
-libm's arithmetic may round a last bit differently, and most check values
-are stencil roundoff, so it compares values instead: the same artifact
-names, the same checks with the same `passed` flags, and each value within
-VALUE_RTOL of the recorded one plus a floor of FLOOR_SHARE times the
-check's limit. Either way the comparison says which one it made.
+A comparison made on the recording's numpy, Python, platform and dispatch
+targets compares bytes: every artifact must have its recorded digest. numpy
+picks its kernels at run time from the CPU, and NPY_DISABLE_CPU_FEATURES
+turns targets off, so the targets are part of the environment; where numpy
+does not expose them they read "unknown", which never compares bytes.
+Elsewhere numpy's or libm's arithmetic may round a last bit differently,
+and most check values are stencil roundoff, so it compares values instead:
+the same artifact names, the same checks with the same `passed` flags, and
+each value within VALUE_RTOL of the recorded one plus a floor of
+FLOOR_SHARE times the check's limit. Either way the comparison says which
+one it made.
 """
 
 from __future__ import annotations
@@ -52,11 +57,23 @@ VALUE_RTOL = 1e-6    # relative tolerance of a check value under the value compa
 FLOOR_SHARE = 0.05   # plus this share of the check's limit, as an absolute floor
 
 
+def simd_targets() -> list[str] | str:
+    """numpy's enabled SIMD dispatch targets: each of its __cpu_dispatch__
+    whose __cpu_features__ flag is true; "unknown" where numpy does not say."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+    except (ImportError, AttributeError, KeyError, TypeError):
+        return "unknown"
+
+
 def environment() -> dict:
-    """What decides the bits of a run: numpy, Python and the platform."""
+    """What decides the bits of a run: numpy, Python, the platform and the
+    SIMD targets numpy dispatches to."""
     libc = "-".join(platform.libc_ver())
     return {"numpy": np.__version__, "python": platform.python_version(),
-            "platform": f"{platform.system()}-{platform.machine()}-{libc}"}
+            "platform": f"{platform.system()}-{platform.machine()}-{libc}",
+            "simd": simd_targets()}
 
 
 def run_config(name: str, out_dir: Path) -> list[str]:
@@ -108,7 +125,8 @@ def compare(name: str, out_dir: Path, golden: dict | None = None) -> tuple[str, 
     problems = []
     if sorted(got["sha256"]) != sorted(want["sha256"]):
         problems.append(f"artifacts {sorted(got['sha256'])}, recorded {sorted(want['sha256'])}")
-    if environment() == golden["environment"]:
+    here = environment()
+    if here == golden["environment"] and here["simd"] != "unknown":
         problems += [f"{f}: sha256 {got['sha256'].get(f)}, recorded {h}"
                      for f, h in want["sha256"].items() if got["sha256"].get(f) != h]
         return "bytes", problems

@@ -20,8 +20,8 @@ SMALL = {"probes": "2", "n_paths": "10000", "demo_paths": "2", "n_steps": "3"}
 def test_every_timed_layer_runs_at_its_smallest_size():
     entries = layers.stochastic(csoc, np, 10**9)   # one path, or 10,000 samples
     assert [(r["layer"], r["name"]) for r, _ in entries] == [
-        ("wiener", "_draw_paths"), ("sde", "integrate"), ("sde", "estimate_action"),
-        ("wiener", "moment_check")]
+        ("wiener", "_draw_paths"), ("wiener", "_draw_paths.one_step"), ("sde", "integrate"),
+        ("sde", "estimate_action"), ("wiener", "moment_check")]
     for record, timed in entries:
         assert record["peak_traced_bytes"] > 0
         assert timed["call"]() is not None
@@ -70,7 +70,8 @@ def test_one_run_records_every_entry_against_the_yardstick():
         assert all(len(q) == 3 for q in entry["quartiles_s"].values())
         assert all(len(t) == 1 for t in entry["times_s"].values())
     assert families == {
-        "stochastic": ["_draw_paths", "integrate", "estimate_action", "moment_check"],
+        "stochastic": ["_draw_paths", "_draw_paths.one_step", "integrate", "estimate_action",
+                       "moment_check"],
         "probe": ["analyticity_scan", "equivalence_audit", "hjb_residual_probe.em",
                   "hjb_residual_probe.newton", "hjb_residual_pair", "route_consistency",
                   "linearized_residual"],

@@ -2,13 +2,17 @@
 
 tests/golden/gate.py records the SHA-256 of every artifact and every check's
 value at each config; here the two cheap configs rerun in a subprocess under
--W error and are compared bytes for bytes on the recording's numpy, Python
-and platform, and by check values elsewhere. CI's `gate.py check` reruns all.
+-W error and are compared bytes for bytes on the recording's numpy, Python,
+platform and SIMD dispatch targets, and by check values elsewhere. CI's
+`gate.py check` reruns all.
 """
 
 import copy
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,11 +23,13 @@ gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
 GOLDEN = json.loads(gate.GOLDEN.read_text())
+# the dispatch targets CI's third gate step turns off
+NO_WIDE_KERNELS = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
 
 
 def test_every_ci_config_is_recorded_with_its_environment():
     assert sorted(GOLDEN["configs"]) == sorted(gate.CONFIGS)
-    assert sorted(GOLDEN["environment"]) == ["numpy", "platform", "python"]
+    assert sorted(GOLDEN["environment"]) == ["numpy", "platform", "python", "simd"]
     for name, recorded in GOLDEN["configs"].items():
         assert recorded["commands"] == [list(a) for a in gate.CONFIGS[name]]
         assert recorded["sha256"] and "manifest.json" not in recorded["sha256"]
@@ -35,6 +41,9 @@ def test_ci_runs_the_check_and_runs_csoc_only_where_it_expects_exit_3():
     assert steps.count("python tests/golden/gate.py check") == 1
     # on one CPU every ensemble draw takes the one-share path
     assert steps.count("taskset -c 0 python tests/golden/gate.py check") == 1
+    # with numpy's widest kernels off the gate compares values
+    assert steps.count(f'NPY_DISABLE_CPU_FEATURES="{NO_WIDE_KERNELS}" '
+                       "python tests/golden/gate.py check") == 1
     assert all(step.endswith('test "$code" -eq 3') for step in steps if "csoc.cli run" in step)
 
 
@@ -113,3 +122,20 @@ def test_the_value_comparison_allows_roundoff_and_nothing_more(default_run, tmp_
     (out / "gammas.json").unlink()
     _, problems = gate.compare("default", out, elsewhere())
     assert problems[0].startswith("artifacts ")
+
+
+def test_the_gate_compares_values_where_numpy_dispatches_other_kernels(default_run):
+    # as CI's third gate step runs it; the run itself was made with every kernel on
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_WIDE_KERNELS)
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "golden" / "gate.py"), "compare",
+                           "default", str(default_run)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "golden gate default: compared values, no difference\n"
+
+
+def test_unknown_dispatch_targets_never_compare_bytes(default_run, monkeypatch):
+    monkeypatch.setattr(gate, "simd_targets", lambda: "unknown")
+    golden = copy.deepcopy(GOLDEN)
+    golden["environment"] = gate.environment()
+    assert gate.compare("default", default_run, golden) == ("values", [])

@@ -58,12 +58,28 @@ DEFECTS = (
     Defect("sign-copy-without-epsilon", "wiener.py",
            "return self.epsilon * self.metric.eta", "return self.metric.eta",
            ("run", "moments", "--epsilon", "-1"), {"moments": ("flagged-lines",)}),
-    # dy copied from dx after dx is scaled, so the imaginary sheet carries
-    # sigma_x sigma_y: invisible while sigma_x = 1, as at the default config
-    Defect("sign-copy-after-scaling", "wiener.py",
-           "np.multiply(dx, spec.sign_copy[:, None], out=dy)\n    dx *= spec.sigma_x[:, None]",
-           "dx *= spec.sigma_x[:, None]\n    np.multiply(dx, spec.sign_copy[:, None], out=dy)",
+    # the stepper's real-sheet noise at half its amplitude, at a sigma_x
+    # other than 1: the moment table reads the stepper's own increments
+    Defect("stepper-sigma-x-halved", "sde.py",
+           "np.multiply(dx, spec.sigma_x, out=step.real)",
+           "np.multiply(dx, 0.5 * spec.sigma_x, out=step.real)",
            ("run", "moments", "--sigma-x", "0.7"), {"moments": ("flagged-lines",)}),
+    # the stepper's dWy signed by eta alone, so anticorrelated sheets step
+    # correlated; the sign copy of DiffusionSpec stays right
+    Defect("stepper-dwy-without-epsilon", "sde.py",
+           "sigma_y = spec.sigma_y * spec.sign_copy", "sigma_y = spec.sigma_y * spec.metric.eta",
+           ("run", "moments", "--epsilon", "-1"), {"moments": ("flagged-lines",)}),
+    # the stepper's dWy negated at either epsilon
+    Defect("stepper-dwy-negated", "sde.py",
+           "sigma_y = spec.sigma_y * spec.sign_copy", "sigma_y = spec.sigma_y * -spec.sign_copy",
+           ("run", "moments"), {"moments": ("flagged-lines",)}),
+    # the stepper drops the imaginary drift u d_tau: seen through the drift
+    # that run_moments steps with
+    Defect("stepper-imaginary-drift-dropped", "sde.py",
+           "step = w.copy()   # C order, as w may be broadcast, strided or read-only",
+           "step = w.copy()   # C order, as w may be broadcast, strided or read-only\n"
+           "        step.imag = 0",
+           ("run", "moments"), {"moments": ("flagged-lines",)}),
     # the central first difference divided by h instead of 2h
     Defect("first-difference-over-h", "ccalc.py",
            "_quot(v[:4] - v[4:], 2 * h, pydiv)", "_quot(v[:4] - v[4:], h, pydiv)",

@@ -1,17 +1,18 @@
 """Paired Wiener increments: sign-copy rule, complex variance, moment targets."""
 
+import math
 import threading
 import time
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from csoc import wiener
+from csoc import sde, wiener
 from csoc.errors import DomainError
 from csoc.lagrangian import quadratic_lagrangian
-from csoc.sde import constant_policy, estimate_action, integrate, linear_policy, path_increments
+from csoc.sde import (constant_policy, estimate_action, integrate, integrate_with_increments,
+                      linear_policy, path_increments)
 from csoc.spacetime import MOSTLY_MINUS, MOSTLY_PLUS
 from csoc.wiener import (
     DiffusionSpec,
@@ -24,7 +25,6 @@ from csoc.wiener import (
     complex_sigma_squared,
     moment_check,
     path_generator,
-    sample_increments,
 )
 
 
@@ -81,42 +81,17 @@ def test_sign_copy_factor():
     assert np.array_equal(spec.sign_copy, [-1.0, 1.0, 1.0, 1.0])
 
 
-def test_increments_are_bit_exact_signed_copies():
-    spec = DiffusionSpec.natural()
-    dWx, dWy = sample_increments(spec, d_tau=0.01, n=1000, seed=42)
-    assert np.array_equal(dWy, dWx * spec.sign_copy)
-    assert np.array_equal(dWy[:, 0], -dWx[:, 0])
-    assert np.array_equal(dWy[:, 1], dWx[:, 1])
-
-
-def test_increment_sheets_fully_anticorrelated_on_time_axis():
-    spec = DiffusionSpec.natural()
-    dWx, dWy = sample_increments(spec, d_tau=0.01, n=5000, seed=1)
-    corr = np.corrcoef(dWx[:, 0], dWy[:, 0])[0, 1]
-    assert abs(corr + 1.0) < 1e-12
-
-
-def test_single_increment_batch():
-    spec = DiffusionSpec.natural()
-    dWx, dWy = sample_increments(spec, d_tau=0.5, n=1, seed=9)
-    assert dWx.shape == dWy.shape == (1, 4)
-    assert dWy[0, 1] == dWx[0, 1]
-
-
 def test_increments_deterministic_in_seed():
-    spec = DiffusionSpec.natural()
-    a, _ = sample_increments(spec, 0.01, 256, seed=7)
-    b, _ = sample_increments(spec, 0.01, 256, seed=7)
-    c, _ = sample_increments(spec, 0.01, 256, seed=8)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    a = path_increments(0.01, 64, seed=7, path=3)
+    assert np.array_equal(a, path_increments(0.01, 64, seed=7, path=3))
+    assert not np.array_equal(a, path_increments(0.01, 64, seed=8, path=3))
+    assert not np.array_equal(a, path_increments(0.01, 64, seed=7, path=4))
 
 
 def test_increment_variance_matches_step():
-    spec = DiffusionSpec.natural()
     d_tau = 0.01
     n = 100_000
-    dWx, _ = sample_increments(spec, d_tau, n, seed=3)
+    dWx = _draw_paths(np.empty((1, n, 4)), d_tau, seed=3)[0]
     # sampling error of a variance estimate is about d_tau sqrt(2/n)
     tol = 5.0 * d_tau * np.sqrt(2.0 / n)
     for mu in range(4):
@@ -124,19 +99,10 @@ def test_increment_variance_matches_step():
 
 
 def test_increment_scale_follows_sqrt_step():
-    spec = DiffusionSpec.natural()
-    small, _ = sample_increments(spec, 0.01, 512, seed=5)
-    big, _ = sample_increments(spec, 0.04, 512, seed=5)
-    # same seed, 4x the step: same normals scaled by 2
+    small = path_increments(0.01, 128, seed=5, path=2)
+    big = path_increments(0.04, 128, seed=5, path=2)
+    # same substream, 4x the step: same normals scaled by 2
     assert np.allclose(big, 2.0 * small, rtol=1e-12)
-
-
-def test_increments_reject_bad_arguments():
-    spec = DiffusionSpec.natural()
-    with pytest.raises(DomainError):
-        sample_increments(spec, 0.0, 10, seed=0)
-    with pytest.raises(DomainError):
-        sample_increments(spec, 0.01, 0, seed=0)
 
 
 def test_moment_check_zero_drift_passes():
@@ -176,8 +142,6 @@ def test_increments_require_a_finite_positive_step():
     spec = DiffusionSpec.natural()
     for d_tau in (np.nan, np.inf, 0.0, -0.01):
         with pytest.raises(DomainError):
-            sample_increments(spec, d_tau, 16, seed=0)
-        with pytest.raises(DomainError):
             moment_check(spec, [0] * 4, [0] * 4, d_tau, n=20_000, seed=0)
 
 
@@ -196,23 +160,36 @@ def test_moment_check_requires_large_batch():
         moment_check(spec, [0, 0, 0, 0], [0, 0, 0, 0], 0.01, n=9_999, seed=0)
 
 
+def reference_increments(spec, v, u, d_tau, n, seed):
+    """The first n state differences, path by path, of ceil(n / _TABLE_STEPS)
+    paths from 0 under constant_policy(v + iu), integrated from their
+    path_increments: an (n, 8) array of dx^0..dx^3, dy^0..dy^3."""
+    steps = wiener._TABLE_STEPS
+    dWx = np.stack([path_increments(d_tau, steps, seed, k) for k in range(-(-n // steps))])
+    ens = integrate_with_increments(constant_policy(v + 1j * u), spec, np.zeros(4), d_tau, dWx)
+    return np.diff(ens.states, axis=1).reshape(-1, 8)[:n]
+
+
 def reference_moment_check(spec, v, u, d_tau, n, seed, z_max=5.0):
-    """moment_check as plain numpy: sample_increments, per-axis tables, and
-    .mean() and .std(ddof=1) of each line's samples."""
+    """moment_check as plain numpy: reference_increments, and .mean() and
+    .std(ddof=1) of each line's samples."""
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
-    dWx, dWy = sample_increments(spec, d_tau, n, seed)
-    dx = np.ascontiguousarray(dWx.T) * spec.sigma_x[:, None] + (v * d_tau)[:, None]
-    dy = np.ascontiguousarray(dWy.T) * spec.sigma_y[:, None] + (u * d_tau)[:, None]
+    d = reference_increments(spec, v, u, d_tau, n, seed)
+    dx, dy = d[:, :4].T, d[:, 4:].T
+    mx, my = v * d_tau, u * d_tau
     sx, sy, eta = spec.sigma_x, spec.sigma_y, spec.metric.eta
-    table = [(f"dx{mu}", dx[mu], v[mu] * d_tau) for mu in range(4)]
-    table += [(f"dy{mu}", dy[mu], u[mu] * d_tau) for mu in range(4)]
-    table += [(f"dx{mu}dx{nu}", dx[mu] * dx[nu], sx[mu] * sx[mu] * d_tau if mu == nu else 0.0)
+    table = [(f"dx{mu}", dx[mu], mx[mu]) for mu in range(4)]
+    table += [(f"dy{mu}", dy[mu], my[mu]) for mu in range(4)]
+    table += [(f"dx{mu}dx{nu}", dx[mu] * dx[nu],
+               (sx[mu] * sx[mu] if mu == nu else 0.0) * d_tau + mx[mu] * mx[nu])
               for mu in range(4) for nu in range(mu, 4)]
-    table += [(f"dy{mu}dy{nu}", dy[mu] * dy[nu], sy[mu] * sy[mu] * d_tau if mu == nu else 0.0)
+    table += [(f"dy{mu}dy{nu}", dy[mu] * dy[nu],
+               (sy[mu] * sy[mu] if mu == nu else 0.0) * d_tau + my[mu] * my[nu])
               for mu in range(4) for nu in range(mu, 4)]
     table += [(f"dx{mu}dy{nu}", dx[mu] * dy[nu],
-               spec.epsilon * eta[mu] * sx[mu] * sy[mu] * d_tau if mu == nu else 0.0)
+               (spec.epsilon * eta[mu] * sx[mu] * sy[mu] if mu == nu else 0.0) * d_tau
+               + mx[mu] * my[nu])
               for mu in range(4) for nu in range(4)]
     lines = []
     for name, samples, target in table:
@@ -220,7 +197,7 @@ def reference_moment_check(spec, v, u, d_tau, n, seed, z_max=5.0):
         se = float(samples.std(ddof=1) / np.sqrt(n))
         z = _zscore(est, target, se)
         lines.append(MomentLine(name, est, float(target), se, z, not abs(z) <= z_max))
-    return lines
+    return d, lines
 
 
 def same_value(a, b) -> bool:
@@ -228,6 +205,12 @@ def same_value(a, b) -> bool:
     if isinstance(a, float):
         return (a == b and np.signbit(a) == np.signbit(b)) or (np.isnan(a) and np.isnan(b))
     return a == b
+
+
+def rows_sorted(rows):
+    """The rows of an (n, 8) float array as their bits, in lexicographic order."""
+    bits = np.ascontiguousarray(rows).view(np.uint64)
+    return bits[np.lexsort(bits.T[::-1])]
 
 
 UNEQUAL = ([0.3, 0.7, 1.1, 0.0], [0.9, 0.2, 0.0, 1.3])  # a zero-width axis on each sheet
@@ -239,32 +222,54 @@ DRIFTS = (([0.0] * 4, [0.0] * 4),
 @pytest.mark.parametrize("n", (10_000, 12_345, 100_000))
 @pytest.mark.parametrize("epsilon", (1, -1))
 @pytest.mark.parametrize("metric", (MOSTLY_PLUS, MOSTLY_MINUS), ids=("plus", "minus"))
-def test_moment_check_equals_reference_bit_for_bit(metric, epsilon, n):
-    # also pins standard_normal * sqrt(d_tau) + 0.0 == normal(0, sqrt(d_tau))
+def test_moment_check_equals_reference_bit_for_bit(metric, epsilon, n, monkeypatch):
+    # bit for bit in its samples: the table folds exactly the reference's n
+    # state differences (a multiset: blocks and batches order them otherwise);
+    # its lines then agree with .mean() and .std(ddof=1) to 1e-12 of each
+    # line's sample scale, the root mean square of its samples, since the
+    # fold and a two-pass sum round differently by a share of the terms summed
+    folded, fold = [], wiener._fold
+
+    def logged(acc, block):
+        folded.append(block.copy())   # dx and dy, before the fold overwrites them
+        fold(acc, block)
+
+    monkeypatch.setattr(wiener, "_fold", logged)
     for sigma_x, sigma_y in ((1.0, 1.0), UNEQUAL):
         spec = DiffusionSpec(sigma_x=sigma_x, sigma_y=sigma_y, epsilon=epsilon, metric=metric)
         for v, u in DRIFTS:
+            folded.clear()
             report = moment_check(spec, v, u, d_tau=0.03, n=n, seed=n + 1)
-            want = reference_moment_check(spec, v, u, d_tau=0.03, n=n, seed=n + 1)
+            samples, want = reference_moment_check(spec, v, u, d_tau=0.03, n=n, seed=n + 1)
+            dx_dy = np.concatenate(folded, axis=1).T
+            assert np.array_equal(rows_sorted(dx_dy), rows_sorted(samples))
             assert len(report.lines) == len(want) == 44
             for got, ref in zip(report.lines, want):
-                for field in fields(MomentLine):
-                    a, b = getattr(got, field.name), getattr(ref, field.name)
-                    assert same_value(a, b), (ref.name, field.name, a, b)
+                assert (got.name, got.flagged) == (ref.name, ref.flagged)
+                assert same_value(got.target, ref.target), ref.name
+                assert same_value(got.zscore, _zscore(got.estimate, got.target, got.stderr))
+                scale = math.hypot(ref.estimate, ref.stderr * math.sqrt(n))
+                for field, tol in (("estimate", scale), ("stderr", scale / math.sqrt(n))):
+                    a, b = getattr(got, field), getattr(ref, field)
+                    assert same_value(a, b) or abs(a - b) <= 1e-12 * tol, (ref.name, field, a, b)
 
 
-def test_moment_check_holds_one_nine_row_block():
+def test_moment_check_memory_does_not_grow_with_the_sample_count():
     spec = DiffusionSpec(sigma_x=UNEQUAL[0], sigma_y=UNEQUAL[1], epsilon=-1)
-    n = 100_000
     # the first Generator imports numpy.random's pickling helpers; that is not the table
     moment_check(spec, [0.0] * 4, [0.0] * 4, d_tau=0.01, n=10_000, seed=3)
-    tracemalloc.start()
-    try:
-        moment_check(spec, [0.0] * 4, [0.0] * 4, d_tau=0.01, n=n, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9 * n * 8 + 64 * 1024, peak / (n * 8)
+    # under 16 MiB of path-block dWx (sde's block rule), one batch of dx and
+    # dy, and the two draw chunks of a split draw
+    bound = (2 * sde._BLOCK_BYTES + 8 * wiener._BATCH * 8
+             + 2 * _DRAW_CHUNK * wiener._TABLE_STEPS * 4 * 8 + 64 * 1024)
+    for n in (100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            moment_check(spec, [0.0] * 4, [0.0] * 4, d_tau=0.01, n=n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (n, peak / 2**20)
 
 
 SEED_GRID = (0, 1, 7, 2**31 - 1, 2**32, 2**40 + 5, 2**130 + 3)
@@ -386,7 +391,6 @@ def test_short_paths_and_draws_under_two_chunks_stay_on_the_calling_thread():
 
 
 NEGATIVE_SEED_CALLS = {
-    "sample_increments": lambda: sample_increments(DiffusionSpec(), 0.01, 16, seed=-1),
     "moment_check": lambda: moment_check(DiffusionSpec(), [0] * 4, [0] * 4, 0.01, 10_000, seed=-1),
     "path_generator": lambda: path_generator(0, -1),
     "path_increments": lambda: path_increments(0.01, 5, seed=-1, path=0),
