@@ -63,10 +63,10 @@ not. This is a record for comparing two trees, not a pass/fail gate.
     python3 bench/layers.py --label change
 
 `--src` picks the csoc sources to import (default: ./src next to this
-script); the probe inputs come from perfbench/workloads.py next to it. The
-record names the sources by the git rev of the repository holding them
-(suffixed -dirty when it has uncommitted changes) and by a sha256 of their
-csoc/*.py files, computed as perfbench's stamp does.
+script); the sizes and the probe inputs come from perfbench/workloads.py
+next to it. The record names the sources by the git rev of the repository
+holding them (suffixed -dirty when it has uncommitted changes) and by a
+sha256 of their csoc/*.py files, computed as perfbench's stamp does.
 """
 
 from __future__ import annotations
@@ -86,15 +86,25 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-STEPS = 200
-D_TAU = 1e-3
-INTEGRATE_PATHS = 34_236
-ACTION_PATHS = 4_096
+
+
+def load_workloads():
+    """perfbench's workloads module; it imports csoc when a workload is built."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = sys.modules["perfbench_workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the sizes perfbench times, read from its workloads so that the two cannot drift apart
+WORKLOADS = load_workloads()
+STEPS, D_TAU, PROBES = WORKLOADS.STEPS, WORKLOADS.D_TAU, WORKLOADS.PROBES
+INTEGRATE_PATHS, ACTION_PATHS = WORKLOADS.INTEGRATE_PATHS, WORKLOADS.ACTION_PATHS
+MOMENT_SAMPLES = WORKLOADS.MOMENT_SAMPLES
 ONE_STEP_PATHS = 200_000
-MOMENT_SAMPLES = 1_000_000
 F64 = 8
 SEED = 1
-PROBES = 1024
 FIELDS = ("analytic", "contaminated", "audit_field", "em_value", "quad_value", "em_r", "em_i")
 CONFIGS = {"default": {}, "probes-1024": {"probes": "1024"}}
 YARDSTICK_POINTS = 4096
@@ -169,15 +179,6 @@ def stochastic(csoc, np, scale: int = 1) -> list:
                   "peak_traced_bytes": peak}
         out.append((record, {"call": lambda call=call: call(1)}))
     return out
-
-
-def load_workloads():
-    """perfbench's workloads module; it imports csoc when a workload is built."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    module = sys.modules["perfbench_workloads"] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _memo(f):
@@ -359,7 +360,7 @@ def bench(src: Path, label: str, scale: int = 1, probes: int = PROBES,
     yard_times = []
     with tempfile.TemporaryDirectory() as tmp:
         entries = (stochastic(csoc, np, scale)
-                   + probe(csoc, np, load_workloads().ProbeSweep(SEED, probes))
+                   + probe(csoc, np, WORKLOADS.ProbeSweep(SEED, probes))
                    + runners(cli, configs, Path(tmp)))
         times = [{mode: [] for mode in timed} for _, timed in entries]
         for _ in range(repeats):

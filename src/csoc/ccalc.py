@@ -27,16 +27,19 @@ and blocks that coincide (first and second differences at one explicit h,
 the probe itself) share one evaluation. A probe must be
 finite: tau and z are checked where a probe's stencil is built, so every
 derivative, residual and scan refuses a NaN or infinite probe with a
-DomainError before evaluating any point. A stencil's first sweep sets its
-rounding: Python complex values divide as Python divides them, so the
-results are bit for bit those of scalar arithmetic at each point. The
-stencil sets its steps once, when it is built about a probe. An explicit h
-is every step, the tau step included; otherwise _step gives eps**(1/3) *
-scale for first differences and eps**(1/4) * scale for second differences,
-scale being max(1, max |z^mu|) (max(1, |tau|) in tau). _Stencil.map applies
-g once to every block taken and gives the stencil of g(f), which evaluates
-nothing. A ScalarField checks its box at every evaluation, so every point
-a stencil or any other caller evaluates is checked, not a margin around it.
+DomainError before evaluating any point. A stencil's values are complex,
+and its first sweep sets its rounding from their shape: one number per
+probe divides as CPython divides a complex by a float, so the results are
+bit for bit those of scalar arithmetic at each point, and an array per
+probe (a spinor) divides as numpy divides. The stencil sets its steps
+once, when it is built about a probe. An explicit h is every step, the tau
+step included; otherwise _step gives eps**(1/3) * scale for first
+differences and eps**(1/4) * scale for second differences, scale being
+max(1, max |z^mu|) (max(1, |tau|) in tau). _Stencil.map applies g once to
+every block taken and gives the stencil of g(f), which evaluates nothing
+and divides as numpy divides. A ScalarField checks its box at every
+evaluation, so every point a stencil or any other caller evaluates is
+checked, not a margin around it.
 """
 
 from __future__ import annotations
@@ -79,14 +82,13 @@ def _step(scale, h=None):
 
 
 def _quot(num, d, pydiv: bool):
-    """num / d for a positive real d, rounded as scalar arithmetic at each
-    point rounds it.
+    """num / d for a positive real d: as CPython divides a complex by a
+    float with pydiv, else as numpy divides.
 
-    Python complex values divide as CPython divides them: the values of one
-    probe Python divides itself, those of many probes go through _py_cdiv.
-    numpy's division of a complex array multiplies by a reciprocal and can
-    differ in the last bit, so it serves real and numpy values only, whose
-    scalars numpy divides the same way.
+    CPython's rounding serves one number per probe, so a difference equals
+    scalar arithmetic at each point: Python divides the values of one probe
+    itself, _py_cdiv those of many. numpy's division multiplies by a
+    reciprocal and can differ in the last bit; it serves arrays per probe.
     """
     if not pydiv:
         return num / d
@@ -111,8 +113,7 @@ def _py_cdiv(a: np.ndarray, d) -> np.ndarray:
 def _rows(f):
     """A per-point field f(tau, z) as a field on (N, 4) rows with one tau
     per row, an (N,) array: f is called once per row, at that row's tau as
-    a Python float, and the values come back as a list, so a stencil sees
-    whether they are Python complex."""
+    a Python float, giving one value per row."""
     def rows(tau, z):
         return [f(t, p) for t, p in zip(tau.tolist(), z)]
     return rows
@@ -132,9 +133,9 @@ class _Stencil:
     field, and a difference evaluates any block it reads that is still
     missing. The field is called once per point, f(tau, z + offset), with
     the probe's tau (tau +/- h_tau in the tau block) passed through
-    unchanged. The values of one sweep share one array, so a field gives
-    the same kind of value at every point. Blocks are cached by what they
-    hold, so first and second differences at one explicit h share one
+    unchanged. The values of one sweep share one complex array, so a field
+    gives the same shape of value at every point. Blocks are cached by what
+    they hold, so first and second differences at one explicit h share one
     block. Fields are assumed deterministic.
 
     The steps h1 (first differences), h2 (second differences) and h_tau are
@@ -142,15 +143,13 @@ class _Stencil:
     z may carry leading axes, each row a probe with steps of its own scale;
     tau is a float or an array that broadcasts against them, and f maps such
     a z to a value per row (_rows adapts a per-point field). The first sweep
-    sets one rounding flag: after Python complex values, or lists of them,
-    every difference divides as CPython divides. dtype, when given, is the
-    dtype of the values; the differences are complex, unless dtype is
-    float64, when they stay real.
+    sets one rounding flag from the shape of the values: one number per
+    probe (per row of z) divides as CPython divides, an array per probe as
+    numpy divides (_quot).
     """
 
-    def __init__(self, f, tau, z, h=None, dtype=None):
-        self.f, self.tau, self.z, self.dtype = f, tau, z, dtype
-        self._diff_dtype = np.float64 if dtype is np.float64 else np.complex128
+    def __init__(self, f, tau, z, h=None):
+        self.f, self.tau, self.z = f, tau, z
         # max(1, max |z^mu|) per row, NaN or inf when z is not finite
         self.scale = scale = np.maximum.reduce(np.abs(z), axis=-1, initial=1.0)
         if h is None:
@@ -163,7 +162,7 @@ class _Stencil:
             self.h1 = self.h2 = self.h_tau = _step(scale, h)
             self._alias = {"x2": "x1", "y2": "y1"}
         self._blocks: dict = {}
-        self._pydiv = False   # the first sweep sets it when the values are Python complex
+        self._pydiv = False   # the first sweep sets it when the values are one number per probe
 
     def __call__(self):
         """The field at the probe (one value per row of z)."""
@@ -179,7 +178,7 @@ class _Stencil:
         if not self._blocks:
             raise DomainError("a stencil that has taken no block has nothing to map")
         values = list(self._blocks.values())
-        mapped = np.split(np.asarray(g(np.concatenate(values))),
+        mapped = np.split(np.asarray(g(np.concatenate(values)), dtype=np.complex128),
                           np.cumsum([len(v) for v in values[:-1]]))
         stencil = object.__new__(_Stencil)
         stencil.__dict__.update(self.__dict__, f=None, _pydiv=False,
@@ -213,11 +212,9 @@ class _Stencil:
                 for p in (z[None] if n == "center" else z + self._offsets(n))]
         if todo[-1] == "tau":
             vals += [f(tau + self.h_tau, z), f(tau - self.h_tau, z)]
-        # Python complex values make a complex array: say so and skip numpy's type search
-        dtype = np.complex128 if self.dtype is None and type(vals[0]) is complex else self.dtype
-        values = np.array(vals, dtype=dtype)
+        values = np.array(vals, dtype=np.complex128)
         if not self._blocks:   # the first sweep decides how every difference rounds
-            self._pydiv = type(vals[0][0] if type(vals[0]) is list else vals[0]) is complex
+            self._pydiv = values.ndim == z.ndim
         start = 0
         for n in todo:
             self._blocks[n] = values[start:start + _SIZES[n]]
@@ -239,19 +236,17 @@ class _Stencil:
         given difference order."""
         h = self.h1 if order == 1 else self.h2
         v, pydiv = self._block(("x" if unit == 1 else "y") + str(order)), self._pydiv
-        return _quot(v[:4] - v[4:], 2 * h, pydiv).astype(self._diff_dtype, copy=False)
+        return _quot(v[:4] - v[4:], 2 * h, pydiv)
 
     def diff2(self, unit=1) -> np.ndarray:
         """(f(z + v) - 2 f(z) + f(z - v)) / h^2 along every axis, v = unit * h e_mu."""
         v, f0, h = self._block("x2" if unit == 1 else "y2"), self._block("center"), self.h2
-        return _quot(v[:4] - 2 * f0 + v[4:], h * h,
-                     self._pydiv).astype(self._diff_dtype, copy=False)
+        return _quot(v[:4] - 2 * f0 + v[4:], h * h, self._pydiv)
 
     def mixed(self) -> np.ndarray:
         """d2/dx^mu dy^mu along every axis from the four diagonal points."""
         v, h = self._block("mixed"), self.h2
-        return _quot(v[0:4] - v[4:8] - v[8:12] + v[12:16], 4 * h * h,
-                     self._pydiv).astype(self._diff_dtype, copy=False)
+        return _quot(v[0:4] - v[4:8] - v[8:12] + v[12:16], 4 * h * h, self._pydiv)
 
     def diff_tau(self):
         """(f(tau + h) - f(tau - h)) / 2h at the probe's z."""
@@ -296,11 +291,10 @@ class ScalarField:
         return self.f(tau, z)
 
 
-def _probe_stencil(f, tau: float, z, h: Optional[float] = None, dtype=None,
-                   blocks=()) -> _Stencil:
+def _probe_stencil(f, tau: float, z, h: Optional[float] = None, blocks=()) -> _Stencil:
     """The stencil of a field at a probe point, which must be finite, with
     the named blocks evaluated in one sweep."""
-    st = _Stencil(f, tau, _vector(z), h, dtype)
+    st = _Stencil(f, tau, _vector(z), h)
     if not (abs(tau) < np.inf and st.scale < np.inf):
         raise DomainError(f"the probe must be finite, got tau={tau}, z={st.z}")
     st.evaluate(*blocks)

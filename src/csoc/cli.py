@@ -333,20 +333,14 @@ def run_sde_demo(cfg: ScenarioConfig) -> dict:
 
 # The presets of cr-scan and equivalence-audit are fields on (..., 4) rows
 # with a tau per row, so a scan takes one call per offset of a stencil block.
-# Each returns one Python complex per row: the stencil divides Python complex
-# values as CPython does, and numpy's own arithmetic here rounds as a
-# per-point field's Python arithmetic would, so every artifact keeps its bits.
 def _cr_fields(metric: Metric):
     eta = metric.eta
 
-    def values(tau, z):
+    def analytic(tau, z):
         return np.add.reduce(eta * z * z, axis=-1) + 0.1 * np.exp(z[..., 0]) + tau * z[..., 1]
 
-    def analytic(tau, z):
-        return values(tau, z).tolist()
-
     def twisted(tau, z):
-        return (values(tau, z) + 0.5 * np.conj(z[..., 0])).tolist()
+        return analytic(tau, z) + 0.5 * np.conj(z[..., 0])
 
     return analytic, twisted
 
@@ -391,8 +385,7 @@ def _audit_value_field(metric: Metric):
     eta = metric.eta
 
     def field(tau, z):
-        return (0.1 * np.add.reduce(eta * z * z, axis=-1) + 0.3 * z[..., 0]
-                + 0.05 * tau).tolist()
+        return 0.1 * np.add.reduce(eta * z * z, axis=-1) + 0.3 * z[..., 0] + 0.05 * tau
     return field
 
 

@@ -252,7 +252,7 @@ def linearized_residual(gammas: GammaSet, phi: SpinorFieldFn, tau: float, z,
 def _spinor_stencil(phi: SpinorFieldFn, tau: float, z, h: Optional[float], *blocks) -> _Stencil:
     """The spinor's stencil at the probe, the centre and the named blocks in
     one sweep, refused unless phi gives four components."""
-    st = _probe_stencil(phi, tau, z, h, dtype=np.complex128, blocks=("center",) + blocks)
+    st = _probe_stencil(phi, tau, z, h, blocks=("center",) + blocks)
     if st().shape != (4,):
         raise DomainError(f"phi must return 4 components, got {st().shape}")
     return st

@@ -16,10 +16,10 @@ degenerate, every shell velocity gives the same bracket, and the evaluator
 substitutes the representative shell velocity w* = (c, 0, 0, 0), which is on
 shell in both metric conventions.
 
-The paired real form is evaluated by hjb_residual_pair from independent
-stencils of two real fields J_R(tau, x, y) and J_I(tau, x, y); for analytic
-J = J_R + i J_I the pair residuals recombine into the complex residual, and
-their numerical difference is pure stencil error.
+The paired real form is evaluated by hjb_residual_pair from two real fields
+J_R(tau, x, y) and J_I(tau, x, y), differenced as J_R + i J_I and summed as
+real rows; for analytic J the pair residuals recombine into the complex
+residual, and their numerical difference is pure stencil error.
 """
 
 from __future__ import annotations
@@ -148,9 +148,9 @@ def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFi
     """Residuals of the paired real equations at one probe.
 
     field_r and field_i are real fields of (tau, x, y). All their partials
-    come from real stencils, one for both fields, so first and second routes
-    share points; the stationary control is built from the pair gradient
-    dJ = dJ_R/dx + i dJ_I/dx.
+    come from one stencil of J_R + i J_I, whose differences split into their
+    real and imaginary parts, so first and second routes share points; the
+    stationary control is built from the pair gradient dJ = dJ_R/dx + i dJ_I/dx.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -161,23 +161,22 @@ def hjb_residual_pair(problem: HJBProblem, field_r: PairFieldFn, field_i: PairFi
 
     def pair(t, p):
         x, y = p.real, p.imag
-        return field_r(t, x, y), field_i(t, x, y)
+        return complex(field_r(t, x, y), field_i(t, x, y))
 
     z = x + 1j * y
-    st = _probe_stencil(pair, tau, z, h, dtype=np.float64,
-                        blocks=("x1", "y1", "x2", "y2", "center", "mixed", "tau"))
-    # each part with rows J_R and J_I and columns the axes, rows contiguous
+    st = _probe_stencil(pair, tau, z, h, blocks=("x1", "y1", "x2", "y2", "center", "mixed", "tau"))
     parts = np.array([st.diff1(), st.diff1(1j), st.diff2(), st.diff2(1j), st.mixed()])
-    dx, dy, dxx, dyy, dxy = parts.transpose(0, 2, 1).copy()
+    # each part with rows J_R and J_I and columns the axes; real rows sum as the pair's own
+    dx, dy, dxx, dyy, dxy = np.stack([parts.real, parts.imag], axis=1)
     dtau = st.diff_tau()
 
-    w_star, _ = optimal_control_at(problem, dx[0] + 1j * dx[1], tau, z)
+    w_star, _ = optimal_control_at(problem, parts[0], tau, z)
     lval = complex(np.asarray(problem.lagrangian.value(tau, z, w_star)))
     sx2, mix, sy2 = problem._pair_weights
     bracket = (np.array([lval.real, lval.imag]) + np.add.reduce(w_star.real * dx, axis=-1)
                + np.add.reduce(w_star.imag * dy, axis=-1))
     second = 0.5 * np.add.reduce(sx2 * dxx + mix * dxy + sy2 * dyy, axis=-1)
-    residual = -dtau - bracket - second
+    residual = -np.array([dtau.real, dtau.imag]) - bracket - second
     return float(residual[0]), float(residual[1])
 
 

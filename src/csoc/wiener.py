@@ -264,6 +264,7 @@ def _zscore(estimate: float, target: float, stderr: float) -> float:
 
 
 _Z_MAX = 5.0   # the largest |z-score| of an unflagged moment line
+_ROUNDOFF = float(np.finfo(float).eps)   # a state difference's error per unit of state
 _TABLE_STEPS = 200   # steps of each path whose differences the moment table takes
 _BATCH = 2**13       # differences folded into the running moments at once
 _ROWS = [f"dx{mu}" for mu in range(4)] + [f"dy{mu}" for mu in range(4)]
@@ -302,8 +303,11 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
     product of its two means plus the covariance: sigma^2 d_tau on the
     diagonal of <dx dx> and <dy dy>, epsilon eta^{mumu} sigma_x sigma_y d_tau
     on that of <dx dy>, 0 off them. Standard errors are sample standard
-    deviations divided by sqrt(n); a line is flagged unless |z| <= _Z_MAX,
-    so a NaN z-score is flagged.
+    deviations divided by sqrt(n), floored at the samples' roundoff, all a
+    line without spread (a noiseless sheet under drift) reads: _ROUNDOFF P_r
+    for d_r, _ROUNDOFF (rms_i P_j + rms_j P_i) for d_i d_j, with P the
+    largest |coordinate| the states reach and rms that of a difference. A
+    line is flagged unless |z| <= _Z_MAX, so a NaN z-score is flagged.
 
     The samples are the increments the stepper takes: the first n state
     differences z_{t+1} - z_t, path by path, of ceil(n / _TABLE_STEPS) paths
@@ -323,11 +327,12 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
     batch = np.empty((len(_ROWS), _BATCH))
     coords = batch.reshape(2, 4, _BATCH)   # dx^mu, then dy^mu
     acc, fill = [0, 0.0, 0.0], 0
+    peak = np.zeros(8)   # the largest |x^mu|, |y^mu| of a state after a tabulated step
     policy = sde.constant_policy(v + 1j * u)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows, steps in sde._path_blocks(policy, spec, z, d_tau, _TABLE_STEPS, seed, 0.0):
             now = z[rows].view(np.float64)   # x^0, y^0, x^1, y^1, ... of each path
-            before = np.empty(now.shape)
+            before, top, low = np.empty(now.shape), np.zeros(now.shape), np.zeros(now.shape)
             # each step yields z_t before it moves the paths; t = _TABLE_STEPS ends them
             for t, *_ in itertools.chain(steps, [(_TABLE_STEPS,)]):
                 if t:   # batch step t-1's differences of the paths among the first n
@@ -338,9 +343,15 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
                     diff = np.subtract(now[:k], before[:k], out=before[:k])
                     coords[..., fill:fill + k] = diff.reshape(k, 4, 2).T
                     fill += k
+                    np.maximum(top[:k], now[:k], out=top[:k])   # each path's extremes
+                    np.minimum(low[:k], now[:k], out=low[:k])
                 np.copyto(before, now)
+            np.maximum(peak, np.maximum(top.max(axis=0), -low.min(axis=0)), out=peak)
         _fold(acc, batch[:, :fill])
-    _, mean, m2 = acc
+        _, mean, m2 = acc
+        (i, j), p = np.array(_PAIRS).T, peak.reshape(4, 2).T.ravel()
+        rms = np.sqrt(np.maximum(mean[8 + np.flatnonzero(i == j)], 0.0))   # the d_r d_r lines
+        floors = _ROUNDOFF * np.concatenate([p, rms[i] * p[j] + rms[j] * p[i]])
     sx, sy = spec.sigma_x, spec.sigma_y
     first = np.concatenate([v, u]) * d_tau
     cov = np.diag(np.concatenate([sx * sx, sy * sy]))
@@ -349,8 +360,9 @@ def moment_check(spec: DiffusionSpec, v: Sequence[float], u: Sequence[float],
     targets = [*first, *(cov[i, j] * d_tau + first[i] * first[j] for i, j in _PAIRS)]
     names = _ROWS + [_ROWS[i] + _ROWS[j] for i, j in _PAIRS]
     lines = []
-    for name, est, sq, target in zip(names, mean.tolist(), m2.tolist(), targets):
-        se = float(np.sqrt(sq / (n - 1)) / np.sqrt(n))
+    for name, est, sq, target, floor in zip(names, mean.tolist(), m2.tolist(), targets,
+                                            floors.tolist()):
+        se = max(float(np.sqrt(sq / (n - 1)) / np.sqrt(n)), floor)
         z_line = _zscore(est, float(target), se)
         lines.append(MomentLine(name, est, float(target), se, z_line, not abs(z_line) <= _Z_MAX))
     return MomentReport(lines=tuple(lines), n=n, d_tau=float(d_tau), z_max=_Z_MAX)

@@ -1,11 +1,13 @@
 """The block stencil engine against a per-point reference.
 
 ReferenceStencil is a per-point engine: every point is its own field call,
-cached under its offset's bytes, and every difference is Python arithmetic
-on the values the field returned. The reference functions are the scalar
+cached under its offset's bytes, and every difference is arithmetic on the
+values the field returned, divided as CPython divides a complex by a float
+where a probe has one number, as numpy divides where it has an array (a
+spinor) or the stencil is mapped. The reference functions are the scalar
 code of each library function, run on it. Each library function must return
 the same bits, so a block engine that rounds any division, product or sum
-differently (numpy's complex division, say) fails here.
+differently (numpy's complex division of scalar values, say) fails here.
 """
 
 import copy
@@ -40,6 +42,7 @@ class ReferenceStencil:
         self.h2 = h if h is not None else _EPS_QRT * scale
         self.h_tau = h if h is not None else _EPS_CBRT * max(1.0, abs(tau))
         self._values = {}
+        self._numpy_div = False
 
     def __call__(self, dz=None, dt=None):
         key = (dt, None if dz is None else dz.tobytes())
@@ -55,7 +58,19 @@ class ReferenceStencil:
         mapped = copy.copy(self)
         mapped._values = {}
         mapped._eval = lambda dz, dt: g(self(dz, dt))
+        mapped._numpy_div = True
         return mapped
+
+    def _div(self, num, d):
+        """num / d: CPython's complex division for one number per probe (per
+        row of z, each by its row's d), numpy's for an array per probe."""
+        num = np.asarray(num)
+        if self._numpy_div or num.ndim != self.z.ndim - 1:
+            return num / d
+        if num.ndim == 0:
+            return complex(num) / float(d)
+        return np.array([complex(a) / b for a, b in
+                         zip(num.tolist(), np.broadcast_to(d, num.shape).tolist())])
 
     def _axes(self, h, unit):
         if self.z.ndim == 1:
@@ -65,25 +80,25 @@ class ReferenceStencil:
     def diff1(self, unit=1, order=1):
         h = self.h1 if order == 1 else self.h2
         steps = self._axes(h, unit)
-        return np.array([(self(v) - self(w)) / (2 * h) for v, w in zip(steps, -steps)],
+        return np.array([self._div(self(v) - self(w), 2 * h) for v, w in zip(steps, -steps)],
                         dtype=np.complex128)
 
     def diff2(self, unit=1):
         h, f0 = self.h2, self()
         steps = self._axes(h, unit)
-        return np.array([(self(v) - 2 * f0 + self(w)) / (h * h)
+        return np.array([self._div(self(v) - 2 * f0 + self(w), h * h)
                          for v, w in zip(steps, -steps)], dtype=np.complex128)
 
     def mixed(self):
         h = self.h2
         e, ie = h * UNIT, 1j * h * UNIT
         corners = zip(e + ie, e - ie, -e + ie, -e - ie)
-        return np.array([(self(pp) - self(pm) - self(mp) + self(mm)) / (4 * h * h)
+        return np.array([self._div(self(pp) - self(pm) - self(mp) + self(mm), 4 * h * h)
                          for pp, pm, mp, mm in corners], dtype=np.complex128)
 
     def diff_tau(self):
         h = self.h_tau
-        return (self(dt=h) - self(dt=-h)) / (2 * h)
+        return self._div(self(dt=h) - self(dt=-h), 2 * h)
 
 
 # ------------------------------------------------------- reference functions
@@ -116,7 +131,7 @@ def ref_pair(problem, field_r, field_i, tau, z, h):
     def partials(field):
         st = ReferenceStencil(lambda t, p: field(t, p.real, p.imag), tau, z, h)
         parts = (st.diff1(), st.diff1(1j), st.diff2(), st.diff2(1j), st.mixed())
-        return tuple(part.real for part in parts) + (st.diff_tau(),)
+        return tuple(part.real for part in parts) + (st.diff_tau().real,)
 
     dxr, dyr, dxxr, dyyr, dxyr, dtau_r = partials(field_r)
     dxi, dyi, dxxi, dyyi, dxyi, dtau_i = partials(field_i)
@@ -210,12 +225,12 @@ def probes(metric_name, n=6):
     # signed zeros: a point offset along another axis keeps or flips them
     zs[0] = [complex(-0.0, 0.3), complex(0.2, -0.0), 0j, complex(-0.0, -0.0)]
     # probe 1 keeps numpy's float: a field then returns numpy complex values,
-    # which numpy divides, where a Python float tau gives CPython's division
+    # which the stencil divides as it divides Python complex ones
     return [(t if i == 1 else float(t), z) for i, (t, z) in enumerate(zip(taus, zs))]
 
 
 def python_field(eta):
-    """Returns Python complex: its differences divide as CPython does."""
+    """Returns Python complex, one number per probe."""
     def f(tau, z):
         return (complex(np.sum(eta * z * z)) + 0.1 * complex(np.exp(z[0]))
                 + tau * complex(z[1]) + complex(np.sin(z[2] * z[3])))
@@ -223,7 +238,8 @@ def python_field(eta):
 
 
 def numpy_field(eta):
-    """Returns numpy complex scalars: its differences divide as numpy does."""
+    """Returns numpy complex scalars: one number per probe, divided as
+    python_field's values are."""
     def f(tau, z):
         return np.sum(eta * z * z * z) + np.exp(0.3 * tau) * z[1]
     return f
@@ -356,9 +372,8 @@ def test_the_audit_reads_the_per_point_derivatives():
 
 
 def test_a_field_gets_the_callers_tau_or_a_python_float_per_row():
-    # the type of tau decides how a field's values divide (numpy's float makes
-    # tau * complex(...) numpy complex), so it reaches the field unchanged at
-    # one probe, and the scan hands each row a Python float
+    # a field sees the tau the scalar code would pass it: the caller's,
+    # unchanged, at one probe, and a Python float per row in the scan
     seen = []
 
     def f(tau, z):
@@ -374,6 +389,43 @@ def test_a_field_gets_the_callers_tau_or_a_python_float_per_row():
     seen.clear()
     analyticity_scan(f, [(0.3, z), (np.float64(0.4), z)], tol=1.0)
     assert set(seen) == {float}
+
+
+def test_a_value_rounds_by_its_shape_not_its_python_type():
+    # the same expression with and without complex(), at a float and at a
+    # numpy float tau: one number per probe, so every route divides it as
+    # CPython does and returns the same bits
+    eta = MOSTLY_PLUS.eta
+
+    def boxed(tau, z):
+        return complex(np.sum(eta * z * z)) + 0.1 * complex(np.exp(z[0]))
+
+    def bare(tau, z):
+        return np.sum(eta * z * z) + 0.1 * np.exp(z[0])
+
+    rng = np.random.default_rng(0)
+    zs = rng.uniform(-1, 1, (64, 4)) + 1j * rng.uniform(-1, 1, (64, 4))
+    problem = problems(MOSTLY_PLUS)[0]
+
+    def routes(f, tau):
+        out = []
+        for z in zs:
+            d = complex_derivative(f, tau, z)
+            s = second_complex_derivative(f, tau, z)
+            p = hjb_residual_probe(problem, f, tau, z)
+            dt = tau_derivative(f, tau, z)
+            out += [d.d_x, d.d_y, d.cr_residuals, d.consistency_residuals, s.route_xx,
+                    s.route_yy, s.route_xy, s.route_discrepancies, type(dt), bits(dt),
+                    p.dJ, p.d2J, p.w_star, p.residual]
+        scan = analyticity_scan(f, [(tau, z) for z in zs], tol=1.0)
+        out += [r.derivatives.d_x for r in scan.results] + [r.scaled_residual for r in scan.results]
+        return [x if isinstance(x, (type, bytes)) else bits(x) for x in out]
+
+    want = routes(boxed, 0.3)
+    for f, tau in ((boxed, np.float64(0.3)), (bare, 0.3), (bare, np.float64(0.3))):
+        got = routes(f, tau)
+        assert len(got) == len(want)
+        assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == [], (f.__name__, tau)
 
 
 # ------------------------------------------- the callables the probe sweep passes

@@ -283,6 +283,18 @@ def test_nan_step_is_a_domain_error_for_moments(tmp_path, capsys):
     assert "config error: d_tau must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_paths", ["100000", "1000000"])
+def test_a_noiseless_imaginary_sheet_passes_the_moment_table(tmp_path, n_paths):
+    # y^3 moves by the drift alone: its lines have no spread, and read their
+    # rounding against the standard error's roundoff floor
+    out = tmp_path / "run"
+    assert main(["run", "moments", "--sigma-y", "0", "--n-paths", n_paths,
+                 "--out-dir", str(out)]) == 0
+    lines = {ln["name"]: ln for ln in json.loads((out / "moments.json").read_text())["lines"]}
+    for name in ("dy3", "dy3dy3"):
+        assert lines[name]["stderr"] > 0.0 and abs(lines[name]["zscore"]) < 1.0, lines[name]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", ["hbar", "m", "c", "d_tau", "box_half_width", "sigma_x",
                                  "sigma_y", "rapidity"])

@@ -9,8 +9,11 @@ This is mutation testing (DeMillo, Lipton and Sayward, IEEE Computer 11
 (1978)) with a hand-picked catalogue: one defect per claim that a scenario
 checks.
 
-Defects that no scenario catches yet are not entries here; CHANGES.md lists
-them as known gaps.
+Defects that no scenario catches yet are the KNOWN_GAPS ledger: each plants
+its line the same way and expects `csoc run all` at the default config or at
+`--epsilon -1` to report a FAIL, which today it does not, so each is a strict
+xfail. A change that closes a gap turns its entry into an XPASS, which fails
+the suite; the entry then moves to DEFECTS with its pinned FAIL lines.
 """
 
 import json
@@ -80,6 +83,13 @@ DEFECTS = (
            "step = w.copy()   # C order, as w may be broadcast, strided or read-only\n"
            "        step.imag = 0",
            ("run", "moments"), {"moments": ("flagged-lines",)}),
+    # the same on a noiseless imaginary sheet, whose lines have no spread
+    # and stand on the standard error's roundoff floor alone
+    Defect("stepper-imaginary-drift-dropped-noiseless", "sde.py",
+           "step = w.copy()   # C order, as w may be broadcast, strided or read-only",
+           "step = w.copy()   # C order, as w may be broadcast, strided or read-only\n"
+           "        step.imag = 0",
+           ("run", "moments", "--sigma-y", "0"), {"moments": ("flagged-lines",)}),
     # the central first difference divided by h instead of 2h
     Defect("first-difference-over-h", "ccalc.py",
            "_quot(v[:4] - v[4:], 2 * h, pydiv)", "_quot(v[:4] - v[4:], h, pydiv)",
@@ -93,7 +103,36 @@ DEFECTS = (
            ("run", "all"), {"hjb-residual": ("max-abs-residual",)}, factor=1e3),
 )
 
-CONTROL_ARGS = sorted({d.args for d in DEFECTS})
+
+@dataclass(frozen=True)
+class Gap:
+    """One wrong line that no scenario catches yet: `old`, which occurs
+    exactly once in `file` (under src/csoc), becomes `new`."""
+
+    id: str
+    file: str
+    old: str
+    new: str
+
+
+KNOWN_GAPS = (
+    Gap("action-without-d-tau", "sde.py", "ab += value * d_tau", "ab += value"),
+    Gap("stepper-tau-one-step-ahead", "sde.py",
+        "tau = tau0 + t * d_tau", "tau = tau0 + (t + 1) * d_tau"),
+    Gap("quadratic-gradient-doubled", "lagrangian.py",
+        "return a * (eta * np.asarray(w, dtype=np.complex128))",
+        "return 2 * a * (eta * np.asarray(w, dtype=np.complex128))"),
+    Gap("hjb-second-order-doubled", "hjb.py",
+        "second = 0.5 * complex(np.add.reduce(problem._sigma_squared * d2j))",
+        "second = 1.0 * complex(np.add.reduce(problem._sigma_squared * d2j))"),
+    Gap("sigma-squared-without-eta", "wiener.py",
+        "2j * spec.epsilon * spec.metric.eta * sx * sy", "2j * spec.epsilon * sx * sy"),
+    Gap("component-signs-all-plus", "dirac.py",
+        "COMPONENT_SIGNS = (1.0, 1.0, -1.0, -1.0)", "COMPONENT_SIGNS = (1.0, 1.0, 1.0, 1.0)"),
+)
+GAP_ARGS = (("run", "all"), ("run", "all", "--epsilon", "-1"))
+
+CONTROL_ARGS = sorted({d.args for d in DEFECTS} | set(GAP_ARGS))
 
 
 def copy_package(root: Path) -> Path:
@@ -159,3 +198,24 @@ def test_unmodified_copy_passes(args, tmp_path):
     assert_imported(proc, package / "cli.py")
     assert proc.returncode == 0, messages(proc)
     assert proc.stdout == expected_stdout(args, ())
+
+
+@pytest.mark.parametrize("gap", KNOWN_GAPS, ids=lambda g: g.id)
+def test_each_known_gap_plants_one_line(gap):
+    assert (PACKAGE / gap.file).read_text().count(gap.old) == 1, gap.old
+
+
+@pytest.mark.parametrize("gap", [pytest.param(g, id=g.id, marks=pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="no scenario of csoc run catches it yet"))
+    for g in KNOWN_GAPS])
+def test_known_gap_fails_some_scenario(gap, tmp_path):
+    target = copy_package(tmp_path) / gap.file
+    target.write_text(target.read_text().replace(gap.old, gap.new))
+    caught = []
+    for args in GAP_ARGS:
+        proc = run_copy(tmp_path, args, tmp_path / "-".join(args))
+        assert_imported(proc, target)
+        if proc.returncode not in (0, 1) or "Traceback" in proc.stderr:
+            pytest.fail(f"{gap.id} crashes csoc {' '.join(args)}: {messages(proc)}")
+        caught.append(proc.returncode == 1 and "FAIL" in proc.stdout)
+    assert any(caught), f"csoc run all passes with {gap.id} planted"

@@ -84,11 +84,10 @@ def rows_with_box_edges(seed, n=512):
 def test_row_presets_equal_the_per_point_presets_bit_for_bit(metric, seed):
     tau, z = rows_with_box_edges(seed)
     for rows_field, reference in preset_pairs(metric):
-        got = rows_field(tau, z)
-        want = [reference(t, p) for t, p in zip(tau.tolist(), z)]
-        # one Python complex per row, as the stencil needs to divide as CPython does
-        assert type(got) is list and all(type(v) is complex for v in got)
-        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+        got = np.asarray(rows_field(tau, z))
+        want = np.array([reference(t, p) for t, p in zip(tau.tolist(), z)])
+        assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("probes", ["64", "1024"])

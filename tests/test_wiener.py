@@ -163,19 +163,23 @@ def test_moment_check_requires_large_batch():
 def reference_increments(spec, v, u, d_tau, n, seed):
     """The first n state differences, path by path, of ceil(n / _TABLE_STEPS)
     paths from 0 under constant_policy(v + iu), integrated from their
-    path_increments: an (n, 8) array of dx^0..dx^3, dy^0..dy^3."""
+    path_increments: an (n, 8) array of dx^0..dx^3, dy^0..dy^3, and the
+    state after each difference, the same shape."""
     steps = wiener._TABLE_STEPS
     dWx = np.stack([path_increments(d_tau, steps, seed, k) for k in range(-(-n // steps))])
     ens = integrate_with_increments(constant_policy(v + 1j * u), spec, np.zeros(4), d_tau, dWx)
-    return np.diff(ens.states, axis=1).reshape(-1, 8)[:n]
+    return (np.diff(ens.states, axis=1).reshape(-1, 8)[:n],
+            ens.states[:, 1:].reshape(-1, 8)[:n])
 
 
 def reference_moment_check(spec, v, u, d_tau, n, seed, z_max=5.0):
     """moment_check as plain numpy: reference_increments, and .mean() and
-    .std(ddof=1) of each line's samples."""
+    .std(ddof=1) of each line's samples, the standard error floored at the
+    roundoff of differences of states as large as the largest reached."""
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
-    d = reference_increments(spec, v, u, d_tau, n, seed)
+    d, later = reference_increments(spec, v, u, d_tau, n, seed)
+    eps, peak, rms = np.finfo(float).eps, np.abs(later).max(axis=0), np.sqrt((d * d).mean(axis=0))
     dx, dy = d[:, :4].T, d[:, 4:].T
     mx, my = v * d_tau, u * d_tau
     sx, sy, eta = spec.sigma_x, spec.sigma_y, spec.metric.eta
@@ -191,10 +195,15 @@ def reference_moment_check(spec, v, u, d_tau, n, seed, z_max=5.0):
                (spec.epsilon * eta[mu] * sx[mu] * sy[mu] if mu == nu else 0.0) * d_tau
                + mx[mu] * my[nu])
               for mu in range(4) for nu in range(4)]
+    rows = [*range(8)]
+    rows += [(4 * a + mu, 4 * a + nu) for a in (0, 1) for mu in range(4) for nu in range(mu, 4)]
+    rows += [(mu, 4 + nu) for mu in range(4) for nu in range(4)]
+    floors = [eps * (peak[r] if isinstance(r, int) else rms[r[0]] * peak[r[1]]
+                     + rms[r[1]] * peak[r[0]]) for r in rows]
     lines = []
-    for name, samples, target in table:
+    for (name, samples, target), floor in zip(table, floors):
         est = float(samples.mean())
-        se = float(samples.std(ddof=1) / np.sqrt(n))
+        se = max(float(samples.std(ddof=1) / np.sqrt(n)), float(floor))
         z = _zscore(est, target, se)
         lines.append(MomentLine(name, est, float(target), se, z, not abs(z) <= z_max))
     return d, lines
